@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -74,6 +75,10 @@ def _write_manifest(output: Path, subcommand: str, config: dict, inputs=()) -> N
 
 
 def _float_grid(lo: float, hi: float, step: float, what: str) -> list[float]:
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(
+            f"{what} grid bounds and step must be finite, got [{lo}, {hi}] step {step}"
+        )
     if step <= 0.0:
         raise ValueError(f"{what} step must be positive, got {step}")
     if hi < lo:

@@ -25,7 +25,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
-from .game import DEFAULT_MATRIX, DegenerateChain, MarkovStrategy, PayoffMatrix
+from .game import (
+    DEFAULT_MATRIX,
+    DEGENERACY_THRESHOLD,
+    DegenerateChain,
+    MarkovStrategy,
+    PayoffMatrix,
+)
 
 __all__ = [
     "CurvePoint",
@@ -86,7 +92,7 @@ def own_payoff_gradient(
     d1 = a1 - g1
     d2 = a2 - g2
     denom = 1.0 - d1 * d2
-    if abs(denom) < 1e-9:
+    if abs(denom) < DEGENERACY_THRESHOLD:
         raise DegenerateChain(f"gradient undefined for {own} vs {opponent}")
     n1 = a1 - a2 * d1
     n2 = a2 - a1 * d2

@@ -26,7 +26,13 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from .game import DEFAULT_MATRIX, DegenerateChain, MarkovStrategy, PayoffMatrix
+from .game import (
+    DEFAULT_MATRIX,
+    DEGENERACY_THRESHOLD,
+    DegenerateChain,
+    MarkovStrategy,
+    PayoffMatrix,
+)
 from .game import expected_payoff, stationary_state
 from .nash import curve_residual
 
@@ -46,6 +52,15 @@ __all__ = [
     "solve_qre",
     "sweep_lambda",
 ]
+
+#: The damped pass stops once every start's max-norm residual is below this.
+DAMPED_STOP_TOL = 1e-13
+
+
+def _check_rationality(lam: float) -> None:
+    """Reject a rationality that is negative, infinite or NaN."""
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"rationality must be finite and nonnegative, got {lam}")
 
 
 class NoSolution(RuntimeError):
@@ -112,6 +127,19 @@ class SolverConfig:
     continuity_tol: float = 0.05
     curve_choice: str = "stationarity"
 
+    def __post_init__(self) -> None:
+        for name in ("grid_size", "seed_grid_size"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2, got {getattr(self, name)}")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not (math.isfinite(self.accept_tol) and self.accept_tol >= 0.0):
+            raise ValueError(
+                f"accept_tol must be finite and nonnegative, got {self.accept_tol}"
+            )
+
 
 @dataclass
 class SweepResult:
@@ -174,7 +202,7 @@ def conditional_payoffs(
     before symmetrization; substituting after symmetrization collapses the
     state to its extreme cases and is not what this function computes.
     """
-    if min(abs(den) for den in _conditional_dens(alpha, gamma)) < 1e-9:
+    if min(abs(den) for den in _conditional_dens(alpha, gamma)) < DEGENERACY_THRESHOLD:
         raise DegenerateChain(
             f"conditional payoffs degenerate at alpha={alpha}, gamma={gamma}"
         )
@@ -209,8 +237,7 @@ def _expit(x: float) -> float:
 
 def logit_response(lam: float, u_choice1: float, u_choice0: float) -> float:
     """Logit choice probability of option 1 given the two payoffs."""
-    if lam < 0.0:
-        raise ValueError(f"rationality must be nonnegative, got {lam}")
+    _check_rationality(lam)
     return _expit(lam * (u_choice1 - u_choice0))
 
 
@@ -238,13 +265,19 @@ def qre_objective(
 
 def _clamped(alpha: float, gamma: float, eps: float) -> tuple[float, float, bool]:
     """Pull a degenerate-denominator point off the corner, flagging the clamp."""
-    if min(abs(den) for den in _conditional_dens(alpha, gamma)) >= 1e-9:
+    if min(abs(den) for den in _conditional_dens(alpha, gamma)) >= DEGENERACY_THRESHOLD:
         return float(alpha), float(gamma), False
     return (
         float(min(max(alpha, eps), 1.0 - eps)),
         float(min(max(gamma, eps), 1.0 - eps)),
         True,
     )
+
+
+def _degenerate_mask(alpha: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Elementwise form of the :func:`_clamped` flag over arrays of points."""
+    dens = _conditional_dens(alpha, gamma)
+    return np.minimum.reduce([np.abs(den) for den in dens]) < DEGENERACY_THRESHOLD
 
 
 def _objective_safe(
@@ -265,7 +298,7 @@ def _newton_polish(
     max_iter: int = 14,
 ) -> tuple[float, float, float]:
     """Polish a root of sigma(x) - x; quadratic near exact fixed points."""
-    a, g, _ = _clamped(x0[0], x0[1], max(eps, 1e-9))
+    a, g, _ = _clamped(x0[0], x0[1], max(eps, DEGENERACY_THRESHOLD))
     h = 1e-7
 
     def resid(a: float, g: float) -> tuple[float, float]:
@@ -389,12 +422,14 @@ def solve_qre(
     Damped fixed-point iteration locates attracting fixed points; local
     minima of the objective on the start grid seed a derivative-free polish
     that also finds repelling fixed points and candidate near-solutions.
-    Accepted points come first in the result; raises :class:`NoSolution`
-    when no start reaches ``accept_tol``.
+    The damped pass stops once every start's residual is below
+    ``DAMPED_STOP_TOL``, after at most ``max_iter`` steps; the steps taken go
+    to ``diagnostics["damped_iterations"]``.  Accepted points come first in
+    the result; raises :class:`NoSolution` when no start reaches
+    ``accept_tol``.
     """
     cfg = config or SolverConfig()
-    if lam < 0.0:
-        raise ValueError(f"rationality must be nonnegative, got {lam}")
+    _check_rationality(lam)
     diag: dict = {"clamped_starts": 0, "clamped_evals": 0}
     eps = cfg.clamp_eps
 
@@ -406,25 +441,27 @@ def solve_qre(
     ) else grid
 
     # Corner starts with degenerate denominators get the documented nudge.
-    clamped_rows = []
-    starts = starts.copy()
-    for i in range(starts.shape[0]):
-        a, g, was = _clamped(starts[i, 0], starts[i, 1], eps)
-        if was:
-            starts[i] = (a, g)
-            clamped_rows.append(i)
-    diag["clamped_starts"] = len(clamped_rows)
+    clamped = _degenerate_mask(starts[:, 0], starts[:, 1])
+    starts[clamped] = np.clip(starts[clamped], eps, 1.0 - eps)
+    diag["clamped_starts"] = int(clamped.sum())
 
+    # The stop is global: a per-start freeze could stop a start on a saddle
+    # that further iteration would leave, and so change the seeds found.
     a = starts[:, 0].copy()
     g = starts[:, 1].copy()
-    for _ in range(cfg.max_iter):
+    steps = 0
+    while True:
         sa, sg = _sigma_vec(lam, a, g, matrix)
-        a += cfg.damping * (sa - a)
-        g += cfg.damping * (sg - g)
+        ra, rg = sa - a, sg - g
+        res = np.maximum(np.abs(ra), np.abs(rg))
+        if steps == cfg.max_iter or res.max() < DAMPED_STOP_TOL:
+            break
+        a += cfg.damping * ra
+        g += cfg.damping * rg
         np.clip(a, eps, 1.0 - eps, out=a)
         np.clip(g, eps, 1.0 - eps, out=g)
-    sa, sg = _sigma_vec(lam, a, g, matrix)
-    res = np.maximum(np.abs(sa - a), np.abs(sg - g))
+        steps += 1
+    diag["damped_iterations"] = steps
     endpoints = np.column_stack([a, g])
 
     seeds: list[tuple[float, float]] = []
@@ -462,7 +499,9 @@ def solve_qre(
             break
         i, j = min_nodes[k]
         seeds.append(
-            _clamped(float(seed_axis[i]), float(seed_axis[j]), max(eps, 1e-9))[:2]
+            _clamped(
+                float(seed_axis[i]), float(seed_axis[j]), max(eps, DEGENERACY_THRESHOLD)
+            )[:2]
         )
     seeds.extend((float(w[0]), float(w[1])) for w in np.asarray(warm_starts, float).reshape(-1, 2))
 
@@ -556,6 +595,8 @@ def sweep_lambda(
     """Solve along an ascending rationality grid with warm-start continuation."""
     cfg = config or SolverConfig()
     lam_list = [float(v) for v in lambdas]
+    for lam in lam_list:
+        _check_rationality(lam)
     if any(b < a for a, b in zip(lam_list, lam_list[1:])):
         raise ValueError("lambda grid must be ascending")
 
@@ -722,15 +763,13 @@ def objective_grid(
 
     Returns flat arrays (alpha, gamma, objective, clamped).
     """
+    _check_rationality(lam)
     axis = np.linspace(0.0, 1.0, mesh)
     ga, gg = np.meshgrid(axis, axis, indexing="ij")
-    a = ga.ravel().copy()
-    g = gg.ravel().copy()
-    clamped = np.zeros(a.shape, dtype=bool)
-    for i in range(a.shape[0]):
-        na, ng, was = _clamped(a[i], g[i], clamp_eps)
-        if was:
-            a[i], g[i], clamped[i] = na, ng, True
+    alpha, gamma = ga.ravel(), gg.ravel()
+    clamped = _degenerate_mask(alpha, gamma)
+    a = np.where(clamped, np.clip(alpha, clamp_eps, 1.0 - clamp_eps), alpha)
+    g = np.where(clamped, np.clip(gamma, clamp_eps, 1.0 - clamp_eps), gamma)
     sa, sg = _sigma_vec(lam, a, g, matrix)
     f = (sa - a) ** 2 + (sg - g) ** 2
-    return ga.ravel(), gg.ravel(), f, clamped
+    return alpha, gamma, f, clamped

@@ -109,6 +109,25 @@ def test_qre_sweep_bad_step_maps_to_json_error(tmp_path, capsys):
     assert "step" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["objective-grid", "--rationality", "-1"],
+        ["objective-grid", "--rationality", "nan"],
+        ["qre-sweep", "--lambda-min", "nan"],
+        ["qre-sweep", "--lambda-max", "0", "--grid-size", "1"],
+        ["qre-sweep", "--lambda-max", "0", "--damping", "0"],
+        ["qre-sweep", "--lambda-max", "0", "--accept-tol", "-1"],
+    ],
+)
+def test_bad_solver_input_maps_to_json_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert not out.exists()
+
+
 def test_objective_grid_output(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     assert run(

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from pdqre.game import DegenerateChain
+from pdqre.game import DEFAULT_MATRIX, DegenerateChain
 from pdqre.qre import (
     NoSolution,
     SolverConfig,
+    _clamped,
+    _degenerate_mask,
+    _sigma_vec,
     conditional_payoffs,
     conditional_payoffs_compositional,
     find_intersections,
@@ -225,3 +228,117 @@ def test_objective_grid_shapes_and_flags():
     best = np.argmin(f)
     assert alpha[best] == pytest.approx(0.5, abs=1e-12)
     assert gamma[best] == pytest.approx(0.5, abs=1e-12)
+
+
+def _mask_probe_points():
+    """A 101^2 mesh, the four corners, both diagonals, and points that
+    straddle the degeneracy threshold next to the (0, 1) and (1, 0) corners."""
+    axis = np.linspace(0.0, 1.0, 101)
+    ga, gg = np.meshgrid(axis, axis, indexing="ij")
+    t = np.linspace(0.0, 1.0, 257)
+    near = np.array([5e-10, 1e-9, 2e-9, 1e-8])
+    alpha = np.concatenate([ga.ravel(), [0.0, 0.0, 1.0, 1.0], t, t, near, 1.0 - near])
+    gamma = np.concatenate([gg.ravel(), [0.0, 1.0, 0.0, 1.0], t, 1.0 - t, 1.0 - near, near])
+    return alpha, gamma
+
+
+def test_degenerate_mask_matches_scalar_clamp_flag():
+    alpha, gamma = _mask_probe_points()
+    mask = _degenerate_mask(alpha, gamma)
+    flags = np.array([_clamped(a, g, 1e-9)[2] for a, g in zip(alpha, gamma)])
+    assert mask.dtype == bool
+    assert np.array_equal(mask, flags)
+    assert 4 < mask.sum() < mask.size  # both outcomes are exercised
+
+
+def test_objective_grid_equals_per_cell_clamp_route():
+    # The per-cell loop the vectorized mask replaced, kept as the reference.
+    lam, mesh, eps = 7.2, 101, 1e-9
+    axis = np.linspace(0.0, 1.0, mesh)
+    ga, gg = np.meshgrid(axis, axis, indexing="ij")
+    a = ga.ravel().copy()
+    g = gg.ravel().copy()
+    flags = np.zeros(a.shape, dtype=bool)
+    for i in range(a.shape[0]):
+        a[i], g[i], flags[i] = _clamped(a[i], g[i], eps)
+    sa, sg = _sigma_vec(lam, a, g, DEFAULT_MATRIX)
+    f_ref = (sa - a) ** 2 + (sg - g) ** 2
+
+    alpha, gamma, f, clamped = objective_grid(lam, mesh)
+    assert np.array_equal(alpha, ga.ravel())
+    assert np.array_equal(gamma, gg.ravel())
+    assert np.array_equal(clamped, flags)
+    assert np.array_equal(f, f_ref)
+
+
+def _damped_oracle(lam, steps=300, damping=0.5):
+    """Plain damped iteration on the compositional map, one start at (1/2, 1/2)."""
+    a = g = 0.5
+    for _ in range(steps):
+        u = conditional_payoffs_compositional(a, g)
+        sa = logit_response(lam, u.u_alpha1, u.u_alpha0)
+        sg = logit_response(lam, u.u_gamma1, u.u_gamma0)
+        a, g = a + damping * (sa - a), g + damping * (sg - g)
+    return a, g
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 4.0])
+def test_accepted_point_matches_full_length_damped_oracle(lam):
+    a_ref, g_ref = _damped_oracle(lam)
+    accepted = [p for p in solve_qre(lam) if p.accepted]
+    assert len(accepted) == 1
+    assert accepted[0].alpha == pytest.approx(a_ref, abs=1e-10)
+    assert accepted[0].gamma == pytest.approx(g_ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("lam,converges", [(0.0, True), (1.0, True), (4.0, True), (9.0, False)])
+def test_damped_pass_stops_only_when_every_start_converged(lam, converges):
+    diag: dict = {}
+    cfg = SolverConfig()
+    solve_qre(lam, cfg, diagnostics=diag)
+    if converges:
+        assert diag["damped_iterations"] < 100
+    else:
+        assert diag["damped_iterations"] == cfg.max_iter
+
+
+def test_sweep_diagnostics_keep_only_the_clamp_counters():
+    # the sweep diagnostics go into the report, which must not change
+    sweep = sweep_lambda([0.0, 0.5])
+    assert set(sweep.diagnostics) == {"clamped_starts", "clamped_evals"}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("grid_size", 1),
+        ("seed_grid_size", 0),
+        ("damping", 0.0),
+        ("damping", 1.5),
+        ("damping", math.nan),
+        ("max_iter", 0),
+        ("accept_tol", -1.0),
+        ("accept_tol", math.nan),
+        ("accept_tol", math.inf),
+    ],
+)
+def test_solver_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_boundary_values():
+    cfg = SolverConfig(grid_size=2, seed_grid_size=2, damping=1.0, max_iter=1, accept_tol=0.0)
+    assert cfg.damping == 1.0
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+def test_every_entry_point_rejects_bad_rationality(lam):
+    with pytest.raises(ValueError, match="rationality"):
+        solve_qre(lam)
+    with pytest.raises(ValueError, match="rationality"):
+        sweep_lambda([0.0, lam])
+    with pytest.raises(ValueError, match="rationality"):
+        objective_grid(lam, mesh=3)
+    with pytest.raises(ValueError, match="rationality"):
+        logit_response(lam, 1.0, 0.0)
