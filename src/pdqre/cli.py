@@ -74,6 +74,10 @@ def _write_manifest(output: Path, subcommand: str, config: dict, inputs=()) -> N
     _write_json(Path(str(output) + ".manifest.json"), manifest)
 
 
+#: Largest grid a flag may ask for; keeps memory bounded for any bounds and step.
+MAX_GRID_POINTS = 1_000_000
+
+
 def _float_grid(lo: float, hi: float, step: float, what: str) -> list[float]:
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(
@@ -83,7 +87,13 @@ def _float_grid(lo: float, hi: float, step: float, what: str) -> list[float]:
         raise ValueError(f"{what} step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"{what} range is empty: [{lo}, {hi}]")
-    n = int(round((hi - lo) / step))
+    steps = (hi - lo) / step  # inf when hi - lo overflows
+    if not math.isfinite(steps) or round(steps) + 1 > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{what} grid [{lo}, {hi}] step {step} has more than "
+            f"{MAX_GRID_POINTS} points"
+        )
+    n = round(steps)
     values = [lo + k * step for k in range(n + 1)]
     if values[-1] > hi + 1e-12:
         values.pop()

@@ -40,6 +40,20 @@ class PayoffMatrix:
     temptation_dc: float = 10.0
     punishment_dd: float = 1.0
 
+    def payoff(self, own, other):
+        """Expected stage payoff at cooperation probabilities ``own`` and ``other``.
+
+        The one bilinear form behind every payoff in the package.  It works
+        elementwise on floats and numpy arrays alike; the opponent's payoff
+        is ``payoff(other, own)``.
+        """
+        return (
+            self.reward_cc * own * other
+            + self.sucker_cd * own * (1.0 - other)
+            + self.temptation_dc * (1.0 - own) * other
+            + self.punishment_dd * (1.0 - own) * (1.0 - other)
+        )
+
     def is_prisoners_dilemma(self) -> bool:
         """True when temptation > reward > punishment > sucker."""
         return (
@@ -130,10 +144,4 @@ def stationary_state_iterative(
 
 def expected_payoff(matrix: PayoffMatrix, state: StationaryState) -> float:
     """Player 1's expected stage payoff at the given cooperation probabilities."""
-    p1, p2 = state.p1, state.p2
-    return (
-        matrix.reward_cc * p1 * p2
-        + matrix.sucker_cd * p1 * (1.0 - p2)
-        + matrix.temptation_dc * (1.0 - p1) * p2
-        + matrix.punishment_dd * (1.0 - p1) * (1.0 - p2)
-    )
+    return matrix.payoff(state.p1, state.p2)

@@ -56,6 +56,11 @@ __all__ = [
 #: The damped pass stops once every start's max-norm residual is below this.
 DAMPED_STOP_TOL = 1e-13
 
+#: Distance from the box edge that clamped points are pulled to.  It is a
+#: position in the strategy box; ``DEGENERACY_THRESHOLD`` bounds a chain
+#: denominator, so the two stay separate constants.
+CLAMP_EPS = 1e-9
+
 
 def _check_rationality(lam: float) -> None:
     """Reject a rationality that is negative, infinite or NaN."""
@@ -117,7 +122,6 @@ class SolverConfig:
     max_iter: int = 300
     accept_tol: float = 1e-12
     merge_tol: float = 1e-4
-    clamp_eps: float = 1e-9
     include_candidates: bool = True
     candidate_ceiling: float = 0.05
     smooth_lambda_max: float = 5.0
@@ -154,15 +158,6 @@ class SweepResult:
     diagnostics: dict
 
 
-def _payoff(matrix: PayoffMatrix, p1, p2):
-    return (
-        matrix.reward_cc * p1 * p2
-        + matrix.sucker_cd * p1 * (1.0 - p2)
-        + matrix.temptation_dc * (1.0 - p1) * p2
-        + matrix.punishment_dd * (1.0 - p1) * (1.0 - p2)
-    )
-
-
 def _conditional_dens(alpha, gamma):
     """Denominators of the four substituted stationary states.
 
@@ -179,18 +174,23 @@ def _conditional_dens(alpha, gamma):
 
 
 def _conditional_parts(alpha, gamma):
-    """Substituted stationary states as (p1, p2, denominator) quadruples.
+    """Substituted stationary states as (p1, p2) pairs.
 
     Pair order matches :func:`_conditional_dens`.
     """
     den_a0, den_a1, den_g0, den_g1 = _conditional_dens(alpha, gamma)
     p2_g = alpha - alpha * alpha + alpha * gamma
     return (
-        (alpha * gamma / den_a0, alpha / den_a0, den_a0),
-        ((1.0 - alpha + alpha * gamma) / den_a1, gamma / den_a1, den_a1),
-        ((alpha - alpha * alpha) / den_g0, p2_g / den_g0, den_g0),
-        ((2.0 * alpha - alpha * alpha) / den_g1, p2_g / den_g1, den_g1),
+        (alpha * gamma / den_a0, alpha / den_a0),
+        ((1.0 - alpha + alpha * gamma) / den_a1, gamma / den_a1),
+        ((alpha - alpha * alpha) / den_g0, p2_g / den_g0),
+        ((2.0 * alpha - alpha * alpha) / den_g1, p2_g / den_g1),
     )
+
+
+def _conditional_utilities(alpha, gamma, matrix: PayoffMatrix):
+    """Payoffs of the four substituted states, in :func:`_conditional_dens` order."""
+    return [matrix.payoff(p1, p2) for p1, p2 in _conditional_parts(alpha, gamma)]
 
 
 def conditional_payoffs(
@@ -206,9 +206,7 @@ def conditional_payoffs(
         raise DegenerateChain(
             f"conditional payoffs degenerate at alpha={alpha}, gamma={gamma}"
         )
-    parts = _conditional_parts(alpha, gamma)
-    u = [_payoff(matrix, p1, p2) for p1, p2, _ in parts]
-    return ConditionalPayoffs(*u)
+    return ConditionalPayoffs(*_conditional_utilities(alpha, gamma, matrix))
 
 
 def conditional_payoffs_compositional(
@@ -244,14 +242,12 @@ def logit_response(lam: float, u_choice1: float, u_choice0: float) -> float:
 def _sigma_scalar(
     lam: float, alpha: float, gamma: float, matrix: PayoffMatrix
 ) -> tuple[float, float]:
-    parts = _conditional_parts(alpha, gamma)
-    u = [_payoff(matrix, p1, p2) for p1, p2, _ in parts]
+    u = _conditional_utilities(alpha, gamma, matrix)
     return _expit(lam * (u[1] - u[0])), _expit(lam * (u[3] - u[2]))
 
 
 def _sigma_vec(lam: float, alpha, gamma, matrix: PayoffMatrix):
-    parts = _conditional_parts(alpha, gamma)
-    u = [_payoff(matrix, p1, p2) for p1, p2, _ in parts]
+    u = _conditional_utilities(alpha, gamma, matrix)
     return expit(lam * (u[1] - u[0])), expit(lam * (u[3] - u[2]))
 
 
@@ -263,13 +259,13 @@ def qre_objective(
     return (sa - alpha) ** 2 + (sg - gamma) ** 2
 
 
-def _clamped(alpha: float, gamma: float, eps: float) -> tuple[float, float, bool]:
+def _clamped(alpha: float, gamma: float) -> tuple[float, float, bool]:
     """Pull a degenerate-denominator point off the corner, flagging the clamp."""
     if min(abs(den) for den in _conditional_dens(alpha, gamma)) >= DEGENERACY_THRESHOLD:
         return float(alpha), float(gamma), False
     return (
-        float(min(max(alpha, eps), 1.0 - eps)),
-        float(min(max(gamma, eps), 1.0 - eps)),
+        float(min(max(alpha, CLAMP_EPS), 1.0 - CLAMP_EPS)),
+        float(min(max(gamma, CLAMP_EPS), 1.0 - CLAMP_EPS)),
         True,
     )
 
@@ -281,9 +277,9 @@ def _degenerate_mask(alpha: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 
 def _objective_safe(
-    lam: float, alpha: float, gamma: float, matrix: PayoffMatrix, eps: float, diag: dict
+    lam: float, alpha: float, gamma: float, matrix: PayoffMatrix, diag: dict
 ) -> float:
-    alpha, gamma, clamped = _clamped(alpha, gamma, eps)
+    alpha, gamma, clamped = _clamped(alpha, gamma)
     if clamped:
         diag["clamped_evals"] = diag.get("clamped_evals", 0) + 1
     sa, sg = _sigma_scalar(lam, alpha, gamma, matrix)
@@ -294,11 +290,10 @@ def _newton_polish(
     lam: float,
     x0: tuple[float, float],
     matrix: PayoffMatrix,
-    eps: float,
     max_iter: int = 14,
 ) -> tuple[float, float, float]:
     """Polish a root of sigma(x) - x; quadratic near exact fixed points."""
-    a, g, _ = _clamped(x0[0], x0[1], max(eps, DEGENERACY_THRESHOLD))
+    a, g, _ = _clamped(x0[0], x0[1])
     h = 1e-7
 
     def resid(a: float, g: float) -> tuple[float, float]:
@@ -329,8 +324,8 @@ def _newton_polish(
         improved = False
         t = 1.0
         while t >= 1.0 / 16.0:
-            na = min(max(a + t * step_a, eps), 1.0 - eps)
-            ng = min(max(g + t * step_g, eps), 1.0 - eps)
+            na = min(max(a + t * step_a, CLAMP_EPS), 1.0 - CLAMP_EPS)
+            ng = min(max(g + t * step_g, CLAMP_EPS), 1.0 - CLAMP_EPS)
             nra, nrg = resid(na, ng)
             nf = nra * nra + nrg * nrg
             if nf < f_cur:
@@ -349,7 +344,6 @@ def _is_local_min(
     gamma: float,
     f0: float,
     matrix: PayoffMatrix,
-    eps: float,
     h: float = 1e-5,
 ) -> bool:
     """Probe the 8 clipped neighbors; rejects boundary stalls of the search."""
@@ -362,7 +356,7 @@ def _is_local_min(
             ng = min(max(gamma + dg, 0.0), 1.0)
             if na == alpha and ng == gamma:
                 continue
-            if _objective_safe(lam, na, ng, matrix, eps, probe) < f0 - 1e-12:
+            if _objective_safe(lam, na, ng, matrix, probe) < f0 - 1e-12:
                 return False
     return True
 
@@ -371,7 +365,6 @@ def _nelder_mead(
     lam: float,
     seed: tuple[float, float],
     matrix: PayoffMatrix,
-    eps: float,
     diag: dict,
 ) -> tuple[float, float, float, bool]:
     """Bounded derivative-free descent; one restart if the simplex stalls.
@@ -385,7 +378,7 @@ def _nelder_mead(
     ok = False
     for _ in range(2):
         r = minimize(
-            lambda z: _objective_safe(lam, z[0], z[1], matrix, eps, diag),
+            lambda z: _objective_safe(lam, z[0], z[1], matrix, diag),
             x,
             method="Nelder-Mead",
             bounds=[(0.0, 1.0), (0.0, 1.0)],
@@ -431,7 +424,6 @@ def solve_qre(
     cfg = config or SolverConfig()
     _check_rationality(lam)
     diag: dict = {"clamped_starts": 0, "clamped_evals": 0}
-    eps = cfg.clamp_eps
 
     axis = np.linspace(0.0, 1.0, cfg.grid_size)
     ga, gg = np.meshgrid(axis, axis, indexing="ij")
@@ -442,7 +434,7 @@ def solve_qre(
 
     # Corner starts with degenerate denominators get the documented nudge.
     clamped = _degenerate_mask(starts[:, 0], starts[:, 1])
-    starts[clamped] = np.clip(starts[clamped], eps, 1.0 - eps)
+    starts[clamped] = np.clip(starts[clamped], CLAMP_EPS, 1.0 - CLAMP_EPS)
     diag["clamped_starts"] = int(clamped.sum())
 
     # The stop is global: a per-start freeze could stop a start on a saddle
@@ -458,8 +450,8 @@ def solve_qre(
             break
         a += cfg.damping * ra
         g += cfg.damping * rg
-        np.clip(a, eps, 1.0 - eps, out=a)
-        np.clip(g, eps, 1.0 - eps, out=g)
+        np.clip(a, CLAMP_EPS, 1.0 - CLAMP_EPS, out=a)
+        np.clip(g, CLAMP_EPS, 1.0 - CLAMP_EPS, out=g)
         steps += 1
     diag["damped_iterations"] = steps
     endpoints = np.column_stack([a, g])
@@ -477,8 +469,8 @@ def solve_qre(
     m = cfg.seed_grid_size
     seed_axis = np.linspace(0.0, 1.0, m)
     sa_mesh, sg_mesh = np.meshgrid(seed_axis, seed_axis, indexing="ij")
-    ca = np.clip(sa_mesh.ravel(), eps, 1.0 - eps)
-    cg = np.clip(sg_mesh.ravel(), eps, 1.0 - eps)
+    ca = np.clip(sa_mesh.ravel(), CLAMP_EPS, 1.0 - CLAMP_EPS)
+    cg = np.clip(sg_mesh.ravel(), CLAMP_EPS, 1.0 - CLAMP_EPS)
     fa, fg = _sigma_vec(lam, ca, cg, matrix)
     f_seed = (fa - ca) ** 2 + (fg - cg) ** 2
     f_sq = np.where(np.isfinite(f_seed), f_seed, np.inf).reshape(m, m)
@@ -498,26 +490,22 @@ def solve_qre(
         if f_min[k] > seed_cutoff:
             break
         i, j = min_nodes[k]
-        seeds.append(
-            _clamped(
-                float(seed_axis[i]), float(seed_axis[j]), max(eps, DEGENERACY_THRESHOLD)
-            )[:2]
-        )
+        seeds.append(_clamped(float(seed_axis[i]), float(seed_axis[j]))[:2])
     seeds.extend((float(w[0]), float(w[1])) for w in np.asarray(warm_starts, float).reshape(-1, 2))
 
     exact: list[tuple[float, float, float]] = []
     cands: list[tuple[float, float, float]] = []
     for seed in _dedupe([(s[0], s[1], 0.0) for s in seeds], 1e-3):
         seed = (seed[0], seed[1])
-        na, ng, nf = _newton_polish(lam, seed, matrix, eps)
+        na, ng, nf = _newton_polish(lam, seed, matrix)
         if nf < cfg.accept_tol:
             exact.append((na, ng, nf))
             # Newton escaping the seed's neighborhood means the seed may sit
             # in a rootless basin; keep it alive for the local search below.
             if max(abs(na - seed[0]), abs(ng - seed[1])) <= 0.05:
                 continue
-        ma, mg, mf, ok = _nelder_mead(lam, seed, matrix, eps, diag)
-        na, ng, nf = _newton_polish(lam, (ma, mg), matrix, eps)
+        ma, mg, mf, ok = _nelder_mead(lam, seed, matrix, diag)
+        na, ng, nf = _newton_polish(lam, (ma, mg), matrix)
         moved = max(abs(na - ma), abs(ng - mg))
         if nf < cfg.accept_tol and moved <= cfg.merge_tol:
             exact.append((na, ng, nf))  # the local search was sitting on a root
@@ -539,7 +527,7 @@ def solve_qre(
         for c in _dedupe(cands, cfg.merge_tol)
         if c[2] < cfg.candidate_ceiling
         and all(max(abs(c[0] - e[0]), abs(c[1] - e[1])) > cfg.merge_tol for e in exact)
-        and _is_local_min(lam, c[0], c[1], c[2], matrix, eps)
+        and _is_local_min(lam, c[0], c[1], c[2], matrix)
     ]
     if not cfg.include_candidates:
         cands = []
@@ -658,12 +646,9 @@ def sweep_lambda(
 
 
 def _track_point(
-    lam: float,
-    seed: tuple[float, float],
-    matrix: PayoffMatrix,
-    eps: float = 1e-9,
+    lam: float, seed: tuple[float, float], matrix: PayoffMatrix
 ) -> tuple[float, float] | None:
-    a, g, f = _newton_polish(lam, seed, matrix, eps)
+    a, g, f = _newton_polish(lam, seed, matrix)
     return (a, g) if f < 1e-18 else None
 
 
@@ -757,7 +742,6 @@ def objective_grid(
     lam: float,
     mesh: int = 201,
     matrix: PayoffMatrix = DEFAULT_MATRIX,
-    clamp_eps: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Objective values over a uniform mesh, with degenerate cells flagged.
 
@@ -768,8 +752,8 @@ def objective_grid(
     ga, gg = np.meshgrid(axis, axis, indexing="ij")
     alpha, gamma = ga.ravel(), gg.ravel()
     clamped = _degenerate_mask(alpha, gamma)
-    a = np.where(clamped, np.clip(alpha, clamp_eps, 1.0 - clamp_eps), alpha)
-    g = np.where(clamped, np.clip(gamma, clamp_eps, 1.0 - clamp_eps), gamma)
+    a = np.where(clamped, np.clip(alpha, CLAMP_EPS, 1.0 - CLAMP_EPS), alpha)
+    g = np.where(clamped, np.clip(gamma, CLAMP_EPS, 1.0 - CLAMP_EPS), gamma)
     sa, sg = _sigma_vec(lam, a, g, matrix)
     f = (sa - a) ** 2 + (sg - g) ** 2
     return alpha, gamma, f, clamped

@@ -117,24 +117,6 @@ class MarkovEstimate:
     gamma_count: int
 
 
-def _round_payoffs(matrix: PayoffMatrix, c1: np.ndarray, c2: np.ndarray):
-    p1 = c1.astype(float)
-    p2 = c2.astype(float)
-    u1 = (
-        matrix.reward_cc * p1 * p2
-        + matrix.sucker_cd * p1 * (1.0 - p2)
-        + matrix.temptation_dc * (1.0 - p1) * p2
-        + matrix.punishment_dd * (1.0 - p1) * (1.0 - p2)
-    )
-    u2 = (
-        matrix.reward_cc * p1 * p2
-        + matrix.sucker_cd * p2 * (1.0 - p1)
-        + matrix.temptation_dc * (1.0 - p2) * p1
-        + matrix.punishment_dd * (1.0 - p1) * (1.0 - p2)
-    )
-    return u1, u2
-
-
 def simulate(
     s1: MarkovStrategy,
     s2: MarkovStrategy,
@@ -161,7 +143,8 @@ def simulate(
 
     arr1 = np.asarray(choices1, dtype=bool)
     arr2 = np.asarray(choices2, dtype=bool)
-    pay1, pay2 = _round_payoffs(matrix, arr1, arr2)
+    pay1 = matrix.payoff(arr1, arr2)
+    pay2 = matrix.payoff(arr2, arr1)
     return GameLog(arr1, arr2, pay1, pay2, s1, s2, config)
 
 
@@ -178,32 +161,30 @@ def simulate_group(
     n = len(strategies)
     if n < 2 or n % 2 != 0:
         raise ValueError(f"group play needs an even number of players >= 2, got {n}")
+    rounds = config.rounds
     streams = np.random.SeedSequence(config.seed).spawn(n + 1)
-    uniforms = [np.random.default_rng(streams[i]).random(config.rounds) for i in range(n)]
+    uniforms = np.column_stack(
+        [np.random.default_rng(streams[i]).random(rounds) for i in range(n)]
+    )
     pair_rng = np.random.default_rng(streams[n])
+    # One permutation per round, round 0 included, drawn in round order:
+    # the draws of pair-by-pair play, so a seed keeps giving the same logs.
+    perms = np.array([pair_rng.permutation(n) for _ in range(rounds)])
 
-    alphas = [s.alpha for s in strategies]
-    gammas = [s.gamma for s in strategies]
-    init = config.initial_coop_prob[0]
-    choices = np.zeros((config.rounds, n), dtype=bool)
-    conditioning = np.zeros((config.rounds, n), dtype=bool)
-    partners = np.zeros((config.rounds, n), dtype=int)
-    payoffs = np.zeros((config.rounds, n))
+    rows = np.arange(rounds)[:, None]
+    partners = np.zeros((rounds, n), dtype=int)
+    partners[rows, perms[:, 0::2]] = perms[:, 1::2]
+    partners[rows, perms[:, 1::2]] = perms[:, 0::2]
 
-    perm0 = pair_rng.permutation(n)
-    choices[0] = [uniforms[i][0] < init for i in range(n)]
-    _apply_pairing(0, perm0, choices, partners, payoffs, matrix)
-    for t in range(1, config.rounds):
-        perm = pair_rng.permutation(n)
-        for k in range(0, n, 2):
-            i, j = int(perm[k]), int(perm[k + 1])
-            cond_i = choices[t - 1, j]
-            cond_j = choices[t - 1, i]
-            conditioning[t, i] = cond_i
-            conditioning[t, j] = cond_j
-            choices[t, i] = uniforms[i][t] < (gammas[i] if cond_i else alphas[i])
-            choices[t, j] = uniforms[j][t] < (gammas[j] if cond_j else alphas[j])
-        _apply_pairing(t, perm, choices, partners, payoffs, matrix)
+    alphas = np.array([s.alpha for s in strategies])
+    gammas = np.array([s.gamma for s in strategies])
+    choices = np.zeros((rounds, n), dtype=bool)
+    conditioning = np.zeros((rounds, n), dtype=bool)
+    choices[0] = uniforms[0] < config.initial_coop_prob[0]
+    for t in range(1, rounds):
+        conditioning[t] = choices[t - 1, partners[t]]
+        choices[t] = uniforms[t] < np.where(conditioning[t], gammas, alphas)
+    payoffs = matrix.payoff(choices, choices[rows, partners])
 
     return [
         PooledLog(
@@ -217,18 +198,6 @@ def simulate_group(
         )
         for i in range(n)
     ]
-
-
-def _apply_pairing(t, perm, choices, partners, payoffs, matrix):
-    for k in range(0, len(perm), 2):
-        i, j = int(perm[k]), int(perm[k + 1])
-        partners[t, i], partners[t, j] = j, i
-        u1, u2 = _round_payoffs(
-            matrix,
-            np.asarray([choices[t, i]]),
-            np.asarray([choices[t, j]]),
-        )
-        payoffs[t, i], payoffs[t, j] = u1[0], u2[0]
 
 
 def _conditional_frequency(own: np.ndarray, cond: np.ndarray) -> MarkovEstimate:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from pdqre.cli import SWEEP_HEADER, main
+from pdqre import cli
+from pdqre.cli import SWEEP_HEADER, _float_grid, main
 
 
 def run(argv):
@@ -118,6 +119,9 @@ def test_qre_sweep_bad_step_maps_to_json_error(tmp_path, capsys):
         ["qre-sweep", "--lambda-max", "0", "--grid-size", "1"],
         ["qre-sweep", "--lambda-max", "0", "--damping", "0"],
         ["qre-sweep", "--lambda-max", "0", "--accept-tol", "-1"],
+        # the grid guard: the point count overflows to inf
+        ["nash-curve", "--gamma-min=-1e308", "--gamma-max", "1e308", "--gamma-step", "1"],
+        ["qre-sweep", "--lambda-min=-1e308", "--lambda-max", "1e308", "--lambda-step", "1"],
     ],
 )
 def test_bad_solver_input_maps_to_json_error(tmp_path, capsys, argv):
@@ -126,6 +130,19 @@ def test_bad_solver_input_maps_to_json_error(tmp_path, capsys, argv):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert not out.exists()
+
+
+def test_grid_guard_rejects_before_allocating():
+    # 2,000,001 points, past the cap; the guard raises before building the list
+    with pytest.raises(ValueError, match="gamma grid"):
+        _float_grid(0.0, 1.0, 5e-7, "gamma")
+
+
+def test_grid_guard_boundary(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
+    assert len(_float_grid(0.0, 1.0, 0.1, "lambda")) == 11
+    with pytest.raises(ValueError, match="more than 11 points"):
+        _float_grid(0.0, 1.1, 0.1, "lambda")
 
 
 def test_objective_grid_output(tmp_path, capsys):

@@ -59,6 +59,17 @@ def test_expected_payoff_closed_polynomial():
         )
 
 
+@pytest.mark.parametrize(
+    "m", [DEFAULT_MATRIX, PayoffMatrix(reward_cc=3.0, sucker_cd=-2.0, temptation_dc=2.5)]
+)
+def test_payoff_form_on_arrays_matches_expected_payoff(m):
+    own, other = np.random.default_rng(3).random((2, 500))
+    got = m.payoff(own, other)
+    assert got.shape == own.shape
+    want = [expected_payoff(m, StationaryState(float(a), float(b))) for a, b in zip(own, other)]
+    assert np.array_equal(got, want)
+
+
 def test_stationary_symmetric_closed_form():
     # symmetric profile: p = alpha / (1 + alpha - gamma)
     s = MarkovStrategy(0.2, 0.5)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdqre.game import DEFAULT_MATRIX, DegenerateChain
 from pdqre.qre import (
@@ -11,6 +13,7 @@ from pdqre.qre import (
     SolverConfig,
     _clamped,
     _degenerate_mask,
+    _sigma_scalar,
     _sigma_vec,
     conditional_payoffs,
     conditional_payoffs_compositional,
@@ -245,7 +248,7 @@ def _mask_probe_points():
 def test_degenerate_mask_matches_scalar_clamp_flag():
     alpha, gamma = _mask_probe_points()
     mask = _degenerate_mask(alpha, gamma)
-    flags = np.array([_clamped(a, g, 1e-9)[2] for a, g in zip(alpha, gamma)])
+    flags = np.array([_clamped(a, g)[2] for a, g in zip(alpha, gamma)])
     assert mask.dtype == bool
     assert np.array_equal(mask, flags)
     assert 4 < mask.sum() < mask.size  # both outcomes are exercised
@@ -253,14 +256,14 @@ def test_degenerate_mask_matches_scalar_clamp_flag():
 
 def test_objective_grid_equals_per_cell_clamp_route():
     # The per-cell loop the vectorized mask replaced, kept as the reference.
-    lam, mesh, eps = 7.2, 101, 1e-9
+    lam, mesh = 7.2, 101
     axis = np.linspace(0.0, 1.0, mesh)
     ga, gg = np.meshgrid(axis, axis, indexing="ij")
     a = ga.ravel().copy()
     g = gg.ravel().copy()
     flags = np.zeros(a.shape, dtype=bool)
     for i in range(a.shape[0]):
-        a[i], g[i], flags[i] = _clamped(a[i], g[i], eps)
+        a[i], g[i], flags[i] = _clamped(a[i], g[i])
     sa, sg = _sigma_vec(lam, a, g, DEFAULT_MATRIX)
     f_ref = (sa - a) ** 2 + (sg - g) ** 2
 
@@ -342,3 +345,27 @@ def test_every_entry_point_rejects_bad_rationality(lam):
         objective_grid(lam, mesh=3)
     with pytest.raises(ValueError, match="rationality"):
         logit_response(lam, 1.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.floats(0.0, 100.0),
+    alpha=st.floats(0.0, 1.0),
+    gamma=st.floats(0.0, 1.0),
+)
+def test_sigma_kernels_agree_and_map_into_the_box(lam, alpha, gamma):
+    # away from the degenerate corners (0, 1) and (1, 0), where the oracle raises
+    assume(max(alpha, 1.0 - gamma) > 0.05 and max(1.0 - alpha, gamma) > 0.05)
+    sa, sg = _sigma_vec(lam, alpha, gamma, DEFAULT_MATRIX)
+    assert 0.0 <= sa <= 1.0 and 0.0 <= sg <= 1.0
+
+    ka, kg = _sigma_scalar(lam, alpha, gamma, DEFAULT_MATRIX)
+    assert abs(sa - ka) <= 1e-15 and abs(sg - kg) <= 1e-15
+
+    u = conditional_payoffs_compositional(alpha, gamma)
+    assert sa == pytest.approx(logit_response(lam, u.u_alpha1, u.u_alpha0), abs=1e-12)
+    assert sg == pytest.approx(logit_response(lam, u.u_gamma1, u.u_gamma0), abs=1e-12)
+
+    va, vg = _sigma_vec(lam, np.array([alpha]), np.array([gamma]), DEFAULT_MATRIX)
+    assert va.shape == vg.shape == (1,)
+    assert va[0] == sa and vg[0] == sg

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pdqre.game import MarkovStrategy
+from pdqre.game import DEFAULT_MATRIX, MarkovStrategy, PayoffMatrix
 from pdqre.simulate import (
     GameLog,
     SimulationConfig,
@@ -152,6 +152,85 @@ def test_group_play_pairing_invariants():
                 (False, False): 1.0,
             }[(bool(mine), bool(theirs))]
             assert log.payoffs[t] == want
+
+
+def _stage_table(m):
+    """(own, other) choices -> (own payoff, other payoff), read off the matrix."""
+    return {
+        (True, True): (m.reward_cc, m.reward_cc),
+        (True, False): (m.sucker_cd, m.temptation_dc),
+        (False, True): (m.temptation_dc, m.sucker_cd),
+        (False, False): (m.punishment_dd, m.punishment_dd),
+    }
+
+
+def _pairwise_group_reference(strategies, config, matrix):
+    """Group play pair by pair, one Python step per pair and round.
+
+    The loop the vectorized round replaced, kept as the reference: same
+    streams, same one permutation per round (round 0 included)."""
+    n = len(strategies)
+    streams = np.random.SeedSequence(config.seed).spawn(n + 1)
+    uniforms = [np.random.default_rng(streams[i]).random(config.rounds) for i in range(n)]
+    pair_rng = np.random.default_rng(streams[n])
+    stage = _stage_table(matrix)
+    choices = np.zeros((config.rounds, n), dtype=bool)
+    conditioning = np.zeros((config.rounds, n), dtype=bool)
+    partners = np.zeros((config.rounds, n), dtype=int)
+    payoffs = np.zeros((config.rounds, n))
+    for t in range(config.rounds):
+        perm = pair_rng.permutation(n)
+        for k in range(0, n, 2):
+            i, j = int(perm[k]), int(perm[k + 1])
+            for me, you in ((i, j), (j, i)):
+                if t == 0:
+                    choices[0, me] = uniforms[me][0] < config.initial_coop_prob[0]
+                else:
+                    cond = choices[t - 1, you]
+                    conditioning[t, me] = cond
+                    s = strategies[me]
+                    choices[t, me] = uniforms[me][t] < (s.gamma if cond else s.alpha)
+            partners[t, i], partners[t, j] = j, i
+        for k in range(0, n, 2):
+            i, j = int(perm[k]), int(perm[k + 1])
+            payoffs[t, i], payoffs[t, j] = stage[(bool(choices[t, i]), bool(choices[t, j]))]
+    return choices, conditioning, partners, payoffs
+
+
+@pytest.mark.parametrize(
+    "strategies,config,matrix",
+    [
+        (
+            [MarkovStrategy(0.05 * k, 1.0 - 0.04 * k) for k in range(20)],
+            SimulationConfig(rounds=2000, seed=4242),
+            DEFAULT_MATRIX,
+        ),
+        (
+            [MarkovStrategy(0.1, 0.9), MarkovStrategy(0.5, 0.5), MarkovStrategy(0.9, 0.1)] * 2,
+            SimulationConfig(rounds=2000, seed=31, initial_coop_prob=(0.2, 0.9)),
+            PayoffMatrix(reward_cc=3.0, sucker_cd=-2.0, temptation_dc=2.5, punishment_dd=0.5),
+        ),
+    ],
+)
+def test_group_play_matches_pairwise_reference(strategies, config, matrix):
+    want = _pairwise_group_reference(strategies, config, matrix)
+    logs = simulate_group(strategies, config, matrix)
+    assert len(logs) == len(strategies)
+    for i, log in enumerate(logs):
+        got = (log.choices, log.conditioning, log.partners, log.payoffs)
+        for name, g, w in zip(("choices", "conditioning", "partners", "payoffs"), got, want):
+            assert np.array_equal(g, w[:, i]), f"player {i} {name}"
+
+
+def test_pair_payoffs_are_the_stage_payoffs_of_the_choices():
+    m = PayoffMatrix(reward_cc=3.0, sucker_cd=-2.0, temptation_dc=2.5, punishment_dd=0.5)
+    cfg = SimulationConfig(rounds=500, seed=6, initial_coop_prob=(0.2, 0.9))
+    log = simulate(MarkovStrategy(0.3, 0.6), MarkovStrategy(0.7, 0.2), cfg, m)
+    stage = _stage_table(m)
+    pairs = list(zip(log.choices1.tolist(), log.choices2.tolist()))
+    assert set(pairs) == set(stage)  # all four outcomes occur
+    assert log.payoffs1.tolist() == [stage[c][0] for c in pairs]
+    assert log.payoffs2.tolist() == [stage[c][1] for c in pairs]
 
 
 def test_group_play_deterministic():
