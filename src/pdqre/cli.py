@@ -33,7 +33,13 @@ from .qre import (
     objective_grid,
     sweep_lambda,
 )
-from .simulate import SimulationConfig, estimate_markov, export_log, simulate
+from .simulate import (
+    SimulationConfig,
+    _check_burn_in,
+    estimate_markov,
+    export_log,
+    simulate,
+)
 
 __all__ = ["build_parser", "main"]
 
@@ -63,12 +69,13 @@ def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(output: Path, subcommand: str, config: dict, inputs=()) -> None:
+def _write_manifest(output: Path, subcommand: str, config: dict, inputs=None) -> None:
+    """Write the sidecar; ``inputs`` maps the name to record to the file to digest."""
     manifest = {
         "subcommand": subcommand,
         "version": __version__,
         "config": config,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
+        "inputs": {name: _sha256(path) for name, path in (inputs or {}).items()},
         "timestamp": None,  # omitted by design: outputs must be byte-stable
     }
     _write_json(Path(str(output) + ".manifest.json"), manifest)
@@ -76,6 +83,12 @@ def _write_manifest(output: Path, subcommand: str, config: dict, inputs=()) -> N
 
 #: Largest grid a flag may ask for; keeps memory bounded for any bounds and step.
 MAX_GRID_POINTS = 1_000_000
+
+#: Largest ``objective-grid --mesh`` (nodes per axis, about a million cells).
+MAX_MESH = 1001
+
+#: Largest ``simulate --rounds``; the log is pre-drawn and written whole.
+MAX_ROUNDS = 1_000_000
 
 
 def _float_grid(lo: float, hi: float, step: float, what: str) -> list[float]:
@@ -102,40 +115,42 @@ def _float_grid(lo: float, hi: float, step: float, what: str) -> list[float]:
     return values
 
 
+#: The solver flags as (argparse dest, SolverConfig field, argparse keywords).
+#: Parser defaults, the SolverConfig and the qre-sweep manifest echo all come
+#: from this table; ``--no-candidates`` is the one flag that negates its field.
+_SOLVER_FLAGS = (
+    ("grid_size", "grid_size", {"type": int, "help": "starts per axis"}),
+    ("damping", "damping", {"type": float, "help": "fixed-point damping"}),
+    ("accept_tol", "accept_tol", {"type": float, "help": "acceptance objective"}),
+    ("merge_tol", "merge_tol", {"type": float, "help": "solution merge radius"}),
+    ("candidate_ceiling", "candidate_ceiling",
+     {"type": float, "help": "max objective for reported non-exact local minima"}),
+    ("no_candidates", "include_candidates",
+     {"action": "store_true", "help": "report exact equilibria only"}),
+    ("curve", "curve_choice",
+     {"choices": ["quadratic", "stationarity"], "help": "Nash curve used for branch labels"}),
+)
+
+
+def _flag_to_field(dest: str, value):
+    """Map a flag value to its field value, and back: negation is its own inverse."""
+    return not value if dest == "no_candidates" else value
+
+
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
-        grid_size=args.grid_size,
-        damping=args.damping,
-        accept_tol=args.accept_tol,
-        merge_tol=args.merge_tol,
-        include_candidates=not args.no_candidates,
-        candidate_ceiling=args.candidate_ceiling,
-        curve_choice=args.curve,
+        **{field: _flag_to_field(dest, getattr(args, dest)) for dest, field, _ in _SOLVER_FLAGS}
     )
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--grid-size", type=int, default=21, help="starts per axis")
-    sub.add_argument("--damping", type=float, default=0.5, help="fixed-point damping")
-    sub.add_argument("--accept-tol", type=float, default=1e-12, help="acceptance objective")
-    sub.add_argument("--merge-tol", type=float, default=1e-4, help="solution merge radius")
-    sub.add_argument(
-        "--candidate-ceiling",
-        type=float,
-        default=0.05,
-        help="max objective for reported non-exact local minima",
-    )
-    sub.add_argument(
-        "--no-candidates",
-        action="store_true",
-        help="report exact equilibria only",
-    )
-    sub.add_argument(
-        "--curve",
-        choices=["quadratic", "stationarity"],
-        default="stationarity",
-        help="Nash curve used for branch labels",
-    )
+    defaults = SolverConfig()
+    for dest, field, kwargs in _SOLVER_FLAGS:
+        sub.add_argument(
+            "--" + dest.replace("_", "-"),
+            default=_flag_to_field(dest, getattr(defaults, field)),
+            **kwargs,
+        )
 
 
 def _cmd_nash_curve(args: argparse.Namespace) -> int:
@@ -238,10 +253,7 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
         "lambda_max": args.lambda_max,
         "lambda_step": args.lambda_step,
         "intersection_tol": args.intersection_tol,
-        **{k: getattr(args, k) for k in (
-            "grid_size", "damping", "accept_tol", "merge_tol",
-            "candidate_ceiling", "no_candidates", "curve",
-        )},
+        **{dest: getattr(args, dest) for dest, _, _ in _SOLVER_FLAGS},
     }
     _write_manifest(out, "qre-sweep", config_echo)
     _write_manifest(report_path, "qre-sweep", config_echo)
@@ -255,6 +267,10 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
 def _cmd_objective_grid(args: argparse.Namespace) -> int:
     if args.mesh < 2:
         raise ValueError(f"mesh must have at least 2 nodes per axis, got {args.mesh}")
+    if args.mesh > MAX_MESH:
+        raise ValueError(
+            f"mesh must have at most {MAX_MESH} nodes per axis, got {args.mesh}"
+        )
     a, g, f, clamped = objective_grid(args.rationality, args.mesh)
     lines = ["alpha,gamma,objective,clamped"]
     lines.extend(
@@ -278,11 +294,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.alpha2 if args.alpha2 is not None else args.alpha1,
         args.gamma2 if args.gamma2 is not None else args.gamma1,
     )
+    if args.rounds > MAX_ROUNDS:
+        raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {args.rounds}")
     config = SimulationConfig(
         rounds=args.rounds,
         seed=args.seed,
         initial_coop_prob=(args.initial_coop[0], args.initial_coop[1]),
     )
+    _check_burn_in(args.burn_in, args.rounds)
     log = simulate(s1, s2, config)
     out = Path(args.output)
     export_log(log, out)
@@ -299,10 +318,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         },
     )
     est1, est2 = estimate_markov(log)
-    burn = min(args.burn_in, log.rounds - 1)
     print(
-        f"cooperation_rate1={_fmt(log.cooperation_rate(1, burn))} "
-        f"cooperation_rate2={_fmt(log.cooperation_rate(2, burn))} "
+        f"cooperation_rate1={_fmt(log.cooperation_rate(1, args.burn_in))} "
+        f"cooperation_rate2={_fmt(log.cooperation_rate(2, args.burn_in))} "
         f"alpha1_hat={_fmt(est1.alpha) if est1.alpha is not None else 'NA'} "
         f"gamma1_hat={_fmt(est1.gamma) if est1.gamma is not None else 'NA'} "
         f"alpha2_hat={_fmt(est2.alpha) if est2.alpha is not None else 'NA'} "
@@ -340,16 +358,21 @@ def _read_sweep_csv(path: Path) -> list[QrePoint]:
     return points
 
 
+#: Manifest name of the bundled table: package-relative, so that every
+#: checkout of the same commit writes the same manifest.
+_BUNDLED_DATA_NAME = "pdqre/data/experiments.csv"
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     data_path = Path(args.data) if args.data else bundled_experiments_path()
+    inputs = {str(data_path) if args.data else _BUNDLED_DATA_NAME: data_path}
     records = load_experiments(data_path)
     if args.sweep:
         points = _read_sweep_csv(Path(args.sweep))
-        sweep_inputs = [Path(args.sweep)]
+        inputs[str(Path(args.sweep))] = Path(args.sweep)
     else:
         lambdas = _float_grid(0.0, args.lambda_max, args.lambda_step, "lambda")
         points = sweep_lambda(lambdas, SolverConfig()).points
-        sweep_inputs = []
     report = classify_against_qre(records, points, lambda_max=args.lambda_max)
     aggregates = aggregate(records)
 
@@ -390,12 +413,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         out,
         "classify",
         {
-            "data": str(data_path),
+            "data": args.data,
             "sweep": args.sweep,
             "lambda_max": args.lambda_max,
             "lambda_step": args.lambda_step,
         },
-        inputs=[data_path, *sweep_inputs],
+        inputs=inputs,
     )
     print(
         f"classified {len(records)} records; "

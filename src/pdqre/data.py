@@ -231,23 +231,16 @@ def _point_segment_distance(p, a, b) -> float:
     return math.hypot(dx, dy)
 
 
-def _polyline_distance(p, poly) -> float:
-    return min(
-        _point_segment_distance(p, poly[i], poly[i + 1]) for i in range(len(poly) - 1)
-    )
-
-
-def _cross_side(p, poly) -> float:
-    """Sign of the cross product at the nearest polyline segment."""
-    best = None
+def _nearest_segment(p, poly) -> tuple[float, float]:
+    """Distance to the polyline, and the cross product at its first nearest segment."""
+    best = math.inf
     best_cross = 0.0
-    for i in range(len(poly) - 1):
-        d = _point_segment_distance(p, poly[i], poly[i + 1])
-        if best is None or d < best:
-            a, b = poly[i], poly[i + 1]
+    for a, b in zip(poly, poly[1:]):
+        d = _point_segment_distance(p, a, b)
+        if d < best:
             best = d
             best_cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    return best_cross
+    return best, best_cross
 
 
 def _extract_branch(
@@ -300,7 +293,7 @@ def classify_against_qre(
         gx = np.asarray(gammas)[order]
         mode = "gamma_of_alpha"
     else:
-        ref_sign = _cross_side((1.0, 1.0), poly)
+        ref_sign = _nearest_segment((1.0, 1.0), poly)[1]
         mode = "signed_distance"
 
     classifications: list[RecordClassification] = []
@@ -308,7 +301,7 @@ def classify_against_qre(
     consistent = 0
     for rec in records:
         point = (rec.alpha, rec.gamma)
-        distance = _polyline_distance(point, poly)
+        distance, cross = _nearest_segment(point, poly)
         if monotone:
             boundary_gamma = float(np.interp(rec.alpha, ax, gx))
             extrapolated = not (ax[0] <= rec.alpha <= ax[-1])
@@ -316,7 +309,6 @@ def classify_against_qre(
         else:
             boundary_gamma = math.nan
             extrapolated = False
-            cross = _cross_side(point, poly)
             delta = math.copysign(distance, cross * ref_sign) if cross != 0.0 else 0.0
         if abs(delta) < 1e-12:
             side = "OnBoundary"

@@ -56,6 +56,34 @@ __all__ = [
 #: The damped pass stops once every start's max-norm residual is below this.
 DAMPED_STOP_TOL = 1e-13
 
+#: Cap on the damped fixed-point steps of one solve.
+MAX_ITER = 300
+
+#: Nodes per axis of the objective mesh whose local minima seed the search.
+SEED_GRID_SIZE = 81
+
+#: Newton steps per polish.
+NEWTON_MAX_ITER = 14
+
+#: Offset of the 8 neighbours probed by the strict local-minimum test.
+LOCAL_MIN_STEP = 1e-5
+
+#: Branch labels: every point below this rationality is "smooth"; above it,
+#: a point inside the ``DEFECT_THRESHOLD`` box is "defect" and one within
+#: ``NEARNASH_THRESHOLD`` of the Nash curve (residual magnitude) is "near_nash".
+SMOOTH_LAMBDA_MAX = 5.0
+DEFECT_THRESHOLD = 0.05
+NEARNASH_THRESHOLD = 0.05
+
+#: A sweep's transition rationality is the first with a point in this box.
+DEFECT_REGION = 0.25
+
+#: A main-branch step longer than this (max-norm) is a discontinuity.
+CONTINUITY_TOL = 0.05
+
+#: Width in lambda at which intersection bisection stops.
+BISECT_TOL = 1e-8
+
 #: Distance from the box edge that clamped points are pulled to.  It is a
 #: position in the strategy box; ``DEGENERACY_THRESHOLD`` bounds a chain
 #: denominator, so the two stay separate constants.
@@ -114,31 +142,25 @@ class Intersection:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Deterministic multi-start solver settings (no randomized starts)."""
+    """Deterministic multi-start solver settings (no randomized starts).
+
+    These are the settings the command line exposes; the fixed ones are the
+    module constants above.
+    """
 
     grid_size: int = 21
-    seed_grid_size: int = 81
     damping: float = 0.5
-    max_iter: int = 300
     accept_tol: float = 1e-12
     merge_tol: float = 1e-4
     include_candidates: bool = True
     candidate_ceiling: float = 0.05
-    smooth_lambda_max: float = 5.0
-    defect_threshold: float = 0.05
-    nearnash_threshold: float = 0.05
-    defect_region: float = 0.25
-    continuity_tol: float = 0.05
     curve_choice: str = "stationarity"
 
     def __post_init__(self) -> None:
-        for name in ("grid_size", "seed_grid_size"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be at least 2, got {getattr(self, name)}")
+        if self.grid_size < 2:
+            raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not (math.isfinite(self.accept_tol) and self.accept_tol >= 0.0):
             raise ValueError(
                 f"accept_tol must be finite and nonnegative, got {self.accept_tol}"
@@ -290,7 +312,6 @@ def _newton_polish(
     lam: float,
     x0: tuple[float, float],
     matrix: PayoffMatrix,
-    max_iter: int = 14,
 ) -> tuple[float, float, float]:
     """Polish a root of sigma(x) - x; quadratic near exact fixed points."""
     a, g, _ = _clamped(x0[0], x0[1])
@@ -302,7 +323,7 @@ def _newton_polish(
 
     ra, rg = resid(a, g)
     f_cur = ra * ra + rg * rg
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if f_cur < 1e-28:
             break
         j = np.empty((2, 2))
@@ -344,10 +365,10 @@ def _is_local_min(
     gamma: float,
     f0: float,
     matrix: PayoffMatrix,
-    h: float = 1e-5,
 ) -> bool:
     """Probe the 8 clipped neighbors; rejects boundary stalls of the search."""
     probe: dict = {}
+    h = LOCAL_MIN_STEP
     for da in (-h, 0.0, h):
         for dg in (-h, 0.0, h):
             if da == 0.0 and dg == 0.0:
@@ -416,7 +437,7 @@ def solve_qre(
     minima of the objective on the start grid seed a derivative-free polish
     that also finds repelling fixed points and candidate near-solutions.
     The damped pass stops once every start's residual is below
-    ``DAMPED_STOP_TOL``, after at most ``max_iter`` steps; the steps taken go
+    ``DAMPED_STOP_TOL``, after at most ``MAX_ITER`` steps; the steps taken go
     to ``diagnostics["damped_iterations"]``.  Accepted points come first in
     the result; raises :class:`NoSolution` when no start reaches
     ``accept_tol``.
@@ -446,7 +467,7 @@ def solve_qre(
         sa, sg = _sigma_vec(lam, a, g, matrix)
         ra, rg = sa - a, sg - g
         res = np.maximum(np.abs(ra), np.abs(rg))
-        if steps == cfg.max_iter or res.max() < DAMPED_STOP_TOL:
+        if steps == MAX_ITER or res.max() < DAMPED_STOP_TOL:
             break
         a += cfg.damping * ra
         g += cfg.damping * rg
@@ -466,7 +487,7 @@ def solve_qre(
     # Local minima of the objective over a finer evaluation grid catch what
     # the damped iteration cannot reach (repelling roots, shallow candidate
     # basins); one vectorized evaluation, so the fine mesh costs little.
-    m = cfg.seed_grid_size
+    m = SEED_GRID_SIZE
     seed_axis = np.linspace(0.0, 1.0, m)
     sa_mesh, sg_mesh = np.meshgrid(seed_axis, seed_axis, indexing="ij")
     ca = np.clip(sa_mesh.ravel(), CLAMP_EPS, 1.0 - CLAMP_EPS)
@@ -561,16 +582,16 @@ def label_branch(
     point: QrePoint, config: SolverConfig, matrix: PayoffMatrix = DEFAULT_MATRIX
 ) -> str:
     """Assign the sweep branch label for one solution."""
-    if point.lam < config.smooth_lambda_max:
+    if point.lam < SMOOTH_LAMBDA_MAX:
         return "smooth"
-    if max(point.alpha, point.gamma) < config.defect_threshold:
+    if max(point.alpha, point.gamma) < DEFECT_THRESHOLD:
         return "defect"
     resid_fn = curve_residual(config.curve_choice)
     try:
         resid = resid_fn(point.alpha, point.gamma)
     except DegenerateChain:
         resid = math.inf
-    if abs(resid) < config.nearnash_threshold:
+    if abs(resid) < NEARNASH_THRESHOLD:
         return "near_nash"
     return "other"
 
@@ -624,12 +645,12 @@ def sweep_lambda(
                 jump = max(
                     abs(cur.alpha - prev_main.alpha), abs(cur.gamma - prev_main.gamma)
                 )
-                if jump > cfg.continuity_tol:
+                if jump > CONTINUITY_TOL:
                     discontinuities.append(lam)
             main.append(cur)
             prev_main = cur
         if transition is None and any(
-            max(p.alpha, p.gamma) < cfg.defect_region for p in pts
+            max(p.alpha, p.gamma) < DEFECT_REGION for p in pts
         ):
             transition = lam
         warm = [(p.alpha, p.gamma) for p in pts]
@@ -656,7 +677,6 @@ def find_intersections(
     sweep: SweepResult,
     curve_choice: str | None = None,
     tol: float = 0.05,
-    bisect_tol: float = 1e-8,
     matrix: PayoffMatrix = DEFAULT_MATRIX,
 ) -> list[Intersection]:
     """Intersections of the main QRE branch with the selected Nash curve.
@@ -680,7 +700,6 @@ def find_intersections(
     if not main:
         return []
     res = [safe_resid(p.alpha, p.gamma) for p in main]
-    cont_tol = sweep.config.continuity_tol
 
     def refine(
         lo: QrePoint, hi: QrePoint, value_fn, lo_val: float, hi_val: float
@@ -688,7 +707,7 @@ def find_intersections(
         lam_lo, lam_hi = lo.lam, hi.lam
         x_lo = (lo.alpha, lo.gamma)
         x_hi = (hi.alpha, hi.gamma)
-        while lam_hi - lam_lo > bisect_tol:
+        while lam_hi - lam_lo > BISECT_TOL:
             lam_mid = 0.5 * (lam_lo + lam_hi)
             seed = (0.5 * (x_lo[0] + x_hi[0]), 0.5 * (x_lo[1] + x_hi[1]))
             x_mid = _track_point(lam_mid, seed, matrix)
@@ -711,7 +730,7 @@ def find_intersections(
         r_p, r_q = res[i], res[i + 1]
         if not (math.isfinite(r_p) and math.isfinite(r_q)):
             continue
-        if max(abs(p.alpha - q.alpha), abs(p.gamma - q.gamma)) > cont_tol:
+        if max(abs(p.alpha - q.alpha), abs(p.gamma - q.gamma)) > CONTINUITY_TOL:
             continue  # broken segment, no events across a branch jump
         if r_p * r_q < 0.0:
             hit = refine(p, q, lambda x: safe_resid(*x), r_p, r_q)

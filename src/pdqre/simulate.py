@@ -31,6 +31,12 @@ __all__ = [
 GENERATOR_NAME = "PCG64"
 
 
+def _check_burn_in(burn_in: int, rounds: int) -> None:
+    """Reject a burn-in that is negative or leaves no rounds to summarize."""
+    if not 0 <= burn_in < rounds:
+        raise ValueError(f"burn-in must lie in [0, {rounds}), got {burn_in}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Run length, seed, and the (otherwise unspecified) round-1 behavior."""
@@ -68,14 +74,12 @@ class GameLog:
 
     def cooperation_rate(self, player: int = 1, burn_in: int = 0) -> float:
         choices = self.choices1 if player == 1 else self.choices2
-        if burn_in >= len(choices):
-            raise ValueError("burn-in leaves no rounds")
+        _check_burn_in(burn_in, len(choices))
         return float(np.mean(choices[burn_in:]))
 
     def mean_payoff(self, player: int = 1, burn_in: int = 0) -> float:
         payoffs = self.payoffs1 if player == 1 else self.payoffs2
-        if burn_in >= len(payoffs):
-            raise ValueError("burn-in leaves no rounds")
+        _check_burn_in(burn_in, len(payoffs))
         return float(np.mean(payoffs[burn_in:]))
 
 
@@ -102,8 +106,7 @@ class PooledLog:
         return len(self.choices)
 
     def cooperation_rate(self, burn_in: int = 0) -> float:
-        if burn_in >= len(self.choices):
-            raise ValueError("burn-in leaves no rounds")
+        _check_burn_in(burn_in, len(self.choices))
         return float(np.mean(self.choices[burn_in:]))
 
 

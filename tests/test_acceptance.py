@@ -15,6 +15,8 @@ from pdqre.data import aggregate, classify_against_qre, load_experiments
 from pdqre.game import MarkovStrategy
 from pdqre.nash import stationarity_curve_residual, trace_quadratic_curve
 from pdqre.qre import (
+    DEFECT_REGION,
+    DEFECT_THRESHOLD,
     SolverConfig,
     conditional_payoffs_compositional,
     find_intersections,
@@ -74,7 +76,7 @@ def _defect_regime(points, cfg: SolverConfig):
         (
             p
             for p in points
-            if max(p.alpha, p.gamma) < cfg.defect_region
+            if max(p.alpha, p.gamma) < DEFECT_REGION
             and not p.accepted
             and cfg.accept_tol < p.objective < cfg.candidate_ceiling
         ),
@@ -106,7 +108,7 @@ def test_criterion_02_high_rationality_limit():
         assert all(max(a, g) > radius for a, g in accepted)
         # the defection regime is reported as a flagged candidate instead
         assert found, (
-            f"no flagged candidate with max(alpha, gamma) < {cfg.defect_region} "
+            f"no flagged candidate with max(alpha, gamma) < {DEFECT_REGION} "
             f"at lambda={lam:g}"
         )
         regime[lam] = found[0]
@@ -175,14 +177,14 @@ def test_criterion_03_three_branch_structure(full_sweep):
     # No exact equilibrium sits in the defect box: at lambda=10, the largest
     # rationality swept and so the smallest gamma response, sigma_gamma
     # stays above the box's edge.
-    floor = _sigma_gamma_floor(10.0, cfg.defect_threshold)
+    floor = _sigma_gamma_floor(10.0, DEFECT_THRESHOLD)
     exact_in_box = [
         (p.lam, p.alpha, p.gamma)
         for p in sweep.points
-        if p.accepted and max(p.alpha, p.gamma) < cfg.defect_threshold
+        if p.accepted and max(p.alpha, p.gamma) < DEFECT_THRESHOLD
     ]
-    print(f"sigma_gamma >= {floor:.6f} on [0, {cfg.defect_threshold:g}]^2 at lambda=10")
-    assert floor > cfg.defect_threshold
+    print(f"sigma_gamma >= {floor:.6f} on [0, {DEFECT_THRESHOLD:g}]^2 at lambda=10")
+    assert floor > DEFECT_THRESHOLD
     assert not exact_in_box, f"accepted points in the defect box: {exact_in_box[:5]}"
 
 

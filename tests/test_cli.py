@@ -1,11 +1,14 @@
 """CLI tests: outputs, manifests, error mapping, byte-stable re-runs."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from pdqre import cli
 from pdqre.cli import SWEEP_HEADER, _float_grid, main
+from pdqre.data import bundled_experiments_path
+from pdqre.qre import SolverConfig
 
 
 def run(argv):
@@ -122,6 +125,9 @@ def test_qre_sweep_bad_step_maps_to_json_error(tmp_path, capsys):
         # the grid guard: the point count overflows to inf
         ["nash-curve", "--gamma-min=-1e308", "--gamma-max", "1e308", "--gamma-step", "1"],
         ["qre-sweep", "--lambda-min=-1e308", "--lambda-max", "1e308", "--lambda-step", "1"],
+        # burn-in outside [0, rounds): negative, and the default 1000 on 100 rounds
+        ["simulate", "--alpha1", "0.2", "--gamma1", "0.5", "--rounds", "100", "--burn-in", "-1"],
+        ["simulate", "--alpha1", "0.2", "--gamma1", "0.5", "--rounds", "100"],
     ],
 )
 def test_bad_solver_input_maps_to_json_error(tmp_path, capsys, argv):
@@ -143,6 +149,45 @@ def test_grid_guard_boundary(monkeypatch):
     assert len(_float_grid(0.0, 1.0, 0.1, "lambda")) == 11
     with pytest.raises(ValueError, match="more than 11 points"):
         _float_grid(0.0, 1.1, 0.1, "lambda")
+
+
+def test_solver_flag_defaults_are_the_solver_config_defaults():
+    args = cli.build_parser().parse_args(["qre-sweep", "--output", "x.csv"])
+    defaults = SolverConfig()
+    flag_fields = {
+        "grid_size": "grid_size",
+        "damping": "damping",
+        "accept_tol": "accept_tol",
+        "merge_tol": "merge_tol",
+        "candidate_ceiling": "candidate_ceiling",
+        "curve": "curve_choice",
+    }
+    for dest, field in flag_fields.items():
+        assert getattr(args, dest) == getattr(defaults, field), dest
+    assert args.no_candidates is (not defaults.include_candidates)
+    # every setting has a flag, and the flags build the default config
+    assert {f.name for f in fields(SolverConfig)} == {*flag_fields.values(), "include_candidates"}
+    assert cli._solver_config(args) == defaults
+
+
+@pytest.mark.parametrize(
+    "cap,limit,argv",
+    [
+        ("MAX_MESH", 11, ["objective-grid", "--rationality", "1", "--mesh"]),
+        ("MAX_ROUNDS", 100, ["simulate", "--alpha1", "0.2", "--gamma1", "0.5", "--burn-in", "10", "--rounds"]),
+    ],
+    ids=["mesh", "rounds"],
+)
+def test_size_guard_boundary(tmp_path, monkeypatch, capsys, cap, limit, argv):
+    monkeypatch.setattr(cli, cap, limit)
+    out = tmp_path / "out.csv"
+    assert run([*argv, str(limit), "--output", str(out)]) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert run([*argv, str(limit + 1), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and f"at most {limit}" in err["message"]
+    assert not out.exists()
 
 
 def test_objective_grid_output(tmp_path, capsys):
@@ -188,7 +233,7 @@ def test_simulate_rerun_is_byte_identical(tmp_path, capsys):
     out = tmp_path / "log.csv"
     argv = [
         "simulate", "--alpha1", "0.3", "--gamma1", "0.7",
-        "--rounds", "100", "--seed", "11", "--output", str(out),
+        "--rounds", "100", "--seed", "11", "--burn-in", "10", "--output", str(out),
     ]
     run(argv)
     snapshot = read(out), read(tmp_path / "log.csv.manifest.json")
@@ -224,6 +269,21 @@ def test_classify_with_supplied_sweep(tmp_path, capsys):
     assert payload["aggregates"]["after"]["gamma"] == pytest.approx(0.670714285714, abs=1e-6)
     manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
     assert len(manifest["inputs"]) == 2  # the data table and the sweep file
+    capsys.readouterr()
+
+
+def test_classify_manifest_does_not_depend_on_the_checkout(tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    _write_synthetic_sweep(sweep)
+    out = tmp_path / "report.json"
+    assert run(["classify", "--sweep", str(sweep), "--output", str(out)]) == 0
+    text = (tmp_path / "report.json.manifest.json").read_text()
+    assert str(bundled_experiments_path()) not in text
+    manifest = json.loads(text)
+    assert manifest["config"]["data"] is None
+    assert manifest["inputs"]["pdqre/data/experiments.csv"] == cli._sha256(
+        bundled_experiments_path()
+    )
     capsys.readouterr()
 
 

@@ -1,6 +1,7 @@
 """QRE solver tests: conditional payoffs, solver anchors, sweeps, intersections."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pdqre.game import DEFAULT_MATRIX, DegenerateChain
 from pdqre.qre import (
+    MAX_ITER,
     NoSolution,
     SolverConfig,
     _clamped,
@@ -297,12 +299,11 @@ def test_accepted_point_matches_full_length_damped_oracle(lam):
 @pytest.mark.parametrize("lam,converges", [(0.0, True), (1.0, True), (4.0, True), (9.0, False)])
 def test_damped_pass_stops_only_when_every_start_converged(lam, converges):
     diag: dict = {}
-    cfg = SolverConfig()
-    solve_qre(lam, cfg, diagnostics=diag)
+    solve_qre(lam, diagnostics=diag)
     if converges:
         assert diag["damped_iterations"] < 100
     else:
-        assert diag["damped_iterations"] == cfg.max_iter
+        assert diag["damped_iterations"] == MAX_ITER
 
 
 def test_sweep_diagnostics_keep_only_the_clamp_counters():
@@ -315,11 +316,9 @@ def test_sweep_diagnostics_keep_only_the_clamp_counters():
     "field,value",
     [
         ("grid_size", 1),
-        ("seed_grid_size", 0),
         ("damping", 0.0),
         ("damping", 1.5),
         ("damping", math.nan),
-        ("max_iter", 0),
         ("accept_tol", -1.0),
         ("accept_tol", math.nan),
         ("accept_tol", math.inf),
@@ -331,7 +330,7 @@ def test_solver_config_rejects_out_of_range(field, value):
 
 
 def test_solver_config_accepts_boundary_values():
-    cfg = SolverConfig(grid_size=2, seed_grid_size=2, damping=1.0, max_iter=1, accept_tol=0.0)
+    cfg = SolverConfig(grid_size=2, damping=1.0, accept_tol=0.0)
     assert cfg.damping == 1.0
 
 
@@ -369,3 +368,37 @@ def test_sigma_kernels_agree_and_map_into_the_box(lam, alpha, gamma):
     va, vg = _sigma_vec(lam, np.array([alpha]), np.array([gamma]), DEFAULT_MATRIX)
     assert va.shape == vg.shape == (1,)
     assert va[0] == sa and vg[0] == sg
+
+
+def _solution_key(points):
+    return [(p.alpha, p.gamma, p.objective, p.accepted, p.start_count) for p in points]
+
+
+@lru_cache(maxsize=None)
+def _sweep_step(lam):
+    """Warm starts as the 0.01 sweep passes them to ``lam``, and the solve they give."""
+    warm = tuple((p.alpha, p.gamma) for p in solve_qre(round(lam - 0.01, 2)))
+    return warm, _solution_key(solve_qre(lam, warm_starts=warm))
+
+
+@pytest.mark.parametrize("lam", [2.0, 7.0, 9.7])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_solve_qre_does_not_depend_on_warm_start_order(lam, data):
+    warm, reference = _sweep_step(lam)
+    shuffled = data.draw(st.permutations(warm))
+    assert _solution_key(solve_qre(lam, warm_starts=shuffled)) == reference
+
+
+@settings(max_examples=8, deadline=None)
+@given(lam=st.floats(0.0, 20.0))
+def test_accepted_points_pass_the_oracle_residual_bound(lam):
+    # residual from the compositional payoffs, not from the solver's sigma kernels
+    bound = math.sqrt(SolverConfig().accept_tol)
+    accepted = [p for p in solve_qre(lam) if p.accepted]
+    assert accepted
+    for p in accepted:
+        u = conditional_payoffs_compositional(p.alpha, p.gamma)
+        ra = logit_response(lam, u.u_alpha1, u.u_alpha0) - p.alpha
+        rg = logit_response(lam, u.u_gamma1, u.u_gamma0) - p.gamma
+        assert math.hypot(ra, rg) <= bound, (p.alpha, p.gamma)

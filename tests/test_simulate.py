@@ -124,6 +124,8 @@ def test_burn_in_bounds_checked():
         log.cooperation_rate(1, burn_in=5)
     with pytest.raises(ValueError):
         log.mean_payoff(1, burn_in=9)
+    with pytest.raises(ValueError):
+        log.cooperation_rate(1, burn_in=-1)
 
 
 def test_group_play_requires_even_count():
