@@ -296,6 +296,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     if args.rounds > MAX_ROUNDS:
         raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {args.rounds}")
+    # the estimates condition each round on the one before it
+    if args.rounds < 2:
+        raise ValueError(f"rounds must be at least 2, got {args.rounds}")
     config = SimulationConfig(
         rounds=args.rounds,
         seed=args.seed,

@@ -4,8 +4,11 @@ The equilibrium system fixes one player's remaining parameters, substitutes
 the pure values 0 and 1 for the parameter under consideration, evaluates the
 stationary payoff of each substituted profile against the symmetric
 opponent, and feeds the payoff gap into a logit response.  A symmetric QRE
-is a fixed point of the resulting two-equation map; the solver minimizes the
-squared residual of that map.
+is a fixed point of the resulting two-equation map; the solver searches
+the squared residual of that map for its zeros and local minima.  Its
+derivatives are in closed form: the substituted stationary states are
+quotients of quadratics in (alpha, gamma) and the payoff is bilinear in
+them.
 
 ``solve_qre`` reports two kinds of points.  Accepted points are exact fixed
 points (objective below ``accept_tol``).  Candidate points are strict local
@@ -23,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .game import (
@@ -65,8 +67,19 @@ SEED_GRID_SIZE = 81
 #: Newton steps per polish.
 NEWTON_MAX_ITER = 14
 
-#: Offset of the 8 neighbours probed by the strict local-minimum test.
-LOCAL_MIN_STEP = 1e-5
+#: Newton steps per descent on the objective.
+DESCENT_MAX_ITER = 50
+
+#: An unshifted descent step below this (max-norm) is taken whole: that close
+#: to a minimum the objective changes by less than its own rounding, so only
+#: the gradient can still steer the step.
+DESCENT_LOCAL_STEP = 1e-6
+
+#: A descent stops once its unshifted Newton step is below this (max-norm);
+#: it has found a minimum when the objective gradient is then below
+#: ``DESCENT_GRAD_TOL`` (max-norm) and the Hessian is positive definite.
+DESCENT_STEP_TOL = 1e-12
+DESCENT_GRAD_TOL = 1e-10
 
 #: Branch labels: every point below this rationality is "smooth"; above it,
 #: a point inside the ``DEFECT_THRESHOLD`` box is "defect" and one within
@@ -215,6 +228,79 @@ def _conditional_utilities(alpha, gamma, matrix: PayoffMatrix):
     return [matrix.payoff(p1, p2) for p1, p2 in _conditional_parts(alpha, gamma)]
 
 
+#: The numerators and denominators of :func:`_conditional_parts` as quadratics
+#: c0 + c1*a + c2*g + c3*a*a + c4*a*g + c5*g*g in (alpha, gamma).  One row per
+#: substitution in :func:`_conditional_dens` order: (p1 numerator, p2
+#: numerator, denominator).
+_PART_COEFFS = (
+    ((0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 1, -1)),
+    ((1, -1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 0), (1, -1, 1, 0, 1, -1)),
+    ((0, 1, 0, -1, 0, 0), (0, 1, 0, -1, 1, 0), (1, 0, 0, -1, 1, 0)),
+    ((0, 2, 0, -1, 0, 0), (0, 1, 0, -1, 1, 0), (1, 1, -1, -1, 1, 0)),
+)
+
+
+def _quadratic(c, a, g):
+    """Value, gradient and Hessian (aa, ag, gg) of one ``_PART_COEFFS`` row."""
+    c0, c1, c2, c3, c4, c5 = c
+    value = c0 + a * (c1 + c3 * a + c4 * g) + g * (c2 + c5 * g)
+    return value, (c1 + 2.0 * c3 * a + c4 * g, c2 + c4 * a + 2.0 * c5 * g), (2.0 * c3, c4, 2.0 * c5)
+
+
+def _quotient(num, den):
+    """Value, gradient and Hessian of num/den from those of num and den.
+
+    Differentiating p*D = N once and twice gives D*p_i = N_i - p*D_i and
+    D*p_ij = N_ij - p_i*D_j - p_j*D_i - p*D_ij.
+    """
+    n, (n_a, n_g), (n_aa, n_ag, n_gg) = num
+    d, (d_a, d_g), (d_aa, d_ag, d_gg) = den
+    p = n / d
+    p_a = (n_a - p * d_a) / d
+    p_g = (n_g - p * d_g) / d
+    hess = (
+        (n_aa - 2.0 * p_a * d_a - p * d_aa) / d,
+        (n_ag - p_a * d_g - p_g * d_a - p * d_ag) / d,
+        (n_gg - 2.0 * p_g * d_g - p * d_gg) / d,
+    )
+    return p, (p_a, p_g), hess
+
+
+def _gap_derivatives(alpha, gamma, matrix: PayoffMatrix):
+    """Gradients and Hessians in (alpha, gamma) of the two payoff gaps.
+
+    Returns ``((grad, hess) of u_alpha1 - u_alpha0, (grad, hess) of
+    u_gamma1 - u_gamma0)`` with grad = (d/da, d/dg) and hess = (aa, ag, gg).
+    The payoff is bilinear, u = P + (S-P)p1 + (T-P)p2 + k*p1*p2 with
+    k = R - S - T + P, so u_i = u_1*p1_i + u_2*p2_i and u_ij = u_1*p1_ij +
+    u_2*p2_ij + k*(p1_i*p2_j + p1_j*p2_i), where u_1 = S - P + k*p2 and
+    u_2 = T - P + k*p1.  Works elementwise for floats and numpy arrays alike.
+    """
+    m = matrix
+    k = m.reward_cc - m.sucker_cd - m.temptation_dc + m.punishment_dd
+    per_state = []
+    for coeffs in _PART_COEFFS:
+        n1, n2, den = (_quadratic(c, alpha, gamma) for c in coeffs)
+        p1, (p1_a, p1_g), (p1_aa, p1_ag, p1_gg) = _quotient(n1, den)
+        p2, (p2_a, p2_g), (p2_aa, p2_ag, p2_gg) = _quotient(n2, den)
+        u_1 = m.sucker_cd - m.punishment_dd + k * p2
+        u_2 = m.temptation_dc - m.punishment_dd + k * p1
+        per_state.append(
+            (
+                u_1 * p1_a + u_2 * p2_a,
+                u_1 * p1_g + u_2 * p2_g,
+                u_1 * p1_aa + u_2 * p2_aa + 2.0 * k * p1_a * p2_a,
+                u_1 * p1_ag + u_2 * p2_ag + k * (p1_a * p2_g + p1_g * p2_a),
+                u_1 * p1_gg + u_2 * p2_gg + 2.0 * k * p1_g * p2_g,
+            )
+        )
+    gaps = []
+    for lo, hi in ((0, 1), (2, 3)):
+        diff = [x1 - x0 for x0, x1 in zip(per_state[lo], per_state[hi])]
+        gaps.append((tuple(diff[:2]), tuple(diff[2:])))
+    return tuple(gaps)
+
+
 def conditional_payoffs(
     alpha: float, gamma: float, matrix: PayoffMatrix = DEFAULT_MATRIX
 ) -> ConditionalPayoffs:
@@ -281,6 +367,45 @@ def qre_objective(
     return (sa - alpha) ** 2 + (sg - gamma) ** 2
 
 
+def _sigma_derivatives(lam: float, alpha: float, gamma: float, matrix: PayoffMatrix):
+    """sigma with its Jacobian rows and the Hessian (aa, ag, gg) of each component.
+
+    With s = expit(lam*gap) and w = s*(1 - s): grad s = lam*w*grad(gap) and
+    hess s = lam*w*hess(gap) + lam^2*w*(1 - 2s)*grad(gap)grad(gap)^T.
+    """
+    sigma = _sigma_scalar(lam, alpha, gamma, matrix)
+    rows, hessians = [], []
+    for s, ((d_a, d_g), (d_aa, d_ag, d_gg)) in zip(
+        sigma, _gap_derivatives(alpha, gamma, matrix)
+    ):
+        w = lam * s * (1.0 - s)
+        v = lam * w * (1.0 - 2.0 * s)
+        rows.append((w * d_a, w * d_g))
+        hessians.append(
+            (w * d_aa + v * d_a * d_a, w * d_ag + v * d_a * d_g, w * d_gg + v * d_g * d_g)
+        )
+    return sigma, rows, hessians
+
+
+def _objective_derivatives(lam: float, alpha: float, gamma: float, matrix: PayoffMatrix):
+    """F = |sigma(x) - x|^2 with its gradient and Hessian (aa, ag, gg).
+
+    With r = sigma(x) - x and J = J_sigma - I: grad F = 2 J^T r and
+    hess F = 2 J^T J + 2 sum_i r_i hess(sigma_i).
+    """
+    (sa, sg), (row_a, row_g), (ha, hg) = _sigma_derivatives(lam, alpha, gamma, matrix)
+    ra, rg = sa - alpha, sg - gamma
+    j00, j01 = row_a[0] - 1.0, row_a[1]
+    j10, j11 = row_g[0], row_g[1] - 1.0
+    grad = (2.0 * (j00 * ra + j10 * rg), 2.0 * (j01 * ra + j11 * rg))
+    hess = (
+        2.0 * (j00 * j00 + j10 * j10 + ra * ha[0] + rg * hg[0]),
+        2.0 * (j00 * j01 + j10 * j11 + ra * ha[1] + rg * hg[1]),
+        2.0 * (j01 * j01 + j11 * j11 + ra * ha[2] + rg * hg[2]),
+    )
+    return ra * ra + rg * rg, grad, hess
+
+
 def _clamped(alpha: float, gamma: float) -> tuple[float, float, bool]:
     """Pull a degenerate-denominator point off the corner, flagging the clamp."""
     if min(abs(den) for den in _conditional_dens(alpha, gamma)) >= DEGENERACY_THRESHOLD:
@@ -298,16 +423,6 @@ def _degenerate_mask(alpha: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return np.minimum.reduce([np.abs(den) for den in dens]) < DEGENERACY_THRESHOLD
 
 
-def _objective_safe(
-    lam: float, alpha: float, gamma: float, matrix: PayoffMatrix, diag: dict
-) -> float:
-    alpha, gamma, clamped = _clamped(alpha, gamma)
-    if clamped:
-        diag["clamped_evals"] = diag.get("clamped_evals", 0) + 1
-    sa, sg = _sigma_scalar(lam, alpha, gamma, matrix)
-    return (sa - alpha) ** 2 + (sg - gamma) ** 2
-
-
 def _newton_polish(
     lam: float,
     x0: tuple[float, float],
@@ -315,7 +430,6 @@ def _newton_polish(
 ) -> tuple[float, float, float]:
     """Polish a root of sigma(x) - x; quadratic near exact fixed points."""
     a, g, _ = _clamped(x0[0], x0[1])
-    h = 1e-7
 
     def resid(a: float, g: float) -> tuple[float, float]:
         sa, sg = _sigma_scalar(lam, a, g, matrix)
@@ -326,22 +440,14 @@ def _newton_polish(
     for _ in range(NEWTON_MAX_ITER):
         if f_cur < 1e-28:
             break
-        j = np.empty((2, 2))
-        for col, (da, dg) in enumerate(((h, 0.0), (0.0, h))):
-            sp = _sigma_scalar(lam, min(a + da, 1.0), min(g + dg, 1.0), matrix)
-            sm = _sigma_scalar(lam, max(a - da, 0.0), max(g - dg, 0.0), matrix)
-            scale = (min(a + da, 1.0) - max(a - da, 0.0)) if col == 0 else (
-                min(g + dg, 1.0) - max(g - dg, 0.0)
-            )
-            j[0, col] = (sp[0] - sm[0]) / scale
-            j[1, col] = (sp[1] - sm[1]) / scale
-        j[0, 0] -= 1.0
-        j[1, 1] -= 1.0
-        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+        _, (row_a, row_g), _ = _sigma_derivatives(lam, a, g, matrix)
+        j00, j01 = row_a[0] - 1.0, row_a[1]
+        j10, j11 = row_g[0], row_g[1] - 1.0
+        det = j00 * j11 - j01 * j10
         if abs(det) < 1e-14:
             break
-        step_a = (-ra * j[1, 1] + rg * j[0, 1]) / det
-        step_g = (-rg * j[0, 0] + ra * j[1, 0]) / det
+        step_a = (-ra * j11 + rg * j01) / det
+        step_g = (-rg * j00 + ra * j10) / det
         improved = False
         t = 1.0
         while t >= 1.0 / 16.0:
@@ -359,57 +465,65 @@ def _newton_polish(
     return float(a), float(g), float(f_cur)
 
 
-def _is_local_min(
-    lam: float,
-    alpha: float,
-    gamma: float,
-    f0: float,
-    matrix: PayoffMatrix,
-) -> bool:
-    """Probe the 8 clipped neighbors; rejects boundary stalls of the search."""
-    probe: dict = {}
-    h = LOCAL_MIN_STEP
-    for da in (-h, 0.0, h):
-        for dg in (-h, 0.0, h):
-            if da == 0.0 and dg == 0.0:
-                continue
-            na = min(max(alpha + da, 0.0), 1.0)
-            ng = min(max(gamma + dg, 0.0), 1.0)
-            if na == alpha and ng == gamma:
-                continue
-            if _objective_safe(lam, na, ng, matrix, probe) < f0 - 1e-12:
-                return False
-    return True
+def _min_eigenvalue(hess: tuple[float, float, float]) -> float:
+    """Smallest eigenvalue of the symmetric 2x2 matrix (aa, ag, gg)."""
+    h_aa, h_ag, h_gg = hess
+    return 0.5 * (h_aa + h_gg) - math.hypot(0.5 * (h_aa - h_gg), h_ag)
 
 
-def _nelder_mead(
+def _descend(
     lam: float,
     seed: tuple[float, float],
     matrix: PayoffMatrix,
     diag: dict,
 ) -> tuple[float, float, float, bool]:
-    """Bounded derivative-free descent; one restart if the simplex stalls.
+    """Newton descent on the objective F; the flag says a strict local minimum.
 
-    The fatol must stay attainable at positive-objective minima: the
-    f-spread across an xatol-sized simplex scales like xatol^2 times the
-    curvature, so anything far below 1e-16 turns success into a coin flip
-    and genuine candidate basins get dropped as stalls.
+    Each step solves (hess F + mu*I) s = -grad F, where mu = 0 when the
+    Hessian is positive definite and otherwise shifts its smallest
+    eigenvalue to |lambda_min| > 0.  The step is halved until F falls,
+    except that an unshifted step below ``DESCENT_LOCAL_STEP`` is taken
+    whole.  Iterates are clipped into [CLAMP_EPS, 1 - CLAMP_EPS]^2; each
+    clipped trial point counts in ``diag["clamped_evals"]``.  The descent
+    stops once an unshifted step is below ``DESCENT_STEP_TOL`` or no halving
+    lowers F.  It reports a minimum only where grad F is below ``DESCENT_GRAD_TOL`` and
+    the Hessian is positive definite, so boundary stalls and saddles fail.
     """
-    x = seed
-    ok = False
-    for _ in range(2):
-        r = minimize(
-            lambda z: _objective_safe(lam, z[0], z[1], matrix, diag),
-            x,
-            method="Nelder-Mead",
-            bounds=[(0.0, 1.0), (0.0, 1.0)],
-            options={"xatol": 1e-9, "fatol": 1e-14, "maxfev": 800},
-        )
-        x = (float(r.x[0]), float(r.x[1]))
-        ok = bool(r.success)
-        if ok:
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    a = min(max(seed[0], lo), hi)
+    g = min(max(seed[1], lo), hi)
+    f, grad, hess = _objective_derivatives(lam, a, g, matrix)
+    for _ in range(DESCENT_MAX_ITER):
+        e_min = _min_eigenvalue(hess)
+        mu = 0.0 if e_min > 0.0 else -2.0 * e_min
+        h_aa, h_ag, h_gg = hess[0] + mu, hess[1], hess[2] + mu
+        det = h_aa * h_gg - h_ag * h_ag
+        if not det > 0.0:
             break
-    return x[0], x[1], float(r.fun), ok
+        step_a = (-grad[0] * h_gg + grad[1] * h_ag) / det
+        step_g = (-grad[1] * h_aa + grad[0] * h_ag) / det
+        size = max(abs(step_a), abs(step_g))
+        if mu == 0.0 and size <= DESCENT_STEP_TOL:
+            break
+        local = mu == 0.0 and size <= DESCENT_LOCAL_STEP
+        t = 1.0
+        while t >= 1.0 / 1024.0:
+            na = a + t * step_a
+            ng = g + t * step_g
+            inside = lo <= na <= hi and lo <= ng <= hi
+            if not inside:
+                diag["clamped_evals"] = diag.get("clamped_evals", 0) + 1
+                na = min(max(na, lo), hi)
+                ng = min(max(ng, lo), hi)
+            if (local and inside) or qre_objective(lam, na, ng, matrix) < f:
+                break
+            t *= 0.5
+        else:
+            break
+        a, g = na, ng
+        f, grad, hess = _objective_derivatives(lam, a, g, matrix)
+    is_min = max(abs(grad[0]), abs(grad[1])) <= DESCENT_GRAD_TOL and _min_eigenvalue(hess) > 0.0
+    return float(a), float(g), float(f), bool(is_min)
 
 
 def _dedupe(
@@ -423,29 +537,23 @@ def _dedupe(
     return kept
 
 
-def solve_qre(
+def _seeds(
     lam: float,
-    config: SolverConfig | None = None,
-    matrix: PayoffMatrix = DEFAULT_MATRIX,
-    warm_starts: Sequence[tuple[float, float]] = (),
-    diagnostics: dict | None = None,
-) -> list[QrePoint]:
-    """All distinct QRE solutions at one rationality from deterministic starts.
+    cfg: SolverConfig,
+    matrix: PayoffMatrix,
+    warm_starts: Sequence[tuple[float, float]],
+    diag: dict,
+) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """Distinct search seeds of one solve, and the damped-pass endpoints.
 
-    Multi-start: a uniform grid over the unit square plus any warm starts.
-    Damped fixed-point iteration locates attracting fixed points; local
-    minima of the objective on the start grid seed a derivative-free polish
-    that also finds repelling fixed points and candidate near-solutions.
-    The damped pass stops once every start's residual is below
-    ``DAMPED_STOP_TOL``, after at most ``MAX_ITER`` steps; the steps taken go
-    to ``diagnostics["damped_iterations"]``.  Accepted points come first in
-    the result; raises :class:`NoSolution` when no start reaches
-    ``accept_tol``.
+    Damped fixed-point iteration from a uniform start grid plus any warm
+    starts locates attracting fixed points; local minima of the objective on
+    a finer mesh add repelling fixed points and candidate basins, and the
+    warm starts are seeds themselves.  The damped pass stops once every
+    start's residual is below ``DAMPED_STOP_TOL``, after at most ``MAX_ITER``
+    steps; ``diag`` gets ``clamped_starts`` and ``damped_iterations``.  Seeds
+    closer than 1e-3 (max-norm) are merged.
     """
-    cfg = config or SolverConfig()
-    _check_rationality(lam)
-    diag: dict = {"clamped_starts": 0, "clamped_evals": 0}
-
     axis = np.linspace(0.0, 1.0, cfg.grid_size)
     ga, gg = np.meshgrid(axis, axis, indexing="ij")
     grid = np.column_stack([ga.ravel(), gg.ravel()])
@@ -514,33 +622,49 @@ def solve_qre(
         seeds.append(_clamped(float(seed_axis[i]), float(seed_axis[j]))[:2])
     seeds.extend((float(w[0]), float(w[1])) for w in np.asarray(warm_starts, float).reshape(-1, 2))
 
+    deduped = _dedupe([(s[0], s[1], 0.0) for s in seeds], 1e-3)
+    return [(s[0], s[1]) for s in deduped], endpoints
+
+
+def solve_qre(
+    lam: float,
+    config: SolverConfig | None = None,
+    matrix: PayoffMatrix = DEFAULT_MATRIX,
+    warm_starts: Sequence[tuple[float, float]] = (),
+    diagnostics: dict | None = None,
+) -> list[QrePoint]:
+    """All distinct QRE solutions at one rationality from deterministic starts.
+
+    Multi-start: every seed of :func:`_seeds` gets a Newton polish of
+    sigma(x) = x and, unless that lands on a root nearby, a Newton descent
+    on the objective, which also finds repelling fixed points and candidate
+    near-solutions (strict local minima of the objective).  The damped steps
+    taken go to ``diagnostics["damped_iterations"]``.  Accepted points come
+    first in the result; raises :class:`NoSolution` when no start reaches
+    ``accept_tol``.
+    """
+    cfg = config or SolverConfig()
+    _check_rationality(lam)
+    diag: dict = {"clamped_starts": 0, "clamped_evals": 0}
+    seeds, endpoints = _seeds(lam, cfg, matrix, warm_starts, diag)
+
     exact: list[tuple[float, float, float]] = []
     cands: list[tuple[float, float, float]] = []
-    for seed in _dedupe([(s[0], s[1], 0.0) for s in seeds], 1e-3):
-        seed = (seed[0], seed[1])
+    for seed in seeds:
         na, ng, nf = _newton_polish(lam, seed, matrix)
         if nf < cfg.accept_tol:
             exact.append((na, ng, nf))
             # Newton escaping the seed's neighborhood means the seed may sit
-            # in a rootless basin; keep it alive for the local search below.
+            # in a rootless basin; keep it alive for the descent below.
             if max(abs(na - seed[0]), abs(ng - seed[1])) <= 0.05:
                 continue
-        ma, mg, mf, ok = _nelder_mead(lam, seed, matrix, diag)
-        na, ng, nf = _newton_polish(lam, (ma, mg), matrix)
-        moved = max(abs(na - ma), abs(ng - mg))
-        if nf < cfg.accept_tol and moved <= cfg.merge_tol:
-            exact.append((na, ng, nf))  # the local search was sitting on a root
-        elif not ok:
-            continue  # stalled mid-descent, not a trustworthy minimum
-        elif nf < cfg.accept_tol:
-            # Newton escaped this basin to a root elsewhere: keep both the
-            # root and the genuine positive minimum the search found here.
-            exact.append((na, ng, nf))
-            cands.append((ma, mg, mf))
-        elif mf <= nf or moved > cfg.merge_tol:
-            cands.append((ma, mg, mf))
+        ma, mg, mf, is_min = _descend(lam, seed, matrix, diag)
+        if not is_min:
+            continue  # a boundary stall or a saddle, not a strict local minimum
+        if mf < cfg.accept_tol:
+            exact.append(_newton_polish(lam, (ma, mg), matrix))
         else:
-            cands.append((na, ng, nf))
+            cands.append((ma, mg, mf))
 
     exact = _dedupe(exact, cfg.merge_tol)
     cands = [
@@ -548,7 +672,6 @@ def solve_qre(
         for c in _dedupe(cands, cfg.merge_tol)
         if c[2] < cfg.candidate_ceiling
         and all(max(abs(c[0] - e[0]), abs(c[1] - e[1])) > cfg.merge_tol for e in exact)
-        and _is_local_min(lam, c[0], c[1], c[2], matrix)
     ]
     if not cfg.include_candidates:
         cands = []
@@ -588,7 +711,7 @@ def label_branch(
         return "defect"
     resid_fn = curve_residual(config.curve_choice)
     try:
-        resid = resid_fn(point.alpha, point.gamma)
+        resid = resid_fn(point.alpha, point.gamma, matrix)
     except DegenerateChain:
         resid = math.inf
     if abs(resid) < NEARNASH_THRESHOLD:

@@ -1,10 +1,15 @@
 """CLI tests: outputs, manifests, error mapping, byte-stable re-runs."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import pdqre
 from pdqre import cli
 from pdqre.cli import SWEEP_HEADER, _float_grid, main
 from pdqre.data import bundled_experiments_path
@@ -229,6 +234,18 @@ def test_simulate_writes_log_and_summary(tmp_path, capsys):
     assert header[5] == "# strategy2=0.2,0.5"  # defaults mirror player 1
 
 
+def test_simulate_needs_two_rounds_before_writing(tmp_path, capsys):
+    # one round gives nothing to estimate: rejected before the log or manifest exists
+    base = ["simulate", "--alpha1", "0.2", "--gamma1", "0.5", "--burn-in", "0"]
+    assert run([*base, "--rounds", "1", "--output", str(tmp_path / "log.csv")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "at least 2" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+    # two rounds are enough
+    assert run([*base, "--rounds", "2", "--output", str(tmp_path / "log.csv")]) == 0
+    assert "alpha1_hat=" in capsys.readouterr().out
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path, capsys):
     out = tmp_path / "log.csv"
     argv = [
@@ -336,3 +353,21 @@ def test_classify_rejects_foreign_sweep_header(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "InsufficientSweep"
+
+
+def test_import_does_not_load_scipy_optimize():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = str(Path(pdqre.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, pdqre, pdqre.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

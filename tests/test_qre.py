@@ -8,10 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pdqre.game import DEFAULT_MATRIX, DegenerateChain
+from pdqre.game import DEFAULT_MATRIX, DegenerateChain, PayoffMatrix
+from pdqre.nash import stationarity_curve_residual
 from pdqre.qre import (
+    DEFECT_THRESHOLD,
     MAX_ITER,
+    NEARNASH_THRESHOLD,
     NoSolution,
+    QrePoint,
     SolverConfig,
     _clamped,
     _degenerate_mask,
@@ -20,6 +24,7 @@ from pdqre.qre import (
     conditional_payoffs,
     conditional_payoffs_compositional,
     find_intersections,
+    label_branch,
     logit_response,
     objective_grid,
     qre_objective,
@@ -402,3 +407,25 @@ def test_accepted_points_pass_the_oracle_residual_bound(lam):
         ra = logit_response(lam, u.u_alpha1, u.u_alpha0) - p.alpha
         rg = logit_response(lam, u.u_gamma1, u.u_gamma0) - p.gamma
         assert math.hypot(ra, rg) <= bound, (p.alpha, p.gamma)
+
+
+def test_label_branch_uses_the_sweep_matrix():
+    # near_nash is judged against the stationarity curve of the matrix in use
+    matrix = PayoffMatrix(temptation_dc=7.0)
+    cfg = SolverConfig()
+    axis = np.linspace(0.0, 1.0, 19)
+    labels = {}
+    for a in axis:
+        for g in axis:
+            if max(a, g) < DEFECT_THRESHOLD:
+                want = "defect"
+            else:
+                try:
+                    resid = stationarity_curve_residual(a, g, matrix)
+                except DegenerateChain:
+                    resid = math.inf
+                want = "near_nash" if abs(resid) < NEARNASH_THRESHOLD else "other"
+            got = label_branch(QrePoint(6.0, a, g, 0.0, True), cfg, matrix)
+            assert got == want, (a, g)
+            labels[got] = labels.get(got, 0) + 1
+    assert set(labels) == {"defect", "near_nash", "other"}
