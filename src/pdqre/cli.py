@@ -119,8 +119,6 @@ def _float_grid(lo: float, hi: float, step: float, what: str) -> list[float]:
 #: Parser defaults, the SolverConfig and the qre-sweep manifest echo all come
 #: from this table; ``--no-candidates`` is the one flag that negates its field.
 _SOLVER_FLAGS = (
-    ("grid_size", "grid_size", {"type": int, "help": "starts per axis"}),
-    ("damping", "damping", {"type": float, "help": "fixed-point damping"}),
     ("accept_tol", "accept_tol", {"type": float, "help": "acceptance objective"}),
     ("merge_tol", "merge_tol", {"type": float, "help": "solution merge radius"}),
     ("candidate_ceiling", "candidate_ceiling",
@@ -188,6 +186,8 @@ def _point_rows(points: list[QrePoint]) -> list[str]:
     ]
 
 
+#: ``start_count`` is :attr:`QrePoint.start_count`: the solver seeds that
+#: merged into the point.
 SWEEP_HEADER = "lambda,alpha,gamma,objective,branch,accepted,start_count"
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.special import expit
@@ -54,12 +54,6 @@ __all__ = [
     "solve_qre",
     "sweep_lambda",
 ]
-
-#: The damped pass stops once every start's max-norm residual is below this.
-DAMPED_STOP_TOL = 1e-13
-
-#: Cap on the damped fixed-point steps of one solve.
-MAX_ITER = 300
 
 #: Nodes per axis of the objective mesh whose local minima seed the search.
 SEED_GRID_SIZE = 81
@@ -130,7 +124,11 @@ class ConditionalPayoffs:
 
 @dataclass
 class QrePoint:
-    """One reported solution of the QRE system at a fixed rationality."""
+    """One reported solution of the QRE system at a fixed rationality.
+
+    ``start_count`` is the number of search seeds whose Newton polish or
+    descent ended within ``merge_tol`` (max-norm) of the point.
+    """
 
     lam: float
     alpha: float
@@ -155,14 +153,12 @@ class Intersection:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Deterministic multi-start solver settings (no randomized starts).
+    """Deterministic solver settings (no randomized starts).
 
     These are the settings the command line exposes; the fixed ones are the
     module constants above.
     """
 
-    grid_size: int = 21
-    damping: float = 0.5
     accept_tol: float = 1e-12
     merge_tol: float = 1e-4
     include_candidates: bool = True
@@ -170,10 +166,6 @@ class SolverConfig:
     curve_choice: str = "stationarity"
 
     def __post_init__(self) -> None:
-        if self.grid_size < 2:
-            raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if not (math.isfinite(self.accept_tol) and self.accept_tol >= 0.0):
             raise ValueError(
                 f"accept_tol must be finite and nonnegative, got {self.accept_tol}"
@@ -537,72 +529,18 @@ def _dedupe(
     return kept
 
 
-def _seeds(
-    lam: float,
-    cfg: SolverConfig,
-    matrix: PayoffMatrix,
-    warm_starts: Sequence[tuple[float, float]],
-    diag: dict,
-) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """Distinct search seeds of one solve, and the damped-pass endpoints.
+def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix) -> list[tuple[float, float]]:
+    """Search seeds of one solve: the local minima of the objective mesh.
 
-    Damped fixed-point iteration from a uniform start grid plus any warm
-    starts locates attracting fixed points; local minima of the objective on
-    a finer mesh add repelling fixed points and candidate basins, and the
-    warm starts are seeds themselves.  The damped pass stops once every
-    start's residual is below ``DAMPED_STOP_TOL``, after at most ``MAX_ITER``
-    steps; ``diag`` gets ``clamped_starts`` and ``damped_iterations``.  Seeds
-    closer than 1e-3 (max-norm) are merged.
+    Fixed points, attracting or repelling, and candidate basins are all
+    local minima of the objective, so the nodes of the ``SEED_GRID_SIZE``
+    mesh of :func:`objective_grid` that are no higher than their four
+    neighbours seed the search: the lowest 40, none far above the candidate
+    ceiling.  Degenerate corner nodes are pulled off the corner.
     """
-    axis = np.linspace(0.0, 1.0, cfg.grid_size)
-    ga, gg = np.meshgrid(axis, axis, indexing="ij")
-    grid = np.column_stack([ga.ravel(), gg.ravel()])
-    starts = np.vstack([grid, np.asarray(warm_starts, float).reshape(-1, 2)]) if len(
-        warm_starts
-    ) else grid
-
-    # Corner starts with degenerate denominators get the documented nudge.
-    clamped = _degenerate_mask(starts[:, 0], starts[:, 1])
-    starts[clamped] = np.clip(starts[clamped], CLAMP_EPS, 1.0 - CLAMP_EPS)
-    diag["clamped_starts"] = int(clamped.sum())
-
-    # The stop is global: a per-start freeze could stop a start on a saddle
-    # that further iteration would leave, and so change the seeds found.
-    a = starts[:, 0].copy()
-    g = starts[:, 1].copy()
-    steps = 0
-    while True:
-        sa, sg = _sigma_vec(lam, a, g, matrix)
-        ra, rg = sa - a, sg - g
-        res = np.maximum(np.abs(ra), np.abs(rg))
-        if steps == MAX_ITER or res.max() < DAMPED_STOP_TOL:
-            break
-        a += cfg.damping * ra
-        g += cfg.damping * rg
-        np.clip(a, CLAMP_EPS, 1.0 - CLAMP_EPS, out=a)
-        np.clip(g, CLAMP_EPS, 1.0 - CLAMP_EPS, out=g)
-        steps += 1
-    diag["damped_iterations"] = steps
-    endpoints = np.column_stack([a, g])
-
-    seeds: list[tuple[float, float]] = []
-    converged = endpoints[res < 1e-6]
-    seeds.extend(
-        (e[0], e[1])
-        for e in _dedupe([(p[0], p[1], 0.0) for p in converged], 1e-3)[:20]
-    )
-
-    # Local minima of the objective over a finer evaluation grid catch what
-    # the damped iteration cannot reach (repelling roots, shallow candidate
-    # basins); one vectorized evaluation, so the fine mesh costs little.
     m = SEED_GRID_SIZE
-    seed_axis = np.linspace(0.0, 1.0, m)
-    sa_mesh, sg_mesh = np.meshgrid(seed_axis, seed_axis, indexing="ij")
-    ca = np.clip(sa_mesh.ravel(), CLAMP_EPS, 1.0 - CLAMP_EPS)
-    cg = np.clip(sg_mesh.ravel(), CLAMP_EPS, 1.0 - CLAMP_EPS)
-    fa, fg = _sigma_vec(lam, ca, cg, matrix)
-    f_seed = (fa - ca) ** 2 + (fg - cg) ** 2
-    f_sq = np.where(np.isfinite(f_seed), f_seed, np.inf).reshape(m, m)
+    alpha, gamma, f, _ = objective_grid(lam, m, matrix)
+    f_sq = np.where(np.isfinite(f), f, np.inf).reshape(m, m)
     pad = np.pad(f_sq, 1, constant_values=np.inf)
     is_min = (
         (f_sq <= pad[:-2, 1:-1])
@@ -610,50 +548,47 @@ def _seeds(
         & (f_sq <= pad[1:-1, :-2])
         & (f_sq <= pad[1:-1, 2:])
     )
-    min_nodes = np.argwhere(is_min)
+    nodes = np.flatnonzero(is_min)
     f_min = f_sq[is_min]
-    order = np.argsort(f_min, kind="stable")
     # Nodes far above the candidate ceiling cannot sit in a reportable basin.
     seed_cutoff = max(0.5, 10.0 * cfg.candidate_ceiling)
-    for k in order[:40]:
+    seeds: list[tuple[float, float]] = []
+    for k in np.argsort(f_min, kind="stable")[:40]:
         if f_min[k] > seed_cutoff:
             break
-        i, j = min_nodes[k]
-        seeds.append(_clamped(float(seed_axis[i]), float(seed_axis[j]))[:2])
-    seeds.extend((float(w[0]), float(w[1])) for w in np.asarray(warm_starts, float).reshape(-1, 2))
-
-    deduped = _dedupe([(s[0], s[1], 0.0) for s in seeds], 1e-3)
-    return [(s[0], s[1]) for s in deduped], endpoints
+        seeds.append(_clamped(float(alpha[nodes[k]]), float(gamma[nodes[k]]))[:2])
+    return seeds
 
 
 def solve_qre(
     lam: float,
     config: SolverConfig | None = None,
     matrix: PayoffMatrix = DEFAULT_MATRIX,
-    warm_starts: Sequence[tuple[float, float]] = (),
     diagnostics: dict | None = None,
 ) -> list[QrePoint]:
-    """All distinct QRE solutions at one rationality from deterministic starts.
+    """All distinct QRE solutions at one rationality from deterministic seeds.
 
-    Multi-start: every seed of :func:`_seeds` gets a Newton polish of
-    sigma(x) = x and, unless that lands on a root nearby, a Newton descent
-    on the objective, which also finds repelling fixed points and candidate
-    near-solutions (strict local minima of the objective).  The damped steps
-    taken go to ``diagnostics["damped_iterations"]``.  Accepted points come
-    first in the result; raises :class:`NoSolution` when no start reaches
-    ``accept_tol``.
+    Every seed of :func:`_seeds` gets a Newton polish of sigma(x) = x and,
+    unless that lands on a root nearby, a Newton descent on the objective,
+    which also finds candidate near-solutions (strict local minima of the
+    objective).  Results within ``merge_tol`` (max-norm) merge; a point's
+    ``start_count`` is the number of seeds with a result merged into it.
+    Clipped descent steps go to ``diagnostics["clamped_evals"]``.  Accepted
+    points come first in the result; raises :class:`NoSolution` when no seed
+    reaches ``accept_tol``.
     """
     cfg = config or SolverConfig()
     _check_rationality(lam)
-    diag: dict = {"clamped_starts": 0, "clamped_evals": 0}
-    seeds, endpoints = _seeds(lam, cfg, matrix, warm_starts, diag)
+    diag: dict = {"clamped_evals": 0}
 
     exact: list[tuple[float, float, float]] = []
     cands: list[tuple[float, float, float]] = []
-    for seed in seeds:
+    reached: list[tuple[int, float, float]] = []  # (seed index, alpha, gamma)
+    for i, seed in enumerate(_seeds(lam, cfg, matrix)):
         na, ng, nf = _newton_polish(lam, seed, matrix)
         if nf < cfg.accept_tol:
             exact.append((na, ng, nf))
+            reached.append((i, na, ng))
             # Newton escaping the seed's neighborhood means the seed may sit
             # in a rootless basin; keep it alive for the descent below.
             if max(abs(na - seed[0]), abs(ng - seed[1])) <= 0.05:
@@ -662,9 +597,11 @@ def solve_qre(
         if not is_min:
             continue  # a boundary stall or a saddle, not a strict local minimum
         if mf < cfg.accept_tol:
-            exact.append(_newton_polish(lam, (ma, mg), matrix))
+            ma, mg, mf = _newton_polish(lam, (ma, mg), matrix)
+            exact.append((ma, mg, mf))
         else:
             cands.append((ma, mg, mf))
+        reached.append((i, ma, mg))
 
     exact = _dedupe(exact, cfg.merge_tol)
     cands = [
@@ -676,20 +613,17 @@ def solve_qre(
     if not cfg.include_candidates:
         cands = []
 
-    def count_near(a0: float, g0: float) -> int:
-        return int(
-            np.sum(
-                np.maximum(np.abs(endpoints[:, 0] - a0), np.abs(endpoints[:, 1] - g0))
-                < 1e-3
-            )
+    def start_count(a0: float, g0: float) -> int:
+        return len(
+            {i for i, a, g in reached if max(abs(a - a0), abs(g - g0)) <= cfg.merge_tol}
         )
 
     accepted_pts = [
-        QrePoint(lam, a0, g0, f0, True, start_count=count_near(a0, g0))
+        QrePoint(lam, a0, g0, f0, True, start_count=start_count(a0, g0))
         for a0, g0, f0 in sorted(exact, key=lambda e: (e[0], e[1]))
     ]
     candidate_pts = [
-        QrePoint(lam, a0, g0, f0, False, start_count=count_near(a0, g0))
+        QrePoint(lam, a0, g0, f0, False, start_count=start_count(a0, g0))
         for a0, g0, f0 in sorted(cands, key=lambda e: (e[0], e[1]))
     ]
     diag["n_exact"] = len(accepted_pts)
@@ -724,7 +658,11 @@ def sweep_lambda(
     config: SolverConfig | None = None,
     matrix: PayoffMatrix = DEFAULT_MATRIX,
 ) -> SweepResult:
-    """Solve along an ascending rationality grid with warm-start continuation."""
+    """Solve each rationality of an ascending grid on its own.
+
+    Every point gets a branch label, and the main branch follows the accepted
+    point nearest the previous one.
+    """
     cfg = config or SolverConfig()
     lam_list = [float(v) for v in lambdas]
     for lam in lam_list:
@@ -737,19 +675,17 @@ def sweep_lambda(
     no_solution: list[float] = []
     discontinuities: list[float] = []
     transition: float | None = None
-    warm: list[tuple[float, float]] = []
     prev_main: QrePoint | None = None
-    diag_total = {"clamped_starts": 0, "clamped_evals": 0}
+    diag_total = {"clamped_evals": 0}
 
     for lam in lam_list:
         diag: dict = {}
         try:
-            pts = solve_qre(lam, cfg, matrix, warm_starts=warm, diagnostics=diag)
+            pts = solve_qre(lam, cfg, matrix, diagnostics=diag)
         except NoSolution as err:
             no_solution.append(lam)
             pts = err.candidates
-        for key in ("clamped_starts", "clamped_evals"):
-            diag_total[key] += diag.get(key, 0)
+        diag_total["clamped_evals"] += diag["clamped_evals"]
         for p in pts:
             p.branch = label_branch(p, cfg, matrix)
         points.extend(pts)
@@ -776,7 +712,6 @@ def sweep_lambda(
             max(p.alpha, p.gamma) < DEFECT_REGION for p in pts
         ):
             transition = lam
-        warm = [(p.alpha, p.gamma) for p in pts]
 
     return SweepResult(
         points=points,

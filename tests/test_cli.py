@@ -124,8 +124,6 @@ def test_qre_sweep_bad_step_maps_to_json_error(tmp_path, capsys):
         ["objective-grid", "--rationality", "-1"],
         ["objective-grid", "--rationality", "nan"],
         ["qre-sweep", "--lambda-min", "nan"],
-        ["qre-sweep", "--lambda-max", "0", "--grid-size", "1"],
-        ["qre-sweep", "--lambda-max", "0", "--damping", "0"],
         ["qre-sweep", "--lambda-max", "0", "--accept-tol", "-1"],
         # the grid guard: the point count overflows to inf
         ["nash-curve", "--gamma-min=-1e308", "--gamma-max", "1e308", "--gamma-step", "1"],
@@ -133,6 +131,9 @@ def test_qre_sweep_bad_step_maps_to_json_error(tmp_path, capsys):
         # burn-in outside [0, rounds): negative, and the default 1000 on 100 rounds
         ["simulate", "--alpha1", "0.2", "--gamma1", "0.5", "--rounds", "100", "--burn-in", "-1"],
         ["simulate", "--alpha1", "0.2", "--gamma1", "0.5", "--rounds", "100"],
+        # a negative rationality inside a sweep grid, and a non-finite tolerance
+        ["qre-sweep", "--lambda-min=-1", "--lambda-max", "0"],
+        ["qre-sweep", "--lambda-max", "0", "--accept-tol", "nan"],
     ],
 )
 def test_bad_solver_input_maps_to_json_error(tmp_path, capsys, argv):
@@ -160,8 +161,6 @@ def test_solver_flag_defaults_are_the_solver_config_defaults():
     args = cli.build_parser().parse_args(["qre-sweep", "--output", "x.csv"])
     defaults = SolverConfig()
     flag_fields = {
-        "grid_size": "grid_size",
-        "damping": "damping",
         "accept_tol": "accept_tol",
         "merge_tol": "merge_tol",
         "candidate_ceiling": "candidate_ceiling",
@@ -173,6 +172,16 @@ def test_solver_flag_defaults_are_the_solver_config_defaults():
     # every setting has a flag, and the flags build the default config
     assert {f.name for f in fields(SolverConfig)} == {*flag_fields.values(), "include_candidates"}
     assert cli._solver_config(args) == defaults
+
+
+@pytest.mark.parametrize("flag", ["--grid-size", "--damping"])
+def test_removed_solver_flags_are_rejected(tmp_path, capsys, flag):
+    # the damped pass they tuned is gone; argparse refuses them before any work
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        run(["qre-sweep", "--lambda-max", "0", flag, "1", "--output", str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -178,9 +178,8 @@ def _nelder_mead(lam, seed, matrix):
 def _nelder_mead_route(lam, matrix=DEFAULT_MATRIX):
     """Accepted points and candidates of a solve whose local search is Nelder-Mead."""
     cfg = SolverConfig()
-    seeds, _ = _seeds(lam, cfg, matrix, (), {})
     exact, cands = [], []
-    for seed in seeds:
+    for seed in _seeds(lam, cfg, matrix):
         na, ng, nf = _fd_newton_polish(lam, seed, matrix)
         if nf < cfg.accept_tol:
             exact.append((na, ng, nf))
