@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from ._rows import distinct_g12, flags, write_rows
 from .data import (
     InsufficientSweep,
     ParseError,
@@ -87,7 +88,8 @@ MAX_GRID_POINTS = 1_000_000
 #: Largest ``objective-grid --mesh`` (nodes per axis, about a million cells).
 MAX_MESH = 1001
 
-#: Largest ``simulate --rounds``; the log is pre-drawn and written whole.
+#: Largest ``simulate --rounds``; the rounds are pre-drawn in memory, the log
+#: is written in blocks.
 MAX_ROUNDS = 1_000_000
 
 
@@ -272,13 +274,13 @@ def _cmd_objective_grid(args: argparse.Namespace) -> int:
             f"mesh must have at most {MAX_MESH} nodes per axis, got {args.mesh}"
         )
     a, g, f, clamped = objective_grid(args.rationality, args.mesh)
-    lines = ["alpha,gamma,objective,clamped"]
-    lines.extend(
-        f"{_fmt(a[i])},{_fmt(g[i])},{_fmt(f[i])},{str(bool(clamped[i])).lower()}"
-        for i in range(len(a))
-    )
     out = Path(args.output)
-    _write_text(out, "\n".join(lines) + "\n")
+    write_rows(
+        out,
+        "alpha,gamma,objective,clamped\n",
+        "%s,%s,%.12g,%s\n",
+        [distinct_g12(a), distinct_g12(g), f, flags(clamped, "false", "true")],
+    )
     _write_manifest(
         out,
         "objective-grid",

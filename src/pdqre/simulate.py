@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._rows import distinct_g12, flags, write_rows
 from .game import DEFAULT_MATRIX, MarkovStrategy, PayoffMatrix
 
 __all__ = [
@@ -35,6 +36,13 @@ def _check_burn_in(burn_in: int, rounds: int) -> None:
     """Reject a burn-in that is negative or leaves no rounds to summarize."""
     if not 0 <= burn_in < rounds:
         raise ValueError(f"burn-in must lie in [0, {rounds}), got {burn_in}")
+
+
+def _player_column(player: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Player 1's or player 2's column of a pair log; no other player exists."""
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player!r}")
+    return first if player == 1 else second
 
 
 @dataclass(frozen=True)
@@ -73,12 +81,12 @@ class GameLog:
         return len(self.choices1)
 
     def cooperation_rate(self, player: int = 1, burn_in: int = 0) -> float:
-        choices = self.choices1 if player == 1 else self.choices2
+        choices = _player_column(player, self.choices1, self.choices2)
         _check_burn_in(burn_in, len(choices))
         return float(np.mean(choices[burn_in:]))
 
     def mean_payoff(self, player: int = 1, burn_in: int = 0) -> float:
-        payoffs = self.payoffs1 if player == 1 else self.payoffs2
+        payoffs = _player_column(player, self.payoffs1, self.payoffs2)
         _check_burn_in(burn_in, len(payoffs))
         return float(np.mean(payoffs[burn_in:]))
 
@@ -233,21 +241,25 @@ def estimate_markov_pooled(log: PooledLog) -> MarkovEstimate:
 
 def export_log(log: GameLog, path) -> None:
     """Write a pair log as CSV with key=value header metadata."""
-    lines = [
-        f"# generator={log.generator}",
-        f"# seed={log.config.seed}",
-        f"# rounds={log.config.rounds}",
+    head = (
+        f"# generator={log.generator}\n"
+        f"# seed={log.config.seed}\n"
+        f"# rounds={log.config.rounds}\n"
         f"# initial_coop_prob={log.config.initial_coop_prob[0]:.12g},"
-        f"{log.config.initial_coop_prob[1]:.12g}",
-        f"# strategy1={log.strategy1.alpha:.12g},{log.strategy1.gamma:.12g}",
-        f"# strategy2={log.strategy2.alpha:.12g},{log.strategy2.gamma:.12g}",
-        "round,choice1,choice2,payoff1,payoff2",
-    ]
-    for t in range(log.rounds):
-        c1 = "C" if log.choices1[t] else "D"
-        c2 = "C" if log.choices2[t] else "D"
-        lines.append(
-            f"{t + 1},{c1},{c2},{log.payoffs1[t]:.12g},{log.payoffs2[t]:.12g}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        f"{log.config.initial_coop_prob[1]:.12g}\n"
+        f"# strategy1={log.strategy1.alpha:.12g},{log.strategy1.gamma:.12g}\n"
+        f"# strategy2={log.strategy2.alpha:.12g},{log.strategy2.gamma:.12g}\n"
+        "round,choice1,choice2,payoff1,payoff2\n"
+    )
+    write_rows(
+        path,
+        head,
+        "%d,%s,%s,%s,%s\n",
+        [
+            np.arange(1, log.rounds + 1),
+            flags(log.choices1, "D", "C"),
+            flags(log.choices2, "D", "C"),
+            distinct_g12(log.payoffs1),
+            distinct_g12(log.payoffs2),
+        ],
+    )

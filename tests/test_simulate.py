@@ -128,6 +128,15 @@ def test_burn_in_bounds_checked():
         log.cooperation_rate(1, burn_in=-1)
 
 
+@pytest.mark.parametrize("player", [0, 3, -1, "1"])
+def test_pair_log_rejects_a_player_outside_one_and_two(player):
+    log = simulate(ALWAYS_C, ALWAYS_D, SimulationConfig(rounds=5, seed=1))
+    with pytest.raises(ValueError, match="player must be 1 or 2"):
+        log.cooperation_rate(player)
+    with pytest.raises(ValueError, match="player must be 1 or 2"):
+        log.mean_payoff(player)
+
+
 def test_group_play_requires_even_count():
     with pytest.raises(ValueError):
         simulate_group([ALWAYS_C, ALWAYS_C, ALWAYS_D], SimulationConfig(rounds=5, seed=1))
