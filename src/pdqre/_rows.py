@@ -3,9 +3,10 @@
 A large export (the million-cell objective grid, a million-round log) spends
 its time formatting, not computing.  Two things make that cheap without
 changing a byte.  A low-cardinality column is formatted once per distinct
-value and then indexed.  The rows of a block are built by a single ``%`` over
-one flat tuple of cells.  Blocks of :data:`CHUNK_ROWS` rows keep the memory a
-write needs bounded whatever the row count.
+value and then indexed, and several such columns can be fused into one.
+The rows of a block are built by a single ``%`` over one flat tuple of
+cells.  Blocks of :data:`CHUNK_ROWS` rows keep the memory a write needs
+bounded whatever the row count.
 """
 
 from __future__ import annotations
@@ -36,6 +37,33 @@ def distinct_g12(values) -> Labelled:
 def flags(values, false: str, true: str) -> Labelled:
     """Label a column by the truth of each value: ``true`` or ``false``."""
     return np.array([false, true], dtype=object), np.asarray(values, dtype=bool).view(np.uint8)
+
+
+def fuse(columns: Sequence[Labelled]) -> Labelled:
+    """Join labelled columns into one, its labels the row strings joined by ``,``.
+
+    The fused column has one label per combination of labels that occurs,
+    so a few low-cardinality columns make a few labels, whatever the row
+    count.  Columns are folded in one at a time, and each fold numbers the
+    pairs (combination so far, next label) that occur: from a table of all
+    pairs when there are no more of them than rows, else by sorting.  After
+    the first fold there are at most as many combinations as rows, so a
+    pair's key is below the product of two label counts or of the row count
+    and a label count, never of all label counts: it stays inside int64
+    however many columns and labels there are.
+    """
+    labels, codes = columns[0]
+    for more, more_codes in columns[1:]:
+        width = len(more)
+        key = codes.astype(np.int64) * width + more_codes
+        if len(labels) * width <= len(key):
+            seen = np.bincount(key, minlength=len(labels) * width).astype(bool)
+            pairs = np.flatnonzero(seen)
+            codes = (np.cumsum(seen) - 1)[key]
+        else:
+            pairs, codes = np.unique(key, return_inverse=True)
+        labels = labels[pairs // width] + "," + more[pairs % width]
+    return labels, codes
 
 
 def write_rows(

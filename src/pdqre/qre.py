@@ -239,17 +239,20 @@ def _quadratic(c, a, g):
     return value, (c1 + 2.0 * c3 * a + c4 * g, c2 + c4 * a + 2.0 * c5 * g), (2.0 * c3, c4, 2.0 * c5)
 
 
-def _quotient(num, den):
+def _quotient(num, den, hessian: bool):
     """Value, gradient and Hessian of num/den from those of num and den.
 
     Differentiating p*D = N once and twice gives D*p_i = N_i - p*D_i and
-    D*p_ij = N_ij - p_i*D_j - p_j*D_i - p*D_ij.
+    D*p_ij = N_ij - p_i*D_j - p_j*D_i - p*D_ij.  Without ``hessian`` the
+    Hessian is None.
     """
     n, (n_a, n_g), (n_aa, n_ag, n_gg) = num
     d, (d_a, d_g), (d_aa, d_ag, d_gg) = den
     p = n / d
     p_a = (n_a - p * d_a) / d
     p_g = (n_g - p * d_g) / d
+    if not hessian:
+        return p, (p_a, p_g), None
     hess = (
         (n_aa - 2.0 * p_a * d_a - p * d_aa) / d,
         (n_ag - p_a * d_g - p_g * d_a - p * d_ag) / d,
@@ -258,11 +261,12 @@ def _quotient(num, den):
     return p, (p_a, p_g), hess
 
 
-def _gap_derivatives(alpha, gamma, matrix: PayoffMatrix):
+def _gap_derivatives(alpha, gamma, matrix: PayoffMatrix, hessians: bool):
     """Gradients and Hessians in (alpha, gamma) of the two payoff gaps.
 
     Returns ``((grad, hess) of u_alpha1 - u_alpha0, (grad, hess) of
-    u_gamma1 - u_gamma0)`` with grad = (d/da, d/dg) and hess = (aa, ag, gg).
+    u_gamma1 - u_gamma0)`` with grad = (d/da, d/dg) and hess = (aa, ag, gg);
+    without ``hessians`` each hess is None.
     The payoff is bilinear, u = P + (S-P)p1 + (T-P)p2 + k*p1*p2 with
     k = R - S - T + P, so u_i = u_1*p1_i + u_2*p2_i and u_ij = u_1*p1_ij +
     u_2*p2_ij + k*(p1_i*p2_j + p1_j*p2_i), where u_1 = S - P + k*p2 and
@@ -273,23 +277,23 @@ def _gap_derivatives(alpha, gamma, matrix: PayoffMatrix):
     per_state = []
     for coeffs in _PART_COEFFS:
         n1, n2, den = (_quadratic(c, alpha, gamma) for c in coeffs)
-        p1, (p1_a, p1_g), (p1_aa, p1_ag, p1_gg) = _quotient(n1, den)
-        p2, (p2_a, p2_g), (p2_aa, p2_ag, p2_gg) = _quotient(n2, den)
+        p1, (p1_a, p1_g), hess1 = _quotient(n1, den, hessians)
+        p2, (p2_a, p2_g), hess2 = _quotient(n2, den, hessians)
         u_1 = m.sucker_cd - m.punishment_dd + k * p2
         u_2 = m.temptation_dc - m.punishment_dd + k * p1
-        per_state.append(
-            (
-                u_1 * p1_a + u_2 * p2_a,
-                u_1 * p1_g + u_2 * p2_g,
+        derivs = (u_1 * p1_a + u_2 * p2_a, u_1 * p1_g + u_2 * p2_g)
+        if hessians:
+            (p1_aa, p1_ag, p1_gg), (p2_aa, p2_ag, p2_gg) = hess1, hess2
+            derivs += (
                 u_1 * p1_aa + u_2 * p2_aa + 2.0 * k * p1_a * p2_a,
                 u_1 * p1_ag + u_2 * p2_ag + k * (p1_a * p2_g + p1_g * p2_a),
                 u_1 * p1_gg + u_2 * p2_gg + 2.0 * k * p1_g * p2_g,
             )
-        )
+        per_state.append(derivs)
     gaps = []
     for lo, hi in ((0, 1), (2, 3)):
         diff = [x1 - x0 for x0, x1 in zip(per_state[lo], per_state[hi])]
-        gaps.append((tuple(diff[:2]), tuple(diff[2:])))
+        gaps.append((tuple(diff[:2]), tuple(diff[2:]) if hessians else None))
     return tuple(gaps)
 
 
@@ -351,41 +355,67 @@ def _sigma_vec(lam: float, alpha, gamma, matrix: PayoffMatrix):
     return expit(lam * (u[1] - u[0])), expit(lam * (u[3] - u[2]))
 
 
+def _objective_and_sigma(
+    lam: float, alpha: float, gamma: float, matrix: PayoffMatrix
+) -> tuple[float, tuple[float, float]]:
+    """:func:`qre_objective` together with the sigma it is the residual of."""
+    sigma = _sigma_scalar(lam, alpha, gamma, matrix)
+    return (sigma[0] - alpha) ** 2 + (sigma[1] - gamma) ** 2, sigma
+
+
 def qre_objective(
     lam: float, alpha: float, gamma: float, matrix: PayoffMatrix = DEFAULT_MATRIX
 ) -> float:
     """Squared residual of the logit fixed-point map at (alpha, gamma)."""
-    sa, sg = _sigma_scalar(lam, alpha, gamma, matrix)
-    return (sa - alpha) ** 2 + (sg - gamma) ** 2
+    return _objective_and_sigma(lam, alpha, gamma, matrix)[0]
 
 
-def _sigma_derivatives(lam: float, alpha: float, gamma: float, matrix: PayoffMatrix):
+def _sigma_derivatives(
+    lam: float,
+    alpha: float,
+    gamma: float,
+    matrix: PayoffMatrix,
+    sigma: tuple[float, float] | None = None,
+    hessians: bool = True,
+):
     """sigma with its Jacobian rows and the Hessian (aa, ag, gg) of each component.
 
     With s = expit(lam*gap) and w = s*(1 - s): grad s = lam*w*grad(gap) and
-    hess s = lam*w*hess(gap) + lam^2*w*(1 - 2s)*grad(gap)grad(gap)^T.
+    hess s = lam*w*hess(gap) + lam^2*w*(1 - 2s)*grad(gap)grad(gap)^T.  A
+    caller that has priced the point passes its ``sigma`` in; one that needs
+    only the Jacobian turns ``hessians`` off and gets None in their place.
     """
-    sigma = _sigma_scalar(lam, alpha, gamma, matrix)
-    rows, hessians = [], []
-    for s, ((d_a, d_g), (d_aa, d_ag, d_gg)) in zip(
-        sigma, _gap_derivatives(alpha, gamma, matrix)
+    if sigma is None:
+        sigma = _sigma_scalar(lam, alpha, gamma, matrix)
+    rows, hess = [], []
+    for s, ((d_a, d_g), gap_hess) in zip(
+        sigma, _gap_derivatives(alpha, gamma, matrix, hessians)
     ):
         w = lam * s * (1.0 - s)
-        v = lam * w * (1.0 - 2.0 * s)
         rows.append((w * d_a, w * d_g))
-        hessians.append(
-            (w * d_aa + v * d_a * d_a, w * d_ag + v * d_a * d_g, w * d_gg + v * d_g * d_g)
-        )
-    return sigma, rows, hessians
+        if hessians:
+            d_aa, d_ag, d_gg = gap_hess
+            v = lam * w * (1.0 - 2.0 * s)
+            hess.append(
+                (w * d_aa + v * d_a * d_a, w * d_ag + v * d_a * d_g, w * d_gg + v * d_g * d_g)
+            )
+    return sigma, rows, hess if hessians else None
 
 
-def _objective_derivatives(lam: float, alpha: float, gamma: float, matrix: PayoffMatrix):
+def _objective_derivatives(
+    lam: float,
+    alpha: float,
+    gamma: float,
+    matrix: PayoffMatrix,
+    sigma: tuple[float, float] | None = None,
+):
     """F = |sigma(x) - x|^2 with its gradient and Hessian (aa, ag, gg).
 
     With r = sigma(x) - x and J = J_sigma - I: grad F = 2 J^T r and
-    hess F = 2 J^T J + 2 sum_i r_i hess(sigma_i).
+    hess F = 2 J^T J + 2 sum_i r_i hess(sigma_i).  ``sigma``, if given, is
+    sigma at the point.
     """
-    (sa, sg), (row_a, row_g), (ha, hg) = _sigma_derivatives(lam, alpha, gamma, matrix)
+    (sa, sg), (row_a, row_g), (ha, hg) = _sigma_derivatives(lam, alpha, gamma, matrix, sigma)
     ra, rg = sa - alpha, sg - gamma
     j00, j01 = row_a[0] - 1.0, row_a[1]
     j10, j11 = row_g[0], row_g[1] - 1.0
@@ -422,17 +452,13 @@ def _newton_polish(
 ) -> tuple[float, float, float]:
     """Polish a root of sigma(x) - x; quadratic near exact fixed points."""
     a, g, _ = _clamped(x0[0], x0[1])
-
-    def resid(a: float, g: float) -> tuple[float, float]:
-        sa, sg = _sigma_scalar(lam, a, g, matrix)
-        return sa - a, sg - g
-
-    ra, rg = resid(a, g)
+    sigma = _sigma_scalar(lam, a, g, matrix)
+    ra, rg = sigma[0] - a, sigma[1] - g
     f_cur = ra * ra + rg * rg
     for _ in range(NEWTON_MAX_ITER):
         if f_cur < 1e-28:
             break
-        _, (row_a, row_g), _ = _sigma_derivatives(lam, a, g, matrix)
+        _, (row_a, row_g), _ = _sigma_derivatives(lam, a, g, matrix, sigma, hessians=False)
         j00, j01 = row_a[0] - 1.0, row_a[1]
         j10, j11 = row_g[0], row_g[1] - 1.0
         det = j00 * j11 - j01 * j10
@@ -445,10 +471,11 @@ def _newton_polish(
         while t >= 1.0 / 16.0:
             na = min(max(a + t * step_a, CLAMP_EPS), 1.0 - CLAMP_EPS)
             ng = min(max(g + t * step_g, CLAMP_EPS), 1.0 - CLAMP_EPS)
-            nra, nrg = resid(na, ng)
+            n_sigma = _sigma_scalar(lam, na, ng, matrix)
+            nra, nrg = n_sigma[0] - na, n_sigma[1] - ng
             nf = nra * nra + nrg * nrg
             if nf < f_cur:
-                a, g, ra, rg, f_cur = na, ng, nra, nrg, nf
+                a, g, sigma, ra, rg, f_cur = na, ng, n_sigma, nra, nrg, nf
                 improved = True
                 break
             t *= 0.5
@@ -507,13 +534,17 @@ def _descend(
                 diag["clamped_evals"] = diag.get("clamped_evals", 0) + 1
                 na = min(max(na, lo), hi)
                 ng = min(max(ng, lo), hi)
-            if (local and inside) or qre_objective(lam, na, ng, matrix) < f:
+            if local and inside:
+                sigma = None
+                break
+            nf, sigma = _objective_and_sigma(lam, na, ng, matrix)
+            if nf < f:
                 break
             t *= 0.5
         else:
             break
         a, g = na, ng
-        f, grad, hess = _objective_derivatives(lam, a, g, matrix)
+        f, grad, hess = _objective_derivatives(lam, a, g, matrix, sigma)
     is_min = max(abs(grad[0]), abs(grad[1])) <= DESCENT_GRAD_TOL and _min_eigenvalue(hess) > 0.0
     return float(a), float(g), float(f), bool(is_min)
 

@@ -5,6 +5,13 @@ validates the conditional-frequency estimator that the experimental data
 table relies on.  Every run is reproducible from the config seed: one
 PCG64 stream is spawned per player (plus one for pairings in group mode)
 and all uniforms are pre-drawn, so logs are bit-stable across runs.
+
+Neither mode loops over players in Python.  Group play loops over rounds
+only, each a few array operations over all players.  Pair play has no
+per-round loop at all: from round 2 on, a move depends only on the player's
+own uniform and the opponent's last move, so the moves form two reply
+chains that prefix operations solve (see :func:`_reply_chains`), with the
+same draws and the same strict comparisons as a round-by-round loop.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rows import distinct_g12, flags, write_rows
+from ._rows import distinct_g12, flags, fuse, write_rows
 from .game import DEFAULT_MATRIX, MarkovStrategy, PayoffMatrix
 
 __all__ = [
@@ -76,6 +83,15 @@ class GameLog:
     config: SimulationConfig
     generator: str = GENERATOR_NAME
 
+    def __post_init__(self):
+        arrays = (self.choices1, self.choices2, self.payoffs1, self.payoffs2)
+        lengths = [len(a) for a in arrays]
+        if any(n != self.config.rounds for n in lengths):
+            raise ValueError(
+                f"a log of {self.config.rounds} rounds needs arrays of that length, "
+                f"got choices {lengths[:2]} and payoffs {lengths[2:]}"
+            )
+
     @property
     def rounds(self) -> int:
         return len(self.choices1)
@@ -128,32 +144,57 @@ class MarkovEstimate:
     gamma_count: int
 
 
+def _swap_odd_columns(x: np.ndarray) -> np.ndarray:
+    """A copy of the (2, rounds) array ``x`` with its rows swapped in odd columns.
+
+    It maps the two players' moves to the two reply chains and back.
+    """
+    y = x.copy()
+    y[:, 1::2] = x[::-1, 1::2]
+    return y
+
+
+def _reply_chains(after_d: np.ndarray, after_c: np.ndarray) -> np.ndarray:
+    """Both players' moves of a pair match, solved without a loop over rounds.
+
+    Row i of the (2, rounds) inputs holds player i's move at each round
+    after an opponent's defection and after a cooperation; in column 0 both
+    hold the round-1 move.  Where the two agree the move is fixed (a reset);
+    where they differ it copies or negates the opponent's last move, and it
+    equals ``after_d ^ opponent``.  Swapping the rows in odd columns turns
+    the moves into two chains, c1[0], c2[1], c1[2], ... and c2[0], c1[1],
+    c2[2], ..., in which each step answers the step before it.  A chain
+    move is then the XOR of ``after_d`` from the chain's last reset up to
+    that step, read off one XOR prefix, and the last reset comes from a
+    running maximum of reset indices.
+    """
+    d = _swap_odd_columns(after_d).ravel()
+    m = _swap_odd_columns(after_d != after_c).ravel()
+    # column 0 is a reset in both rows, so no chain reads across the other
+    prefix = np.logical_xor.accumulate(d)
+    last_reset = np.maximum.accumulate(np.where(m, 0, np.arange(len(m))))
+    return _swap_odd_columns((prefix ^ (prefix ^ d)[last_reset]).reshape(after_d.shape))
+
+
 def simulate(
     s1: MarkovStrategy,
     s2: MarkovStrategy,
     config: SimulationConfig,
     matrix: PayoffMatrix = DEFAULT_MATRIX,
 ) -> GameLog:
-    """Play one seeded match; round 1 uses the configured initial probabilities."""
+    """Play one seeded match; round 1 uses the configured initial probabilities.
+
+    A player cooperates at round t >= 2 when their uniform lies below
+    gamma after an opponent's cooperation and below alpha after a
+    defection.  Both comparisons are made for every round up front, and
+    :func:`_reply_chains` threads the opponent's moves through them.
+    """
     streams = np.random.SeedSequence(config.seed).spawn(2)
-    u1 = np.random.default_rng(streams[0]).random(config.rounds).tolist()
-    u2 = np.random.default_rng(streams[1]).random(config.rounds).tolist()
-
-    a1, g1 = s1.alpha, s1.gamma
-    a2, g2 = s2.alpha, s2.gamma
-    c1 = u1[0] < config.initial_coop_prob[0]
-    c2 = u2[0] < config.initial_coop_prob[1]
-    choices1 = [c1]
-    choices2 = [c2]
-    for t in range(1, config.rounds):
-        n1 = u1[t] < (g1 if c2 else a1)
-        n2 = u2[t] < (g2 if c1 else a2)
-        c1, c2 = n1, n2
-        choices1.append(c1)
-        choices2.append(c2)
-
-    arr1 = np.asarray(choices1, dtype=bool)
-    arr2 = np.asarray(choices2, dtype=bool)
+    u = np.stack([np.random.default_rng(stream).random(config.rounds) for stream in streams])
+    after_d = u < np.array([[s1.alpha], [s2.alpha]])
+    after_c = u < np.array([[s1.gamma], [s2.gamma]])
+    after_d[:, 0] = after_c[:, 0] = u[:, 0] < np.asarray(config.initial_coop_prob)
+    arr1, arr2 = _reply_chains(after_d, after_c)
     pay1 = matrix.payoff(arr1, arr2)
     pay2 = matrix.payoff(arr2, arr1)
     return GameLog(arr1, arr2, pay1, pay2, s1, s2, config)
@@ -254,12 +295,16 @@ def export_log(log: GameLog, path) -> None:
     write_rows(
         path,
         head,
-        "%d,%s,%s,%s,%s\n",
+        "%d,%s\n",
         [
             np.arange(1, log.rounds + 1),
-            flags(log.choices1, "D", "C"),
-            flags(log.choices2, "D", "C"),
-            distinct_g12(log.payoffs1),
-            distinct_g12(log.payoffs2),
+            fuse(
+                [
+                    flags(log.choices1, "D", "C"),
+                    flags(log.choices2, "D", "C"),
+                    distinct_g12(log.payoffs1),
+                    distinct_g12(log.payoffs2),
+                ]
+            ),
         ],
     )

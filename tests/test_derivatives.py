@@ -94,6 +94,28 @@ def test_closed_form_derivatives_match_central_differences(matrix, lam, alpha, g
     assert hess_err <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "matrix", [DEFAULT_MATRIX, PayoffMatrix(temptation_dc=7.0)], ids=["default", "t7"]
+)
+@settings(max_examples=150, deadline=None)
+@given(
+    lam=st.floats(0.0, 100.0),
+    alpha=st.floats(0.001, 0.999),
+    gamma=st.floats(0.001, 0.999),
+)
+def test_jacobian_only_route_matches_full_derivatives_bitwise(matrix, lam, alpha, gamma):
+    # Newton polish asks for the Jacobian alone and passes in the sigma it priced
+    sigma, rows, hessians = _sigma_derivatives(lam, alpha, gamma, matrix)
+    priced = _sigma_scalar(lam, alpha, gamma, matrix)
+    got_sigma, got_rows, got_hessians = _sigma_derivatives(
+        lam, alpha, gamma, matrix, priced, hessians=False
+    )
+    assert got_hessians is None and len(hessians) == 2
+    # bit patterns, so that -0.0 against 0.0 or a NaN would count as a difference
+    for want, got in ((sigma, got_sigma), (rows, got_rows)):
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
 # --- the Nelder-Mead route the descent replaced, kept as the reference -----
 
 

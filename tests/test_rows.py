@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdqre._rows import CHUNK_ROWS, distinct_g12, flags, write_rows
+from pdqre._rows import CHUNK_ROWS, distinct_g12, flags, fuse, write_rows
 from pdqre.cli import main
 from pdqre.game import MarkovStrategy, PayoffMatrix
 from pdqre.qre import objective_grid
@@ -80,6 +80,38 @@ def test_writer_matches_per_row_route(tmp_path_factory, n, pool, seed):
         [np.arange(1, n + 1), flags(flag, "D", "C"), distinct_g12(labelled), dense],
     )
     assert out.read_bytes() == want.encode("utf-8")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 2, 7, CHUNK_ROWS + 1]),
+    # label counts per column; 2**13 over five columns is a product of 2**65
+    widths=st.lists(st.sampled_from([1, 2, 3, 12, 2**13]), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_column_writes_the_bytes_of_the_unfused_columns(tmp_path_factory, n, widths, seed):
+    rng = np.random.default_rng(seed)
+    columns = []
+    for j, width in enumerate(widths):
+        labels = np.array([f"{j}:{k}" for k in range(width)], dtype=object)
+        # uint8 codes as flags makes them, intp as distinct_g12 does
+        codes = rng.integers(0, width, n).astype(np.uint8 if width <= 2 else np.intp)
+        columns.append((labels, codes))
+    want = "".join(
+        f"{t + 1}," + ",".join(labels[codes[t]] for labels, codes in columns) + "\n"
+        for t in range(n)
+    )
+    tmp = tmp_path_factory.mktemp("fuse")
+    write_rows(tmp / "fused.csv", "", "%d,%s\n", [np.arange(1, n + 1), fuse(columns)])
+    row_fmt = "%d," + ",".join(["%s"] * len(columns)) + "\n"
+    write_rows(tmp / "plain.csv", "", row_fmt, [np.arange(1, n + 1), *columns])
+    assert (tmp / "fused.csv").read_bytes() == want.encode("utf-8")
+    assert (tmp / "plain.csv").read_bytes() == want.encode("utf-8")
+    if len(columns) > 1:  # one label per combination that occurs
+        occurring = set(zip(*(codes.tolist() for _, codes in columns)))
+        assert sorted(fuse(columns)[0].tolist()) == sorted(
+            ",".join(columns[j][0][k] for j, k in enumerate(combo)) for combo in occurring
+        )
 
 
 def test_writer_rejects_columns_of_different_lengths(tmp_path):

@@ -1,8 +1,14 @@
 """Simulator tests: determinism, degenerate strategies, estimator, group play."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pdqre._rows import CHUNK_ROWS
+from pdqre.cli import main
 from pdqre.game import DEFAULT_MATRIX, MarkovStrategy, PayoffMatrix
 from pdqre.simulate import (
     GameLog,
@@ -98,6 +104,17 @@ def test_estimator_worked_example():
     assert est1.alpha_count == 0
     assert est2.gamma == pytest.approx(1.0, abs=1e-15)
     assert est2.alpha == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("short", ["choices1", "choices2", "payoffs1", "payoffs2", "all"])
+def test_pair_log_rejects_arrays_of_another_length_than_its_rounds(short):
+    names = ("choices1", "choices2", "payoffs1", "payoffs2")
+    arrays = {n: np.zeros(5, dtype=bool if n.startswith("choices") else float) for n in names}
+    for name in names if short == "all" else (short,):
+        arrays[name] = arrays[name][:3]
+    s = MarkovStrategy(0.5, 0.5)
+    with pytest.raises(ValueError, match="log of 5 rounds"):
+        GameLog(**arrays, strategy1=s, strategy2=s, config=SimulationConfig(rounds=5, seed=0))
 
 
 def test_estimator_requires_two_rounds():
@@ -233,6 +250,73 @@ def test_group_play_matches_pairwise_reference(strategies, config, matrix):
             assert np.array_equal(g, w[:, i]), f"player {i} {name}"
 
 
+def _pair_loop_reference(s1, s2, config, matrix):
+    """Pair play one Python step per round over pre-drawn uniforms.
+
+    The loop the two reply chains replaced, kept as the reference: same
+    streams, same draws, same strict comparisons."""
+    streams = np.random.SeedSequence(config.seed).spawn(2)
+    u1 = np.random.default_rng(streams[0]).random(config.rounds).tolist()
+    u2 = np.random.default_rng(streams[1]).random(config.rounds).tolist()
+    c1 = u1[0] < config.initial_coop_prob[0]
+    c2 = u2[0] < config.initial_coop_prob[1]
+    choices1, choices2 = [c1], [c2]
+    for t in range(1, config.rounds):
+        c1, c2 = u1[t] < (s1.gamma if c2 else s1.alpha), u2[t] < (s2.gamma if c1 else s2.alpha)
+        choices1.append(c1)
+        choices2.append(c2)
+    arr1 = np.asarray(choices1, dtype=bool)
+    arr2 = np.asarray(choices2, dtype=bool)
+    return arr1, arr2, matrix.payoff(arr1, arr2), matrix.payoff(arr2, arr1)
+
+
+# 0 and 1 make a move fixed whatever the opponent did; the floats hit the rest
+PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _markov_strategies(draw):
+    alpha = draw(PROBABILITY)
+    # gamma == alpha: every move is fixed, the chains are all resets
+    return MarkovStrategy(alpha, draw(st.one_of(st.just(alpha), PROBABILITY)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    s1=_markov_strategies(),
+    s2=_markov_strategies(),
+    initial=st.tuples(PROBABILITY, PROBABILITY),
+    rounds=st.one_of(st.sampled_from([1, 2, 3, CHUNK_ROWS + 3]), st.integers(4, 300)),
+    seed=st.integers(0, 2**64 - 1),
+    matrix=st.sampled_from(
+        [
+            DEFAULT_MATRIX,
+            PayoffMatrix(reward_cc=3.0, sucker_cd=-2.0, temptation_dc=2.5, punishment_dd=0.5),
+        ]
+    ),
+)
+def test_pair_play_matches_the_per_round_loop(s1, s2, initial, rounds, seed, matrix):
+    config = SimulationConfig(rounds=rounds, seed=seed, initial_coop_prob=initial)
+    log = simulate(s1, s2, config, matrix)
+    want = _pair_loop_reference(s1, s2, config, matrix)
+    for name, w in zip(("choices1", "choices2", "payoffs1", "payoffs2"), want):
+        g = getattr(log, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        # byte for byte, so that -0.0 against 0.0 would count as a difference
+        assert g.tobytes() == w.tobytes(), name
+
+
+def test_pair_play_compares_strictly_at_a_tie():
+    # a probability equal to the round's own uniform: u < p is false, so defect
+    config = SimulationConfig(rounds=50, seed=12)
+    u = np.random.default_rng(np.random.SeedSequence(12).spawn(2)[0]).random(50)
+    for s1 in (MarkovStrategy(u[7], 1.0), MarkovStrategy(0.0, u[7]), MarkovStrategy(u[7], u[7])):
+        s2 = MarkovStrategy(0.4, 0.6)
+        log = simulate(s1, s2, config)
+        want = _pair_loop_reference(s1, s2, config, DEFAULT_MATRIX)
+        assert np.array_equal(log.choices1, want[0]) and np.array_equal(log.choices2, want[1])
+
+
 def test_pair_payoffs_are_the_stage_payoffs_of_the_choices():
     m = PayoffMatrix(reward_cc=3.0, sucker_cd=-2.0, temptation_dc=2.5, punishment_dd=0.5)
     cfg = SimulationConfig(rounds=500, seed=6, initial_coop_prob=(0.2, 0.9))
@@ -282,3 +366,14 @@ def test_export_log_golden(tmp_path):
         "3,C,D,0,10\n"
     )
     assert out.read_text(encoding="utf-8") == want
+
+
+def test_simulate_cli_log_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of the log the per-round loop wrote; PCG64 draws, exact
+    # comparisons and %.12g strings make it the same on every platform
+    out = tmp_path / "log.csv"
+    args = ["simulate", "--alpha1", "0.2", "--gamma1", "0.5", "--rounds", "100000", "--seed", "1"]
+    assert main([*args, "--output", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "2e8e442829c61ba46674cfbae638a8150e937d67b43c07d6cb64d6af66066c25"
