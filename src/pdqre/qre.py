@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
-from scipy.special import expit
 
 from .game import (
     DEFAULT_MATRIX,
@@ -166,10 +165,16 @@ class SolverConfig:
     curve_choice: str = "stationarity"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.accept_tol) and self.accept_tol >= 0.0):
-            raise ValueError(
-                f"accept_tol must be finite and nonnegative, got {self.accept_tol}"
-            )
+        # merge_tol is a radius: at 0 nothing merges, so it must be positive
+        for name, positive in (
+            ("accept_tol", False),
+            ("merge_tol", True),
+            ("candidate_ceiling", False),
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+                bound = "positive" if positive else "nonnegative"
+                raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
 @dataclass
@@ -350,9 +355,24 @@ def _sigma_scalar(
     return _expit(lam * (u[1] - u[0])), _expit(lam * (u[3] - u[2]))
 
 
+def _logistic(lam: float, gap):
+    """The logit response 1/(1 + exp(-lam*gap)) over arrays.
+
+    A huge lam*gap overflows to +-inf and exp to inf or 0, so the response
+    saturates to exactly 0 or 1; both overflows are expected and silenced.
+    Within 2**-52 of 0 the response is 1/2 to within one ulp, and there it is
+    exactly 1/2: numpy's exp is one ulp low for small negative arguments,
+    which would otherwise give 1/2 + 1 ulp for lam*gap in (2**-53, 1.5 * 2**-53).
+    """
+    with np.errstate(over="ignore"):
+        x = lam * gap
+        response = 1.0 / (1.0 + np.exp(-x))
+    return np.where(np.abs(x) < 2.0**-52, 0.5, response)
+
+
 def _sigma_vec(lam: float, alpha, gamma, matrix: PayoffMatrix):
     u = _conditional_utilities(alpha, gamma, matrix)
-    return expit(lam * (u[1] - u[0])), expit(lam * (u[3] - u[2]))
+    return _logistic(lam, u[1] - u[0]), _logistic(lam, u[3] - u[2])
 
 
 def _objective_and_sigma(

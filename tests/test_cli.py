@@ -118,6 +118,10 @@ def test_qre_sweep_bad_step_maps_to_json_error(tmp_path, capsys):
     assert "step" in err["message"]
 
 
+# Two rationalities with several branches and a candidate.
+_SWEEP_AT_9 = ["qre-sweep", "--lambda-min", "9", "--lambda-max", "9.7", "--lambda-step", "0.7"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -134,6 +138,15 @@ def test_qre_sweep_bad_step_maps_to_json_error(tmp_path, capsys):
         # a negative rationality inside a sweep grid, and a non-finite tolerance
         ["qre-sweep", "--lambda-min=-1", "--lambda-max", "0"],
         ["qre-sweep", "--lambda-max", "0", "--accept-tol", "nan"],
+        # a merge radius of 0 or less merges nothing, NaN drops every point;
+        # a NaN or negative candidate ceiling drops every candidate
+        [*_SWEEP_AT_9, "--merge-tol=nan"],
+        [*_SWEEP_AT_9, "--merge-tol=-1"],
+        [*_SWEEP_AT_9, "--merge-tol=0"],
+        [*_SWEEP_AT_9, "--merge-tol=inf"],
+        [*_SWEEP_AT_9, "--candidate-ceiling=nan"],
+        [*_SWEEP_AT_9, "--candidate-ceiling=-1"],
+        [*_SWEEP_AT_9, "--candidate-ceiling=inf"],
     ],
 )
 def test_bad_solver_input_maps_to_json_error(tmp_path, capsys, argv):
@@ -141,7 +154,7 @@ def test_bad_solver_input_maps_to_json_error(tmp_path, capsys, argv):
     assert run([*argv, "--output", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []  # no output, report or manifest
 
 
 def test_grid_guard_rejects_before_allocating():
@@ -364,19 +377,46 @@ def test_classify_rejects_foreign_sweep_header(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InsufficientSweep"
 
 
-def test_import_does_not_load_scipy_optimize():
-    # a fresh interpreter, so modules other tests imported do not count
+def _fresh_python(code, cwd=None):
+    """Run code in a fresh interpreter, so modules other tests imported do not count."""
     src = str(Path(pdqre.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, pdqre, pdqre.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    )
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
         capture_output=True,
         text=True,
     )
+
+
+def test_import_does_not_load_scipy():
+    result = _fresh_python(
+        "import sys, pdqre, pdqre.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_subcommands_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail
+    code = """
+import sys
+sys.modules["scipy"] = None
+from pdqre.cli import main
+for argv in (
+    ["objective-grid", "--rationality", "7.2", "--mesh", "21", "--output", "grid.csv"],
+    ["qre-sweep", "--lambda-max", "0.5", "--output", "sweep.csv"],
+    ["simulate", "--alpha1", "0.2", "--gamma1", "0.5", "--rounds", "2000",
+     "--output", "log.csv"],
+):
+    assert main(argv) == 0, argv
+"""
+    result = _fresh_python(code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    lines = {name: len((tmp_path / name).read_text().splitlines())
+             for name in ("grid.csv", "sweep.csv", "log.csv")}
+    assert lines["grid.csv"] == 1 + 21 * 21
+    assert lines["sweep.csv"] > 1
+    assert lines["log.csv"] == 7 + 2000

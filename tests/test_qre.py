@@ -1,10 +1,13 @@
 """QRE solver tests: conditional payoffs, solver anchors, sweeps, intersections."""
 
 import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import pdqre.qre
 from pdqre.game import DEFAULT_MATRIX, DegenerateChain, PayoffMatrix
@@ -19,6 +22,7 @@ from pdqre.qre import (
     _clamped,
     _dedupe,
     _degenerate_mask,
+    _logistic,
     _seeds,
     _sigma_scalar,
     _sigma_vec,
@@ -365,16 +369,25 @@ def test_sweep_diagnostics_keep_only_the_clamp_counters():
         ("accept_tol", -1.0),
         ("accept_tol", math.nan),
         ("accept_tol", math.inf),
+        # a merge radius of 0 or less merges nothing, NaN drops every point
+        ("merge_tol", 0.0),
+        ("merge_tol", -1.0),
+        ("merge_tol", math.nan),
+        ("merge_tol", math.inf),
+        # a NaN or negative ceiling silently drops every candidate
+        ("candidate_ceiling", -1.0),
+        ("candidate_ceiling", math.nan),
+        ("candidate_ceiling", math.inf),
     ],
 )
 def test_solver_config_rejects_out_of_range(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and"):
         SolverConfig(**{field: value})
 
 
 def test_solver_config_accepts_boundary_values():
-    cfg = SolverConfig(accept_tol=0.0)
-    assert cfg.accept_tol == 0.0
+    cfg = SolverConfig(accept_tol=0.0, merge_tol=5e-324, candidate_ceiling=0.0)
+    assert (cfg.accept_tol, cfg.merge_tol, cfg.candidate_ceiling) == (0.0, 5e-324, 0.0)
 
 
 @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
@@ -411,6 +424,34 @@ def test_sigma_kernels_agree_and_map_into_the_box(lam, alpha, gamma):
     va, vg = _sigma_vec(lam, np.array([alpha]), np.array([gamma]), DEFAULT_MATRIX)
     assert va.shape == vg.shape == (1,)
     assert va[0] == sa and vg[0] == sg
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+# numpy's exp is one ulp low just below 1: the kernel must still give 1/2 here
+@example(xs=[1.4e-16, 1.6e-16, -1.4e-16, -3e-16, 0.0, -0.0])
+# the edges of saturation: exp overflows, 1 + exp(-x) rounds to 1, subnormal results
+@example(xs=[-709.78, -709.79, 36.73, 36.74, -745.0, -709.5, math.inf, -math.inf])
+def test_logistic_kernel_matches_scipy_expit(xs):
+    x = np.sort(np.array(xs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logistic(1.0, x)
+    want = expit(x)
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want)), (x, got - want)
+    for exact in (0.0, 0.5, 1.0):
+        assert np.all(got[want == exact] == exact), exact
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert np.all(np.diff(got) >= 0.0)
+
+
+def test_sigma_is_silent_at_the_largest_rationality():
+    # lam * gap overflows to +-inf and the response saturates, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, f, _ = objective_grid(1e308, 11)
+        solve_qre(1e308)  # raises NoSolution without an accepted point
+    assert np.all(np.isfinite(f))
 
 
 @settings(max_examples=8, deadline=None)
