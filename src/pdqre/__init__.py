@@ -23,7 +23,6 @@ from .game import (
 )
 from .nash import (
     CurvePoint,
-    bisect_root,
     curve_residual,
     own_payoff_gradient,
     own_payoff_gradient_fd,
@@ -88,7 +87,6 @@ __all__ = [
     "stationary_state_iterative",
     # nash
     "CurvePoint",
-    "bisect_root",
     "curve_residual",
     "own_payoff_gradient",
     "own_payoff_gradient_fd",

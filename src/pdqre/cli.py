@@ -373,12 +373,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     inputs = {str(data_path) if args.data else _BUNDLED_DATA_NAME: data_path}
     records = load_experiments(data_path)
     if args.sweep:
-        points = _read_sweep_csv(Path(args.sweep))
+        qre_sweep = _read_sweep_csv(Path(args.sweep))
         inputs[str(Path(args.sweep))] = Path(args.sweep)
     else:
         lambdas = _float_grid(0.0, args.lambda_max, args.lambda_step, "lambda")
-        points = sweep_lambda(lambdas, SolverConfig()).points
-    report = classify_against_qre(records, points, lambda_max=args.lambda_max)
+        qre_sweep = sweep_lambda(lambdas, SolverConfig())
+    report = classify_against_qre(records, qre_sweep, lambda_max=args.lambda_max)
     aggregates = aggregate(records)
 
     payload = {

@@ -254,6 +254,13 @@ def _extract_branch(
         (p for p in pool if p.accepted and p.lam <= lambda_max + 1e-12),
         key=lambda p: p.lam,
     )
+    # several accepted points at one lambda would join branches into one zig-zag
+    for p, q in zip(branch, branch[1:]):
+        if p.lam == q.lam:
+            raise InsufficientSweep(
+                f"several accepted points at lambda={p.lam:.12g}; "
+                "classify needs one branch (pass the SweepResult)"
+            )
     if len(branch) < 2:
         raise InsufficientSweep(
             f"need at least 2 accepted points with lambda <= {lambda_max}"
@@ -278,7 +285,9 @@ def classify_against_qre(
     read as gamma versus alpha (single-valued when alpha is monotone along
     the branch; otherwise a signed nearest-distance rule takes over, with
     the side of (1, 1) defined as Above).  Records outside the branch's
-    alpha range use the nearest-endpoint extension and are flagged.
+    alpha range use the nearest-endpoint extension and are flagged.  A
+    point list must hold one accepted point per lambda; a ``SweepResult``
+    gives its main branch.
     """
     branch = _extract_branch(qre_sweep, lambda_max)
     alphas = [p.alpha for p in branch]

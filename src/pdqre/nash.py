@@ -35,7 +35,6 @@ from .game import (
 
 __all__ = [
     "CurvePoint",
-    "bisect_root",
     "curve_residual",
     "own_payoff_gradient",
     "own_payoff_gradient_fd",
@@ -215,41 +214,3 @@ def trace_stationarity_curve(gammas: Iterable[float]) -> list[CurvePoint]:
     (0, 1) with alpha staying below 0.3.
     """
     return _trace(gammas, lambda g: 14.0 * (1.0 - g))
-
-
-def bisect_root(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    grid: float = 1e-3,
-) -> float:
-    """First root of ``fn`` in [lo, hi] by sign-change bracketing and bisection."""
-    n = max(2, int(math.ceil((hi - lo) / grid)))
-    xs = [lo + (hi - lo) * i / n for i in range(n + 1)]
-    bracket: tuple[float, float] | None = None
-    f_prev = fn(xs[0])
-    if f_prev == 0.0:
-        return xs[0]
-    for x_prev, x in zip(xs, xs[1:]):
-        f_x = fn(x)
-        if f_x == 0.0:
-            return x
-        if f_prev * f_x < 0.0:
-            bracket = (x_prev, x)
-            break
-        f_prev = f_x
-    if bracket is None:
-        raise ValueError(f"no sign change of residual in [{lo}, {hi}]")
-    a, b = bracket
-    fa = fn(a)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)

@@ -5,10 +5,10 @@ the pure values 0 and 1 for the parameter under consideration, evaluates the
 stationary payoff of each substituted profile against the symmetric
 opponent, and feeds the payoff gap into a logit response.  A symmetric QRE
 is a fixed point of the resulting two-equation map; the solver searches
-the squared residual of that map for its zeros and local minima.  Its
-derivatives are in closed form: the substituted stationary states are
-quotients of quadratics in (alpha, gamma) and the payoff is bilinear in
-them.
+the squared residual of that map for its zeros and local minima, on arrays
+of (rationality, seed) pairs.  Its derivatives are in closed form: the
+substituted stationary states are quotients of quadratics in (alpha, gamma)
+and the payoff is bilinear in them.
 
 ``solve_qre`` reports two kinds of points.  Accepted points are exact fixed
 points (objective below ``accept_tol``).  Candidate points are strict local
@@ -335,27 +335,22 @@ def conditional_payoffs_compositional(
     )
 
 
-def _expit(x: float) -> float:
+def logit_response(lam: float, u_choice1: float, u_choice0: float) -> float:
+    """Logit choice probability of option 1 given the two payoffs.
+
+    With :func:`qre_objective` this is the scalar reference route: Python
+    floats and ``math.exp``, in the form that cannot overflow.  The solver
+    evaluates sigma with :func:`_logistic` instead.
+    """
+    _check_rationality(lam)
+    x = lam * (u_choice1 - u_choice0)
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
     z = math.exp(x)
     return z / (1.0 + z)
 
 
-def logit_response(lam: float, u_choice1: float, u_choice0: float) -> float:
-    """Logit choice probability of option 1 given the two payoffs."""
-    _check_rationality(lam)
-    return _expit(lam * (u_choice1 - u_choice0))
-
-
-def _sigma_scalar(
-    lam: float, alpha: float, gamma: float, matrix: PayoffMatrix
-) -> tuple[float, float]:
-    u = _conditional_utilities(alpha, gamma, matrix)
-    return _expit(lam * (u[1] - u[0])), _expit(lam * (u[3] - u[2]))
-
-
-def _logistic(lam: float, gap):
+def _logistic(lam, gap):
     """The logit response 1/(1 + exp(-lam*gap)) over arrays.
 
     A huge lam*gap overflows to +-inf and exp to inf or 0, so the response
@@ -370,33 +365,27 @@ def _logistic(lam: float, gap):
     return np.where(np.abs(x) < 2.0**-52, 0.5, response)
 
 
-def _sigma_vec(lam: float, alpha, gamma, matrix: PayoffMatrix):
+def _sigma_vec(lam, alpha, gamma, matrix: PayoffMatrix):
+    """The solver's sigma, elementwise over arrays (``lam`` may be one too)."""
     u = _conditional_utilities(alpha, gamma, matrix)
     return _logistic(lam, u[1] - u[0]), _logistic(lam, u[3] - u[2])
-
-
-def _objective_and_sigma(
-    lam: float, alpha: float, gamma: float, matrix: PayoffMatrix
-) -> tuple[float, tuple[float, float]]:
-    """:func:`qre_objective` together with the sigma it is the residual of."""
-    sigma = _sigma_scalar(lam, alpha, gamma, matrix)
-    return (sigma[0] - alpha) ** 2 + (sigma[1] - gamma) ** 2, sigma
 
 
 def qre_objective(
     lam: float, alpha: float, gamma: float, matrix: PayoffMatrix = DEFAULT_MATRIX
 ) -> float:
-    """Squared residual of the logit fixed-point map at (alpha, gamma)."""
-    return _objective_and_sigma(lam, alpha, gamma, matrix)[0]
+    """Squared residual of the logit fixed-point map at (alpha, gamma).
+
+    Evaluated on the scalar reference route of :func:`logit_response`.
+    """
+    u = _conditional_utilities(alpha, gamma, matrix)
+    sa = logit_response(lam, u[1], u[0])
+    sg = logit_response(lam, u[3], u[2])
+    return (sa - alpha) ** 2 + (sg - gamma) ** 2
 
 
 def _sigma_derivatives(
-    lam: float,
-    alpha: float,
-    gamma: float,
-    matrix: PayoffMatrix,
-    sigma: tuple[float, float] | None = None,
-    hessians: bool = True,
+    lam, alpha, gamma, matrix: PayoffMatrix, sigma=None, hessians: bool = True
 ):
     """sigma with its Jacobian rows and the Hessian (aa, ag, gg) of each component.
 
@@ -406,7 +395,7 @@ def _sigma_derivatives(
     only the Jacobian turns ``hessians`` off and gets None in their place.
     """
     if sigma is None:
-        sigma = _sigma_scalar(lam, alpha, gamma, matrix)
+        sigma = _sigma_vec(lam, alpha, gamma, matrix)
     rows, hess = [], []
     for s, ((d_a, d_g), gap_hess) in zip(
         sigma, _gap_derivatives(alpha, gamma, matrix, hessians)
@@ -422,13 +411,7 @@ def _sigma_derivatives(
     return sigma, rows, hess if hessians else None
 
 
-def _objective_derivatives(
-    lam: float,
-    alpha: float,
-    gamma: float,
-    matrix: PayoffMatrix,
-    sigma: tuple[float, float] | None = None,
-):
+def _objective_derivatives(lam, alpha, gamma, matrix: PayoffMatrix, sigma=None):
     """F = |sigma(x) - x|^2 with its gradient and Hessian (aa, ag, gg).
 
     With r = sigma(x) - x and J = J_sigma - I: grad F = 2 J^T r and
@@ -448,125 +431,140 @@ def _objective_derivatives(
     return ra * ra + rg * rg, grad, hess
 
 
-def _clamped(alpha: float, gamma: float) -> tuple[float, float, bool]:
-    """Pull a degenerate-denominator point off the corner, flagging the clamp."""
-    if min(abs(den) for den in _conditional_dens(alpha, gamma)) >= DEGENERACY_THRESHOLD:
-        return float(alpha), float(gamma), False
-    return (
-        float(min(max(alpha, CLAMP_EPS), 1.0 - CLAMP_EPS)),
-        float(min(max(gamma, CLAMP_EPS), 1.0 - CLAMP_EPS)),
-        True,
-    )
-
-
 def _degenerate_mask(alpha: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Elementwise form of the :func:`_clamped` flag over arrays of points."""
+    """Points where some substituted chain is degenerate: a denominator of
+    :func:`_conditional_dens` below ``DEGENERACY_THRESHOLD`` in magnitude."""
     dens = _conditional_dens(alpha, gamma)
     return np.minimum.reduce([np.abs(den) for den in dens]) < DEGENERACY_THRESHOLD
 
 
-def _newton_polish(
-    lam: float,
-    x0: tuple[float, float],
-    matrix: PayoffMatrix,
-) -> tuple[float, float, float]:
-    """Polish a root of sigma(x) - x; quadratic near exact fixed points."""
-    a, g, _ = _clamped(x0[0], x0[1])
-    sigma = _sigma_scalar(lam, a, g, matrix)
-    ra, rg = sigma[0] - a, sigma[1] - g
-    f_cur = ra * ra + rg * rg
+def _off_corners(alpha, gamma):
+    """Pull degenerate points into [CLAMP_EPS, 1 - CLAMP_EPS]^2; also returns the flags."""
+    clamped = _degenerate_mask(alpha, gamma)
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    return (
+        np.where(clamped, np.clip(alpha, lo, hi), alpha),
+        np.where(clamped, np.clip(gamma, lo, hi), gamma),
+        clamped,
+    )
+
+
+# Python floats overflow to inf and give NaN for inf - inf without a word; the
+# array solver stays as quiet at huge rationalities, where lam*w overflows.  It
+# also divides before it drops the elements whose determinant rules a step out.
+@np.errstate(all="ignore")
+def _newton_polish(lam: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, matrix: PayoffMatrix):
+    """Polish roots of sigma(x) - x from arrays of starts; quadratic near exact fixed points.
+
+    Every element iterates on its own: a degenerate start is pulled off its
+    corner, and each Newton step is halved until the objective falls, down
+    to 1/16, with trial points clipped into the box.  An element stops once
+    its objective is below 1e-28, its Jacobian is singular or no halving
+    helps.  Returns arrays (alpha, gamma, objective).
+    """
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    a, g, _ = _off_corners(alpha, gamma)
+    sa, sg = _sigma_vec(lam, a, g, matrix)
+    ra, rg = sa - a, sg - g
+    f = ra * ra + rg * rg
+    live = np.arange(a.size)
     for _ in range(NEWTON_MAX_ITER):
-        if f_cur < 1e-28:
+        live = live[~(f[live] < 1e-28)]
+        if not live.size:
             break
-        _, (row_a, row_g), _ = _sigma_derivatives(lam, a, g, matrix, sigma, hessians=False)
+        _, (row_a, row_g), _ = _sigma_derivatives(
+            lam[live], a[live], g[live], matrix, (sa[live], sg[live]), hessians=False
+        )
         j00, j01 = row_a[0] - 1.0, row_a[1]
         j10, j11 = row_g[0], row_g[1] - 1.0
         det = j00 * j11 - j01 * j10
-        if abs(det) < 1e-14:
-            break
-        step_a = (-ra * j11 + rg * j01) / det
-        step_g = (-rg * j00 + ra * j10) / det
-        improved = False
-        t = 1.0
-        while t >= 1.0 / 16.0:
-            na = min(max(a + t * step_a, CLAMP_EPS), 1.0 - CLAMP_EPS)
-            ng = min(max(g + t * step_g, CLAMP_EPS), 1.0 - CLAMP_EPS)
-            n_sigma = _sigma_scalar(lam, na, ng, matrix)
-            nra, nrg = n_sigma[0] - na, n_sigma[1] - ng
+        step_a = (-ra[live] * j11 + rg[live] * j01) / det
+        step_g = (-rg[live] * j00 + ra[live] * j10) / det
+        keep = ~(np.abs(det) < 1e-14)
+        live, step_a, step_g = live[keep], step_a[keep], step_g[keep]
+        pending, t = np.arange(live.size), 1.0
+        while t >= 1.0 / 16.0 and pending.size:
+            at = live[pending]
+            na = np.clip(a[at] + t * step_a[pending], lo, hi)
+            ng = np.clip(g[at] + t * step_g[pending], lo, hi)
+            nsa, nsg = _sigma_vec(lam[at], na, ng, matrix)
+            nra, nrg = nsa - na, nsg - ng
             nf = nra * nra + nrg * nrg
-            if nf < f_cur:
-                a, g, sigma, ra, rg, f_cur = na, ng, n_sigma, nra, nrg, nf
-                improved = True
-                break
+            better = nf < f[at]
+            at = at[better]
+            a[at], g[at], sa[at], sg[at] = na[better], ng[better], nsa[better], nsg[better]
+            ra[at], rg[at], f[at] = nra[better], nrg[better], nf[better]
+            pending = pending[~better]
             t *= 0.5
-        if not improved:
-            break
-    return float(a), float(g), float(f_cur)
+        live = np.delete(live, pending)
+    return a, g, f
 
 
-def _min_eigenvalue(hess: tuple[float, float, float]) -> float:
-    """Smallest eigenvalue of the symmetric 2x2 matrix (aa, ag, gg)."""
+def _min_eigenvalue(hess):
+    """Smallest eigenvalue of symmetric 2x2 matrices (aa, ag, gg), elementwise."""
     h_aa, h_ag, h_gg = hess
-    return 0.5 * (h_aa + h_gg) - math.hypot(0.5 * (h_aa - h_gg), h_ag)
+    return 0.5 * (h_aa + h_gg) - np.hypot(0.5 * (h_aa - h_gg), h_ag)
 
 
-def _descend(
-    lam: float,
-    seed: tuple[float, float],
-    matrix: PayoffMatrix,
-    diag: dict,
-) -> tuple[float, float, float, bool]:
-    """Newton descent on the objective F; the flag says a strict local minimum.
+@np.errstate(all="ignore")
+def _descend(lam: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, matrix: PayoffMatrix):
+    """Newton descent on the objective F from arrays of seeds.
 
-    Each step solves (hess F + mu*I) s = -grad F, where mu = 0 when the
-    Hessian is positive definite and otherwise shifts its smallest
-    eigenvalue to |lambda_min| > 0.  The step is halved until F falls,
-    except that an unshifted step below ``DESCENT_LOCAL_STEP`` is taken
-    whole.  Iterates are clipped into [CLAMP_EPS, 1 - CLAMP_EPS]^2; each
-    clipped trial point counts in ``diag["clamped_evals"]``.  The descent
-    stops once an unshifted step is below ``DESCENT_STEP_TOL`` or no halving
-    lowers F.  It reports a minimum only where grad F is below ``DESCENT_GRAD_TOL`` and
-    the Hessian is positive definite, so boundary stalls and saddles fail.
+    Every element iterates on its own.  Each step solves (hess F + mu*I) s =
+    -grad F, where mu = 0 when the Hessian is positive definite and otherwise
+    shifts its smallest eigenvalue to |lambda_min| > 0.  The step is halved
+    until F falls, down to 1/1024, except that an unshifted step below
+    ``DESCENT_LOCAL_STEP`` is taken whole.  Iterates are clipped into
+    [CLAMP_EPS, 1 - CLAMP_EPS]^2.  An element stops once an unshifted step
+    is below ``DESCENT_STEP_TOL`` or no halving lowers F.  It is a minimum
+    only where grad F is below ``DESCENT_GRAD_TOL`` and the Hessian is
+    positive definite, so boundary stalls and saddles fail.  Returns arrays
+    (alpha, gamma, objective, is_min, clipped), where ``clipped`` counts
+    each element's clipped trial points.
     """
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    a = min(max(seed[0], lo), hi)
-    g = min(max(seed[1], lo), hi)
+    a, g = np.clip(alpha, lo, hi), np.clip(gamma, lo, hi)
     f, grad, hess = _objective_derivatives(lam, a, g, matrix)
+    grad, hess = np.array(grad), np.array(hess)
+    clipped = np.zeros(a.shape, dtype=np.int64)
+    live = np.arange(a.size)
     for _ in range(DESCENT_MAX_ITER):
-        e_min = _min_eigenvalue(hess)
-        mu = 0.0 if e_min > 0.0 else -2.0 * e_min
-        h_aa, h_ag, h_gg = hess[0] + mu, hess[1], hess[2] + mu
+        (g_a, g_g), (h_aa, h_ag, h_gg) = grad[:, live], hess[:, live]
+        e_min = _min_eigenvalue((h_aa, h_ag, h_gg))
+        unshifted = e_min > 0.0
+        mu = np.where(unshifted, 0.0, -2.0 * e_min)
+        h_aa, h_gg = h_aa + mu, h_gg + mu
         det = h_aa * h_gg - h_ag * h_ag
-        if not det > 0.0:
+        step_a = (-g_a * h_gg + g_g * h_ag) / det
+        step_g = (-g_g * h_aa + g_a * h_ag) / det
+        size = np.maximum(np.abs(step_a), np.abs(step_g))
+        keep = (det > 0.0) & ~(unshifted & (size <= DESCENT_STEP_TOL))
+        local = (unshifted & (size <= DESCENT_LOCAL_STEP))[keep]
+        live, step_a, step_g = live[keep], step_a[keep], step_g[keep]
+        if not live.size:
             break
-        step_a = (-grad[0] * h_gg + grad[1] * h_ag) / det
-        step_g = (-grad[1] * h_aa + grad[0] * h_ag) / det
-        size = max(abs(step_a), abs(step_g))
-        if mu == 0.0 and size <= DESCENT_STEP_TOL:
-            break
-        local = mu == 0.0 and size <= DESCENT_LOCAL_STEP
-        t = 1.0
-        while t >= 1.0 / 1024.0:
-            na = a + t * step_a
-            ng = g + t * step_g
-            inside = lo <= na <= hi and lo <= ng <= hi
-            if not inside:
-                diag["clamped_evals"] = diag.get("clamped_evals", 0) + 1
-                na = min(max(na, lo), hi)
-                ng = min(max(ng, lo), hi)
-            if local and inside:
-                sigma = None
-                break
-            nf, sigma = _objective_and_sigma(lam, na, ng, matrix)
-            if nf < f:
-                break
+        pending, t = np.arange(live.size), 1.0
+        while t >= 1.0 / 1024.0 and pending.size:
+            at = live[pending]
+            na = a[at] + t * step_a[pending]
+            ng = g[at] + t * step_g[pending]
+            inside = (lo <= na) & (na <= hi) & (lo <= ng) & (ng <= hi)
+            clipped[at[~inside]] += 1
+            na, ng = np.clip(na, lo, hi), np.clip(ng, lo, hi)
+            # a short unshifted step inside the box is taken without pricing it
+            better = local[pending] & inside
+            priced = ~better
+            sa, sg = _sigma_vec(lam[at[priced]], na[priced], ng[priced], matrix)
+            better[priced] = (sa - na[priced]) ** 2 + (sg - ng[priced]) ** 2 < f[at[priced]]
+            a[at[better]], g[at[better]] = na[better], ng[better]
+            pending = pending[~better]
             t *= 0.5
-        else:
-            break
-        a, g = na, ng
-        f, grad, hess = _objective_derivatives(lam, a, g, matrix, sigma)
-    is_min = max(abs(grad[0]), abs(grad[1])) <= DESCENT_GRAD_TOL and _min_eigenvalue(hess) > 0.0
-    return float(a), float(g), float(f), bool(is_min)
+        live = np.delete(live, pending)
+        f[live], grad[:, live], hess[:, live] = _objective_derivatives(
+            lam[live], a[live], g[live], matrix
+        )
+    grad_small = np.maximum(np.abs(grad[0]), np.abs(grad[1])) <= DESCENT_GRAD_TOL
+    return a, g, f, grad_small & (_min_eigenvalue(hess) > 0.0), clipped
 
 
 def _dedupe(
@@ -601,14 +599,97 @@ def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix) -> list[tuple[fl
     )
     nodes = np.flatnonzero(is_min)
     f_min = f_sq[is_min]
+    order = np.argsort(f_min, kind="stable")[:40]
     # Nodes far above the candidate ceiling cannot sit in a reportable basin.
-    seed_cutoff = max(0.5, 10.0 * cfg.candidate_ceiling)
-    seeds: list[tuple[float, float]] = []
-    for k in np.argsort(f_min, kind="stable")[:40]:
-        if f_min[k] > seed_cutoff:
-            break
-        seeds.append(_clamped(float(alpha[nodes[k]]), float(gamma[nodes[k]]))[:2])
-    return seeds
+    order = order[f_min[order] <= max(0.5, 10.0 * cfg.candidate_ceiling)]
+    a, g, _ = _off_corners(alpha[nodes[order]], gamma[nodes[order]])
+    return list(zip(a.tolist(), g.tolist()))
+
+
+def _collect(
+    lam: float, cfg: SolverConfig, results: list[tuple[int, float, float, float, bool]]
+) -> list[QrePoint]:
+    """Merge the (seed, alpha, gamma, objective, accepted) results of one rationality.
+
+    A point's ``start_count`` is the number of seeds with a result within
+    ``merge_tol`` of it.  Accepted points come first.
+    """
+    exact = _dedupe([r[1:4] for r in results if r[4]], cfg.merge_tol)
+    cands = [
+        c
+        for c in _dedupe([r[1:4] for r in results if not r[4]], cfg.merge_tol)
+        if c[2] < cfg.candidate_ceiling
+        and all(max(abs(c[0] - e[0]), abs(c[1] - e[1])) > cfg.merge_tol for e in exact)
+    ]
+    if not cfg.include_candidates:
+        cands = []
+
+    def start_count(a0: float, g0: float) -> int:
+        return len(
+            {i for i, a, g, _, _ in results if max(abs(a - a0), abs(g - g0)) <= cfg.merge_tol}
+        )
+
+    return [
+        QrePoint(lam, a0, g0, f0, accepted, start_count=start_count(a0, g0))
+        for accepted, kept in ((True, exact), (False, cands))
+        for a0, g0, f0 in sorted(kept, key=lambda e: (e[0], e[1]))
+    ]
+
+
+def _solve(lams: list[float], cfg: SolverConfig, matrix: PayoffMatrix):
+    """Yield (points, clipped descent trials) for each rationality of ``lams``, in order.
+
+    Consecutive rationalities join one stack until it holds as many
+    (rationality, seed) pairs as the seed mesh has nodes, so its arrays stay
+    the size of the mesh and memory does not grow with the grid.  No pair's
+    result depends on the rest of its stack.
+    """
+    stack: list[tuple[float, list[tuple[float, float]]]] = []
+    n_pairs = 0
+    for k, lam in enumerate(lams):
+        stack.append((lam, _seeds(lam, cfg, matrix)))
+        n_pairs += len(stack[-1][1])
+        if n_pairs >= SEED_GRID_SIZE**2 or k == len(lams) - 1:
+            yield from _solve_stack(stack, cfg, matrix)
+            stack, n_pairs = [], 0
+
+
+def _solve_stack(stack, cfg: SolverConfig, matrix: PayoffMatrix):
+    """Yield (points, clipped descent trials) for each (rationality, seeds) of ``stack``.
+
+    Every (rationality, seed) pair gets a Newton polish of sigma(x) = x,
+    kept when it reaches ``accept_tol``.  Unless that polish landed within
+    0.05 (max-norm) of its seed, the seed also descends: Newton escaping the
+    seed's neighbourhood means the seed may sit in a rootless basin.  A
+    descent that ends on a strict local minimum below ``accept_tol`` is
+    polished and accepted; one above it is a candidate.
+    """
+    owner = np.repeat(np.arange(len(stack)), [len(seeds) for _, seeds in stack])
+    lam = np.array([lam for lam, _ in stack], dtype=float)[owner]
+    seed_a, seed_g = np.array([s for _, seeds in stack for s in seeds]).reshape(-1, 2).T
+    pa, pg, pf = _newton_polish(lam, seed_a, seed_g, matrix)
+    exact = pf < cfg.accept_tol
+    near = np.maximum(np.abs(pa - seed_a), np.abs(pg - seed_g)) <= 0.05
+    down = np.flatnonzero(~(exact & near))
+    da, dg, df, is_min, clipped = _descend(lam[down], seed_a[down], seed_g[down], matrix)
+    low = is_min & (df < cfg.accept_tol)
+    da[low], dg[low], df[low] = _newton_polish(lam[down][low], da[low], dg[low], matrix)
+
+    # (pair, alpha, gamma, objective, accepted) of every kept polish and descent
+    kept = zip(
+        np.concatenate([np.flatnonzero(exact), down[is_min]]).tolist(),
+        np.concatenate([pa[exact], da[is_min]]).tolist(),
+        np.concatenate([pg[exact], dg[is_min]]).tolist(),
+        np.concatenate([pf[exact], df[is_min]]).tolist(),
+        np.concatenate([exact[exact], low[is_min]]).tolist(),
+    )
+    results: list[list] = [[] for _ in stack]
+    owner_of = owner.tolist()
+    for result in kept:
+        results[owner_of[result[0]]].append(result)
+    clamped_evals = np.bincount(owner[down], clipped, len(stack)).astype(np.int64)
+    for (lam, _), found, n in zip(stack, results, clamped_evals.tolist()):
+        yield _collect(lam, cfg, found), n
 
 
 def solve_qre(
@@ -626,64 +707,19 @@ def solve_qre(
     ``start_count`` is the number of seeds with a result merged into it.
     Clipped descent steps go to ``diagnostics["clamped_evals"]``.  Accepted
     points come first in the result; raises :class:`NoSolution` when no seed
-    reaches ``accept_tol``.
+    reaches ``accept_tol``.  :func:`sweep_lambda` runs the same solve.
     """
     cfg = config or SolverConfig()
     _check_rationality(lam)
-    diag: dict = {"clamped_evals": 0}
-
-    exact: list[tuple[float, float, float]] = []
-    cands: list[tuple[float, float, float]] = []
-    reached: list[tuple[int, float, float]] = []  # (seed index, alpha, gamma)
-    for i, seed in enumerate(_seeds(lam, cfg, matrix)):
-        na, ng, nf = _newton_polish(lam, seed, matrix)
-        if nf < cfg.accept_tol:
-            exact.append((na, ng, nf))
-            reached.append((i, na, ng))
-            # Newton escaping the seed's neighborhood means the seed may sit
-            # in a rootless basin; keep it alive for the descent below.
-            if max(abs(na - seed[0]), abs(ng - seed[1])) <= 0.05:
-                continue
-        ma, mg, mf, is_min = _descend(lam, seed, matrix, diag)
-        if not is_min:
-            continue  # a boundary stall or a saddle, not a strict local minimum
-        if mf < cfg.accept_tol:
-            ma, mg, mf = _newton_polish(lam, (ma, mg), matrix)
-            exact.append((ma, mg, mf))
-        else:
-            cands.append((ma, mg, mf))
-        reached.append((i, ma, mg))
-
-    exact = _dedupe(exact, cfg.merge_tol)
-    cands = [
-        c
-        for c in _dedupe(cands, cfg.merge_tol)
-        if c[2] < cfg.candidate_ceiling
-        and all(max(abs(c[0] - e[0]), abs(c[1] - e[1])) > cfg.merge_tol for e in exact)
-    ]
-    if not cfg.include_candidates:
-        cands = []
-
-    def start_count(a0: float, g0: float) -> int:
-        return len(
-            {i for i, a, g in reached if max(abs(a - a0), abs(g - g0)) <= cfg.merge_tol}
-        )
-
-    accepted_pts = [
-        QrePoint(lam, a0, g0, f0, True, start_count=start_count(a0, g0))
-        for a0, g0, f0 in sorted(exact, key=lambda e: (e[0], e[1]))
-    ]
-    candidate_pts = [
-        QrePoint(lam, a0, g0, f0, False, start_count=start_count(a0, g0))
-        for a0, g0, f0 in sorted(cands, key=lambda e: (e[0], e[1]))
-    ]
-    diag["n_exact"] = len(accepted_pts)
-    diag["n_candidates"] = len(candidate_pts)
+    ((points, clamped_evals),) = _solve([lam], cfg, matrix)
+    n_exact = sum(p.accepted for p in points)
     if diagnostics is not None:
-        diagnostics.update(diag)
-    if not accepted_pts:
-        raise NoSolution(lam, candidate_pts)
-    return accepted_pts + candidate_pts
+        diagnostics.update(
+            clamped_evals=clamped_evals, n_exact=n_exact, n_candidates=len(points) - n_exact
+        )
+    if not n_exact:
+        raise NoSolution(lam, points)
+    return points
 
 
 def label_branch(
@@ -709,10 +745,11 @@ def sweep_lambda(
     config: SolverConfig | None = None,
     matrix: PayoffMatrix = DEFAULT_MATRIX,
 ) -> SweepResult:
-    """Solve each rationality of an ascending grid on its own.
+    """Solve each rationality of an ascending grid on its own, as :func:`solve_qre` does.
 
-    Every point gets a branch label, and the main branch follows the accepted
-    point nearest the previous one.
+    The grid goes through the same batched solve.  Every point gets a
+    branch label, and the main branch follows the accepted point nearest the
+    previous one.
     """
     cfg = config or SolverConfig()
     lam_list = [float(v) for v in lambdas]
@@ -729,14 +766,10 @@ def sweep_lambda(
     prev_main: QrePoint | None = None
     diag_total = {"clamped_evals": 0}
 
-    for lam in lam_list:
-        diag: dict = {}
-        try:
-            pts = solve_qre(lam, cfg, matrix, diagnostics=diag)
-        except NoSolution as err:
+    for lam, (pts, clamped_evals) in zip(lam_list, _solve(lam_list, cfg, matrix)):
+        if not any(p.accepted for p in pts):
             no_solution.append(lam)
-            pts = err.candidates
-        diag_total["clamped_evals"] += diag["clamped_evals"]
+        diag_total["clamped_evals"] += clamped_evals
         for p in pts:
             p.branch = label_branch(p, cfg, matrix)
         points.extend(pts)
@@ -778,8 +811,8 @@ def sweep_lambda(
 def _track_point(
     lam: float, seed: tuple[float, float], matrix: PayoffMatrix
 ) -> tuple[float, float] | None:
-    a, g, f = _newton_polish(lam, seed, matrix)
-    return (a, g) if f < 1e-18 else None
+    a, g, f = _newton_polish(np.array([lam]), np.array([seed[0]]), np.array([seed[1]]), matrix)
+    return (float(a[0]), float(g[0])) if f[0] < 1e-18 else None
 
 
 def find_intersections(
@@ -879,9 +912,7 @@ def objective_grid(
     axis = np.linspace(0.0, 1.0, mesh)
     ga, gg = np.meshgrid(axis, axis, indexing="ij")
     alpha, gamma = ga.ravel(), gg.ravel()
-    clamped = _degenerate_mask(alpha, gamma)
-    a = np.where(clamped, np.clip(alpha, CLAMP_EPS, 1.0 - CLAMP_EPS), alpha)
-    g = np.where(clamped, np.clip(gamma, CLAMP_EPS, 1.0 - CLAMP_EPS), gamma)
+    a, g, clamped = _off_corners(alpha, gamma)
     sa, sg = _sigma_vec(lam, a, g, matrix)
     f = (sa - a) ** 2 + (sg - g) ** 2
     return alpha, gamma, f, clamped

@@ -367,6 +367,24 @@ def test_classify_missing_sweep_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InsufficientSweep"
 
 
+def test_classify_past_the_fold_follows_the_main_branch(tmp_path, capsys):
+    # past lambda 5.1 the sweep holds several branches; the boundary is the main one
+    flags = ["--lambda-max", "7", "--lambda-step", "0.05"]
+    out = tmp_path / "report.json"
+    assert run(["classify", *flags, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["separation_score"] == 0.892857142857  # 25 of 28
+    # the sweep CSV holds every branch, so classify refuses it with a JSON error
+    sweep = tmp_path / "sweep.csv"
+    assert run(["qre-sweep", *flags, "--output", str(sweep)]) == 0
+    capsys.readouterr()
+    code = run(["classify", "--sweep", str(sweep), *flags, "--output", str(tmp_path / "r.json")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InsufficientSweep"
+    assert "several accepted points at lambda=5.15;" in err["message"]
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_classify_rejects_foreign_sweep_header(tmp_path, capsys):
     sweep = tmp_path / "sweep.csv"
     sweep.write_text("a,b\n1,2\n", encoding="utf-8")

@@ -1,5 +1,7 @@
 """Data-layer tests: parsing, round trips, aggregates, boundary classification."""
 
+from dataclasses import replace
+
 import pytest
 
 from pdqre.data import (
@@ -207,6 +209,17 @@ def test_classification_signed_distance_fallback():
     assert report.interpolation == "signed_distance"
     sides = [c.side for c in report.classifications]
     assert sides == ["Above", "Below"]
+
+
+def test_classification_refuses_several_branches_in_a_point_list():
+    # sorted by lambda, two branches would zig-zag into one boundary
+    two_branches = DIAGONAL.main_branch + [QrePoint(2.0, 0.9, 0.1, 0.0, True)]
+    with pytest.raises(InsufficientSweep, match="several accepted points at lambda=2;"):
+        classify_against_qre([_rec("E1", "before", 0.3, 0.1)], two_branches)
+    # a sweep result gives its main branch, whatever else it holds
+    sweep = replace(DIAGONAL, points=two_branches)
+    report = classify_against_qre([_rec("E1", "before", 0.3, 0.1)], sweep)
+    assert report.classifications[0].boundary_gamma == pytest.approx(0.3, abs=1e-12)
 
 
 def test_insufficient_sweep_detected():

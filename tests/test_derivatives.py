@@ -13,19 +13,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scalar_route import clamped, sigma_scalar
 from scipy.optimize import minimize
 
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     CLAMP_EPS,
     SolverConfig,
-    _clamped,
     _dedupe,
     _descend,
     _objective_derivatives,
     _seeds,
     _sigma_derivatives,
-    _sigma_scalar,
+    _sigma_vec,
     conditional_payoffs_compositional,
     logit_response,
     qre_objective,
@@ -106,7 +106,7 @@ def test_closed_form_derivatives_match_central_differences(matrix, lam, alpha, g
 def test_jacobian_only_route_matches_full_derivatives_bitwise(matrix, lam, alpha, gamma):
     # Newton polish asks for the Jacobian alone and passes in the sigma it priced
     sigma, rows, hessians = _sigma_derivatives(lam, alpha, gamma, matrix)
-    priced = _sigma_scalar(lam, alpha, gamma, matrix)
+    priced = _sigma_vec(lam, alpha, gamma, matrix)
     got_sigma, got_rows, got_hessians = _sigma_derivatives(
         lam, alpha, gamma, matrix, priced, hessians=False
     )
@@ -120,17 +120,17 @@ def test_jacobian_only_route_matches_full_derivatives_bitwise(matrix, lam, alpha
 
 
 def _objective_safe(lam, alpha, gamma, matrix):
-    alpha, gamma, _ = _clamped(alpha, gamma)
+    alpha, gamma, _ = clamped(alpha, gamma)
     return qre_objective(lam, alpha, gamma, matrix)
 
 
 def _fd_newton_polish(lam, x0, matrix, max_iter=14):
     """Newton on sigma(x) - x with an h = 1e-7 central-difference Jacobian."""
-    a, g, _ = _clamped(x0[0], x0[1])
+    a, g, _ = clamped(x0[0], x0[1])
     h = 1e-7
 
     def resid(a, g):
-        sa, sg = _sigma_scalar(lam, a, g, matrix)
+        sa, sg = sigma_scalar(lam, a, g, matrix)
         return sa - a, sg - g
 
     ra, rg = resid(a, g)
@@ -142,8 +142,8 @@ def _fd_newton_polish(lam, x0, matrix, max_iter=14):
         for col, (da, dg) in enumerate(((h, 0.0), (0.0, h))):
             hi_a, hi_g = min(a + da, 1.0), min(g + dg, 1.0)
             lo_a, lo_g = max(a - da, 0.0), max(g - dg, 0.0)
-            sp = _sigma_scalar(lam, hi_a, hi_g, matrix)
-            sm = _sigma_scalar(lam, lo_a, lo_g, matrix)
+            sp = sigma_scalar(lam, hi_a, hi_g, matrix)
+            sm = sigma_scalar(lam, lo_a, lo_g, matrix)
             scale = (hi_a - lo_a) if col == 0 else (hi_g - lo_g)
             j[0, col] = (sp[0] - sm[0]) / scale
             j[1, col] = (sp[1] - sm[1]) / scale
@@ -273,6 +273,7 @@ def test_descent_does_not_report_a_saddle():
     assert max(map(abs, grad)) < 1e-12
     assert h_aa * h_gg - h_ag * h_ag < 0.0  # indefinite: a saddle
     assert 0.0 < f < SolverConfig().candidate_ceiling
-    assert _descend(lam, (a, g), DEFAULT_MATRIX, {})[3] is False
+    is_min = _descend(np.array([lam]), np.array([a]), np.array([g]), DEFAULT_MATRIX)[3]
+    assert is_min.tolist() == [False]
     candidates = [p for p in solve_qre(lam) if not p.accepted]
     assert all(max(abs(p.alpha - a), abs(p.gamma - g)) > 1e-3 for p in candidates)

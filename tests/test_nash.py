@@ -7,7 +7,6 @@ import pytest
 
 from pdqre.game import DEFAULT_MATRIX, MarkovStrategy
 from pdqre.nash import (
-    bisect_root,
     curve_residual,
     own_payoff_gradient,
     own_payoff_gradient_fd,
@@ -115,13 +114,3 @@ def test_curve_residual_dispatch():
     )
     with pytest.raises(ValueError):
         curve_residual("cubic")
-
-
-def test_bisect_root_simple():
-    root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-12)
-    assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
-
-
-def test_bisect_root_no_sign_change():
-    with pytest.raises(ValueError):
-        bisect_root(lambda x: 1.0 + x * x, 0.0, 1.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scalar_route import clamped as scalar_clamped
 from scipy.special import expit
 
 import pdqre.qre
@@ -19,12 +20,10 @@ from pdqre.qre import (
     NoSolution,
     QrePoint,
     SolverConfig,
-    _clamped,
     _dedupe,
     _degenerate_mask,
     _logistic,
     _seeds,
-    _sigma_scalar,
     _sigma_vec,
     conditional_payoffs,
     conditional_payoffs_compositional,
@@ -249,7 +248,7 @@ def _mask_probe_points():
 def test_degenerate_mask_matches_scalar_clamp_flag():
     alpha, gamma = _mask_probe_points()
     mask = _degenerate_mask(alpha, gamma)
-    flags = np.array([_clamped(a, g)[2] for a, g in zip(alpha, gamma)])
+    flags = np.array([scalar_clamped(a, g)[2] for a, g in zip(alpha, gamma)])
     assert mask.dtype == bool
     assert np.array_equal(mask, flags)
     assert 4 < mask.sum() < mask.size  # both outcomes are exercised
@@ -264,7 +263,7 @@ def test_objective_grid_equals_per_cell_clamp_route():
     g = gg.ravel().copy()
     flags = np.zeros(a.shape, dtype=bool)
     for i in range(a.shape[0]):
-        a[i], g[i], flags[i] = _clamped(a[i], g[i])
+        a[i], g[i], flags[i] = scalar_clamped(a[i], g[i])
     sa, sg = _sigma_vec(lam, a, g, DEFAULT_MATRIX)
     f_ref = (sa - a) ** 2 + (sg - g) ** 2
 
@@ -400,6 +399,8 @@ def test_every_entry_point_rejects_bad_rationality(lam):
         objective_grid(lam, mesh=3)
     with pytest.raises(ValueError, match="rationality"):
         logit_response(lam, 1.0, 0.0)
+    with pytest.raises(ValueError, match="rationality"):
+        qre_objective(lam, 0.5, 0.5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -413,9 +414,6 @@ def test_sigma_kernels_agree_and_map_into_the_box(lam, alpha, gamma):
     assume(max(alpha, 1.0 - gamma) > 0.05 and max(1.0 - alpha, gamma) > 0.05)
     sa, sg = _sigma_vec(lam, alpha, gamma, DEFAULT_MATRIX)
     assert 0.0 <= sa <= 1.0 and 0.0 <= sg <= 1.0
-
-    ka, kg = _sigma_scalar(lam, alpha, gamma, DEFAULT_MATRIX)
-    assert abs(sa - ka) <= 1e-15 and abs(sg - kg) <= 1e-15
 
     u = conditional_payoffs_compositional(alpha, gamma)
     assert sa == pytest.approx(logit_response(lam, u.u_alpha1, u.u_alpha0), abs=1e-12)

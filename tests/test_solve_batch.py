@@ -1,0 +1,99 @@
+"""The batched solve: (rationality, seed) pairs stacked into arrays.
+
+``solve_qre`` and ``sweep_lambda`` run the same private batched solve.  It
+is checked against the per-seed scalar route it replaced (``scalar_route``),
+and for leaks between the rationalities that share one stack of arrays.
+"""
+
+import functools
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scalar_route import solve_scalar
+
+import pdqre.qre
+from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
+from pdqre.qre import NoSolution, SolverConfig, _solve, solve_qre, sweep_lambda
+
+PANEL = [0.0, 2.0, 4.0, 5.2, 5.5, 7.09, 9.6, 9.62, 9.7, 20.0, 100.0]
+
+
+def _solve_alone(lam, matrix=DEFAULT_MATRIX):
+    """Points and clipped descent trials of ``solve_qre`` at one rationality."""
+    diag = {}
+    try:
+        points = solve_qre(lam, matrix=matrix, diagnostics=diag)
+    except NoSolution as err:
+        points = err.candidates
+    return points, diag["clamped_evals"]
+
+
+_cached_alone = functools.lru_cache(maxsize=None)(_solve_alone)
+
+
+def _bits(points):
+    """Every field of each point, floats by bit pattern, branch labels aside."""
+    return [
+        (p.lam.hex(), p.alpha.hex(), p.gamma.hex(), p.objective.hex(), p.accepted, p.start_count)
+        for p in points
+    ]
+
+
+@pytest.mark.parametrize(
+    "matrix", [DEFAULT_MATRIX, PayoffMatrix(temptation_dc=7.0)], ids=["default", "temptation7"]
+)
+@pytest.mark.parametrize("lam", PANEL)
+def test_batched_solve_matches_the_scalar_route(lam, matrix):
+    # numpy's exp and libm's differ in the last bits, so the points agree
+    # within tolerances, and the counts exactly
+    want, _ = solve_scalar(lam, SolverConfig(), matrix)
+    got, _ = _solve_alone(lam, matrix)
+    for accepted in (True, False):
+        w = [p for p in want if p.accepted is accepted]
+        g = [p for p in got if p.accepted is accepted]
+        assert [p.start_count for p in g] == [p.start_count for p in w], accepted
+        for p, q in zip(g, w):
+            moved = max(abs(p.alpha - q.alpha), abs(p.gamma - q.gamma))
+            if accepted:
+                assert moved <= 1e-11 and abs(p.objective - q.objective) <= 1e-25, (p, q)
+            else:
+                assert moved <= 1e-9, (p, q)
+                assert abs(p.objective - q.objective) <= 1e-10 * q.objective, (p, q)
+
+
+@settings(max_examples=10, deadline=None)
+@given(lams=st.lists(st.sampled_from(PANEL), min_size=1, unique=True))
+@example(lams=PANEL)
+@example(lams=PANEL[::-1])
+def test_no_rationality_leaks_into_another_in_the_stack(lams):
+    for lam, (points, clamped_evals) in zip(lams, _solve(lams, SolverConfig(), DEFAULT_MATRIX)):
+        want, want_clamped = _cached_alone(lam)
+        assert _bits(points) == _bits(want), lam
+        assert clamped_evals == want_clamped, lam
+
+    grid = sorted(lams)
+    sweep = sweep_lambda(grid)
+    for lam in grid:
+        assert _bits([p for p in sweep.points if p.lam == lam]) == _bits(_cached_alone(lam)[0])
+    total = sweep.diagnostics["clamped_evals"]
+    assert type(total) is int  # the report goes through json.dumps
+    assert total == sum(_cached_alone(lam)[1] for lam in grid)
+
+
+def test_a_grid_split_into_several_stacks_matches_single_solves(monkeypatch):
+    # A 9 x 9 seed mesh closes a stack at 81 pairs, so this grid needs several.
+    monkeypatch.setattr(pdqre.qre, "SEED_GRID_SIZE", 9)
+    stacks = []
+
+    def spy(stack, cfg, matrix):
+        stacks.append(len(stack))
+        return solve_stack(stack, cfg, matrix)
+
+    solve_stack = pdqre.qre._solve_stack
+    monkeypatch.setattr(pdqre.qre, "_solve_stack", spy)
+    grid = [0.1 * k for k in range(100)]
+    sweep = sweep_lambda(grid)
+    assert len(stacks) > 2 and sum(stacks) == len(grid)
+    for lam in grid:
+        assert _bits([p for p in sweep.points if p.lam == lam]) == _bits(_solve_alone(lam)[0])
