@@ -10,6 +10,10 @@ of (rationality, seed) pairs.  Its derivatives are in closed form: the
 substituted stationary states are quotients of quadratics in (alpha, gamma)
 and the payoff is bilinear in them.
 
+In logit coordinates (x, y) the fixed points of every rationality lie on one
+curve, H = x*gap_gamma - y*gap_alpha = 0, with lambda = x/gap_alpha on it and
+no lambda inside H.  A sweep traces its arc from (1/2, 1/2), lambda = 0.
+
 ``solve_qre`` reports two kinds of points.  Accepted points are exact fixed
 points (objective below ``accept_tol``).  Candidate points are strict local
 minima of the objective with small but nonzero residual; they are kept,
@@ -84,11 +88,9 @@ NEARNASH_THRESHOLD = 0.05
 #: A sweep's transition rationality is the first with a point in this box.
 DEFECT_REGION = 0.25
 
-#: A main-branch step longer than this (max-norm) is a discontinuity.
-CONTINUITY_TOL = 0.05
-
-#: Width in lambda at which intersection bisection stops.
-BISECT_TOL = 1e-8
+#: Predictor step along H = 0 per unit of max(1, |x|, |y|) in logit
+#: coordinates (x, y); a chord bisection stops at ``ARC_STEP * 2**-40``.
+ARC_STEP = 0.1
 
 #: Distance from the box edge that clamped points are pulled to.  It is a
 #: position in the strategy box; ``DEGENERACY_THRESHOLD`` bounds a chain
@@ -740,6 +742,109 @@ def label_branch(
     return "other"
 
 
+def _arc_frame(z, matrix: PayoffMatrix):
+    """H, its gradient, lambda, a multiple of d(lambda)/ds and (alpha, gamma) at the logit point z.
+
+    The tangent t = (-H_y, H_x) points to growing lambda at (1/2, 1/2).  Off the arc
+    lambda is (x*gap_alpha + y*gap_gamma) / |gap|^2; on it t = lambda*d(gap) + d(lambda)*gap.
+    The strategy (alpha, gamma) is clipped into the solver's box.
+    """
+    x, y = z
+    a, g = (min(max(logit_response(1.0, v, 0.0), CLAMP_EPS), 1.0 - CLAMP_EPS) for v in z)
+    u = _conditional_utilities(a, g, matrix)
+    gap_a, gap_g = u[1] - u[0], u[3] - u[2]
+    ((ga_a, ga_g), _), ((gg_a, gg_g), _) = _gap_derivatives(a, g, matrix, hessians=False)
+    wa, wg = a * (1.0 - a), g * (1.0 - g)
+    h_x = gap_g + wa * (x * gg_a - y * ga_a)
+    h_y = -gap_a + wg * (x * gg_g - y * ga_g)
+    norm2 = gap_a * gap_a + gap_g * gap_g or 1.0  # both gaps vanish: lambda is 0 at (0, 0)
+    lam = (x * gap_a + y * gap_g) / norm2
+    d_gap_a = -wa * ga_a * h_y + wg * ga_g * h_x
+    d_gap_g = -wa * gg_a * h_y + wg * gg_g * h_x
+    dlam = ((-h_y - lam * d_gap_a) * gap_a + (h_x - lam * d_gap_g) * gap_g) / norm2
+    return x * gap_g - y * gap_a, (h_x, h_y), lam, dlam, (a, g)
+
+
+def _project(z, matrix: PayoffMatrix):
+    """Newton's minimal-norm steps from z onto H = 0; returns (point, frame there)."""
+    for _ in range(NEWTON_MAX_ITER):
+        h, (h_x, h_y), *_ = frame = _arc_frame(z, matrix)
+        c = h / (h_x * h_x + h_y * h_y)
+        z = (z[0] - c * h_x, z[1] - c * h_y)
+        if abs(c) * max(abs(h_x), abs(h_y)) <= 1e-15 * (1.0 + max(abs(z[0]), abs(z[1]))):
+            break
+    return z, frame
+
+
+def _bisect_chord(lo, hi, value, matrix: PayoffMatrix):
+    """Where ``value(point, frame)`` changes sign between two (point, frame) pairs on H = 0.
+
+    Halves the chord, projecting each midpoint onto H = 0, down to
+    ``ARC_STEP * 2**-40`` (max-norm); returns the (point, frame) pair at the hi end.
+    """
+    lo_val = value(*lo)
+    for _ in range(64):  # a projection may land off the chord: at most 64 halvings
+        if max(abs(lo[0][0] - hi[0][0]), abs(lo[0][1] - hi[0][1])) <= ARC_STEP * 2.0**-40:
+            break
+        mid = _project(tuple(0.5 * (p + q) for p, q in zip(lo[0], hi[0])), matrix)
+        mid_val = value(*mid)
+        lo, hi, lo_val = (lo, mid, lo_val) if lo_val * mid_val <= 0.0 else (mid, hi, mid_val)
+    return hi
+
+
+def _trace_arc(lam_max: float, matrix: PayoffMatrix):
+    """Nodes of the arc of H = 0 from (1/2, 1/2) to the first one past ``lam_max``.
+
+    A predictor step goes ``ARC_STEP * max(1, |x|, |y|)`` along the tangent and is
+    halved, at most 40 times, until projecting it onto H = 0 moves it by at most
+    half its length and leaves lambda in [0, 1 + 2 lambda] (past a pole of lambda,
+    an interior Nash point, lambda is negative).  Each fold where lambda stops
+    growing is refined and joins the nodes.  The trace also ends where no step is
+    accepted, grad H vanishes, the arc leaves the solver's box or at 10,000 nodes;
+    a last node at infinite lambda repeats the last point.  Returns the logit
+    points (n, 2), their lambdas and the indices of the fold nodes.
+    """
+    nodes, folds = [((0.0, 0.0), _arc_frame((0.0, 0.0), matrix))], []
+    while nodes[-1][1][2] <= lam_max:
+        (x, y), (_, (gx, gy), lam, dlam, _) = nodes[-1]
+        if len(nodes) >= 10_000 or not any((gx, gy)) or max(abs(x), abs(y)) >= -math.log(CLAMP_EPS):
+            break
+        norm, length = math.hypot(gx, gy), ARC_STEP * max(1.0, abs(x), abs(y))
+        for _ in range(40):
+            guess = (x - length * gy / norm, y + length * gx / norm)
+            step = _project(guess, matrix)
+            if 0.0 <= step[1][2] <= 1 + 2 * lam and 2 * math.dist(step[0], guess) <= length:
+                break
+            length *= 0.5
+        else:
+            break
+        if dlam > 0.0 >= step[1][3]:
+            folds.append(len(nodes))
+            nodes.append(_bisect_chord(nodes[-1], step, lambda z, frame: frame[3], matrix))
+        nodes.append(step)
+    nodes.append((nodes[-1][0], (0.0, None, math.inf, 0.0)))
+    return np.array([z for z, _ in nodes]), np.array([f[2] for _, f in nodes]), folds
+
+
+def _main_crossings(lams: list[float], matrix: PayoffMatrix):
+    """The arc's first crossing of each level of an ascending grid, polished there.
+
+    Returns lists (alpha, gamma, objective) and the levels whose first crossing
+    lies past a fold that the previous level's did not.
+    """
+    z, arc_lams, folds = _trace_arc(max(lams, default=0.0), matrix)
+    levels = np.array(lams, dtype=float)
+    end = np.searchsorted(np.maximum.accumulate(arc_lams), levels, side="right")
+    w = (levels - arc_lams[end - 1]) / (arc_lams[end] - arc_lams[end - 1])
+    # lambda is quadratic in arclength at a fold: below one, 1 - w is squared
+    w = np.where((end[:, None] == folds).any(axis=1), 1.0 - np.sqrt(1.0 - w), w)
+    x, y = (z[end - 1] + w[:, None] * (z[end] - z[end - 1])).T
+    alpha, gamma, f = _newton_polish(levels, _logistic(1.0, x), _logistic(1.0, y), matrix)
+    passed = np.searchsorted(folds, end)
+    jumped = np.flatnonzero(np.diff(passed, prepend=passed[:1]))
+    return alpha.tolist(), gamma.tolist(), f.tolist(), [lams[k] for k in jumped]
+
+
 def sweep_lambda(
     lambdas: Iterable[float],
     config: SolverConfig | None = None,
@@ -747,9 +852,9 @@ def sweep_lambda(
 ) -> SweepResult:
     """Solve each rationality of an ascending grid on its own, as :func:`solve_qre` does.
 
-    The grid goes through the same batched solve.  Every point gets a
-    branch label, and the main branch follows the accepted point nearest the
-    previous one.
+    Every point gets a branch label; the main branch and the discontinuities
+    come from :func:`_main_crossings`: the solve's accepted point within
+    ``merge_tol`` of each crossing, or the crossing, with ``start_count`` 0.
     """
     cfg = config or SolverConfig()
     lam_list = [float(v) for v in lambdas]
@@ -761,58 +866,27 @@ def sweep_lambda(
     points: list[QrePoint] = []
     main: list[QrePoint] = []
     no_solution: list[float] = []
-    discontinuities: list[float] = []
     transition: float | None = None
-    prev_main: QrePoint | None = None
     diag_total = {"clamped_evals": 0}
+    *crossings, discontinuities = _main_crossings(lam_list, matrix)
 
-    for lam, (pts, clamped_evals) in zip(lam_list, _solve(lam_list, cfg, matrix)):
+    for lam, (pts, clamped), a, g, f in zip(lam_list, _solve(lam_list, cfg, matrix), *crossings):
+        accepted = [p for p in pts if p.accepted]
+        near = [p for p in accepted if max(abs(p.alpha - a), abs(p.gamma - g)) <= cfg.merge_tol]
+        if not near and f < cfg.accept_tol:  # a root on the arc that the solve missed
+            near = [QrePoint(lam, a, g, f, True)]
+            pts.insert(len(accepted), near[0])
+        main.extend(near[:1])
         if not any(p.accepted for p in pts):
             no_solution.append(lam)
-        diag_total["clamped_evals"] += clamped_evals
+        diag_total["clamped_evals"] += clamped
         for p in pts:
             p.branch = label_branch(p, cfg, matrix)
         points.extend(pts)
-
-        accepted = [p for p in pts if p.accepted]
-        if accepted:
-            if prev_main is None:
-                cur = accepted[0]
-            else:
-                cur = min(
-                    accepted,
-                    key=lambda p: max(
-                        abs(p.alpha - prev_main.alpha), abs(p.gamma - prev_main.gamma)
-                    ),
-                )
-                jump = max(
-                    abs(cur.alpha - prev_main.alpha), abs(cur.gamma - prev_main.gamma)
-                )
-                if jump > CONTINUITY_TOL:
-                    discontinuities.append(lam)
-            main.append(cur)
-            prev_main = cur
-        if transition is None and any(
-            max(p.alpha, p.gamma) < DEFECT_REGION for p in pts
-        ):
+        if transition is None and any(max(p.alpha, p.gamma) < DEFECT_REGION for p in pts):
             transition = lam
 
-    return SweepResult(
-        points=points,
-        main_branch=main,
-        no_solution=no_solution,
-        discontinuities=discontinuities,
-        transition_lambda=transition,
-        config=cfg,
-        diagnostics=diag_total,
-    )
-
-
-def _track_point(
-    lam: float, seed: tuple[float, float], matrix: PayoffMatrix
-) -> tuple[float, float] | None:
-    a, g, f = _newton_polish(np.array([lam]), np.array([seed[0]]), np.array([seed[1]]), matrix)
-    return (float(a[0]), float(g[0])) if f[0] < 1e-18 else None
+    return SweepResult(points, main, no_solution, discontinuities, transition, cfg, diag_total)
 
 
 def find_intersections(
@@ -825,12 +899,11 @@ def find_intersections(
 
     Two event kinds are reported: a ``crossing`` where the curve residual
     changes sign along the branch, and an ``entry`` where its magnitude
-    first drops below ``tol``.  Both are refined by bisection in lambda;
-    segments broken by branch discontinuities are skipped.  The lowest
+    first drops below ``tol``.  Both are refined on the arc of H = 0 between
+    two main-branch points, but not across a discontinuity.  The lowest
     lambda event is flagged as first.
     """
-    choice = curve_choice or sweep.config.curve_choice
-    resid_fn = curve_residual(choice)
+    resid_fn = curve_residual(curve_choice or sweep.config.curve_choice)
 
     def safe_resid(a: float, g: float) -> float:
         try:
@@ -842,58 +915,25 @@ def find_intersections(
     if not main:
         return []
     res = [safe_resid(p.alpha, p.gamma) for p in main]
-
-    def refine(
-        lo: QrePoint, hi: QrePoint, value_fn, lo_val: float, hi_val: float
-    ) -> tuple[float, float, float] | None:
-        lam_lo, lam_hi = lo.lam, hi.lam
-        x_lo = (lo.alpha, lo.gamma)
-        x_hi = (hi.alpha, hi.gamma)
-        while lam_hi - lam_lo > BISECT_TOL:
-            lam_mid = 0.5 * (lam_lo + lam_hi)
-            seed = (0.5 * (x_lo[0] + x_hi[0]), 0.5 * (x_lo[1] + x_hi[1]))
-            x_mid = _track_point(lam_mid, seed, matrix)
-            if x_mid is None:
-                break
-            mid_val = value_fn(x_mid)
-            if lo_val * mid_val <= 0.0:
-                lam_hi, x_hi, hi_val = lam_mid, x_mid, mid_val
-            else:
-                lam_lo, x_lo, lo_val = lam_mid, x_mid, mid_val
-        return lam_hi, x_hi[0], x_hi[1]
-
     events: list[Intersection] = []
+
+    def refine(p: QrePoint, q: QrePoint, kind: str, value) -> None:
+        ends = ([math.log(v / (1.0 - v)) for v in (r.alpha, r.gamma)] for r in (p, q))
+        lo, hi = (_project(z, matrix) for z in ends)
+        _, frame = _bisect_chord(lo, hi, lambda _, frame: value(safe_resid(*frame[4])), matrix)
+        events.append(Intersection(frame[2], *frame[4], safe_resid(*frame[4]), kind))
+
     if math.isfinite(res[0]) and abs(res[0]) < tol:
-        events.append(
-            Intersection(main[0].lam, main[0].alpha, main[0].gamma, res[0], "entry")
-        )
+        events.append(Intersection(main[0].lam, main[0].alpha, main[0].gamma, res[0], "entry"))
     for i in range(len(main) - 1):
         p, q = main[i], main[i + 1]
         r_p, r_q = res[i], res[i + 1]
-        if not (math.isfinite(r_p) and math.isfinite(r_q)):
+        if not (math.isfinite(r_p) and math.isfinite(r_q)) or q.lam in sweep.discontinuities:
             continue
-        if max(abs(p.alpha - q.alpha), abs(p.gamma - q.gamma)) > CONTINUITY_TOL:
-            continue  # broken segment, no events across a branch jump
         if r_p * r_q < 0.0:
-            hit = refine(p, q, lambda x: safe_resid(*x), r_p, r_q)
-            if hit is not None:
-                lam_star, a_star, g_star = hit
-                events.append(
-                    Intersection(
-                        lam_star, a_star, g_star, safe_resid(a_star, g_star), "crossing"
-                    )
-                )
+            refine(p, q, "crossing", lambda r: r)
         if abs(r_p) >= tol and abs(r_q) < tol:
-            hit = refine(
-                p, q, lambda x: abs(safe_resid(*x)) - tol, abs(r_p) - tol, abs(r_q) - tol
-            )
-            if hit is not None:
-                lam_star, a_star, g_star = hit
-                events.append(
-                    Intersection(
-                        lam_star, a_star, g_star, safe_resid(a_star, g_star), "entry"
-                    )
-                )
+            refine(p, q, "entry", lambda r: abs(r) - tol)
 
     events.sort(key=lambda e: e.lam)
     return [replace(e, first=(i == 0)) for i, e in enumerate(events)]

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scalar_route import clamped, sigma_scalar
 from scipy.optimize import minimize
@@ -72,6 +72,8 @@ def _scaled_error(got, want):
     alpha=st.floats(0.001, 0.999),
     gamma=st.floats(0.001, 0.999),
 )
+# no plain central difference on the ladder is within 1e-3 of this Hessian
+@example(lam=70.21875, alpha=0.001, gamma=0.664321550777603)
 def test_closed_form_derivatives_match_central_differences(matrix, lam, alpha, gamma):
     # away from the degenerate corners (0, 1) and (1, 0), where the oracle raises
     assume(max(alpha, 1.0 - gamma) >= 0.05 and max(1.0 - alpha, gamma) >= 0.05)
@@ -83,13 +85,19 @@ def test_closed_form_derivatives_match_central_differences(matrix, lam, alpha, g
 
     # Truncation error falls with the step and rounding error grows, so the
     # best step of a ladder is compared; a wrong formula matches at none.
+    # Each rung is a Richardson pair: central differences at h and h/2 have
+    # errors c*h^2 and c*h^2/4, so (4*D(h/2) - D(h))/3 cancels that term,
+    # which at large lambda*gradient is too big for any plain step.
     grad_err, hess_err = math.inf, math.inf
     for h in (5e-4, 5e-5, 5e-6, 5e-7):
-        fd_grad, fd_hess = _central_differences(
-            lambda a, g: _oracle_values(lam, a, g, matrix), alpha, gamma, h / (1.0 + lam)
+        (grad_h, hess_h), (grad_h2, hess_h2) = (
+            _central_differences(
+                lambda a, g: _oracle_values(lam, a, g, matrix), alpha, gamma, step / (1.0 + lam)
+            )
+            for step in (h, h / 2.0)
         )
-        grad_err = min(grad_err, _scaled_error(grad, fd_grad))
-        hess_err = min(hess_err, _scaled_error(hess, fd_hess))
+        grad_err = min(grad_err, _scaled_error(grad, (4.0 * grad_h2 - grad_h) / 3.0))
+        hess_err = min(hess_err, _scaled_error(hess, (4.0 * hess_h2 - hess_h) / 3.0))
     assert grad_err <= 1e-6
     assert hess_err <= 1e-3
 

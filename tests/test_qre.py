@@ -174,11 +174,15 @@ def test_sweep_smooth_segment():
         assert max(abs(p.alpha - q.alpha), abs(p.gamma - q.gamma)) < 0.05
 
 
-def test_sweep_coarse_grid_flags_fast_motion_as_jumps():
-    # the detector is per-step: a very coarse grid legitimately trips it
-    sweep = sweep_lambda([0.0, 0.5, 1.0])
-    assert sweep.discontinuities  # not an error, just resolution
-    assert sweep.no_solution == []
+def test_sweep_jumps_are_folds_not_fast_motion():
+    # The main branch moves fast at low rationality, but a jump is a fold of
+    # the arc: a coarse grid over [0, 1] has none, and a step across the
+    # upper fold near lambda 9.62 has one, at the first grid point past it.
+    coarse = sweep_lambda([0.0, 0.5, 1.0])
+    assert coarse.discontinuities == []
+    assert coarse.no_solution == []
+    assert len(coarse.main_branch) == 3
+    assert sweep_lambda([9.6, 9.7]).discontinuities == [9.7]
 
 
 def test_sweep_rejects_descending_grid():
