@@ -188,8 +188,8 @@ def _point_rows(points: list[QrePoint]) -> list[str]:
     ]
 
 
-#: ``start_count`` is :attr:`QrePoint.start_count`: the solver seeds that
-#: merged into the point.
+#: ``start_count`` is :attr:`QrePoint.start_count`: the seeds whose descent
+#: merged into the point, 0 for a root that only the arc's crossing gives.
 SWEEP_HEADER = "lambda,alpha,gamma,objective,branch,accepted,start_count"
 
 

@@ -12,7 +12,8 @@ and the payoff is bilinear in them.
 
 In logit coordinates (x, y) the fixed points of every rationality lie on one
 curve, H = x*gap_gamma - y*gap_alpha = 0, with lambda = x/gap_alpha on it and
-no lambda inside H.  A sweep traces its arc from (1/2, 1/2), lambda = 0.
+no lambda inside H.  Its arc from (1/2, 1/2), lambda = 0, is traced once per
+payoff matrix, and every solve polishes the arc's crossings of its rationality.
 
 ``solve_qre`` reports two kinds of points.  Accepted points are exact fixed
 points (objective below ``accept_tol``).  Candidate points are strict local
@@ -25,6 +26,7 @@ fixed point sits near the origin at any finite rationality).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -72,9 +74,9 @@ DESCENT_MAX_ITER = 50
 #: the gradient can still steer the step.
 DESCENT_LOCAL_STEP = 1e-6
 
-#: A descent stops once its unshifted Newton step is below this (max-norm);
-#: it has found a minimum when the objective gradient is then below
-#: ``DESCENT_GRAD_TOL`` (max-norm) and the Hessian is positive definite.
+#: A descent stops once its unshifted Newton step is below this (max-norm).  At
+#: a root grad F = 2 J^T r with r at its rounding floor, so a minimum's gradient
+#: may reach ``DESCENT_GRAD_TOL`` (max-norm) times max(1, sqrt(max diag hess F)) ~ |J|.
 DESCENT_STEP_TOL = 1e-12
 DESCENT_GRAD_TOL = 1e-10
 
@@ -127,8 +129,8 @@ class ConditionalPayoffs:
 class QrePoint:
     """One reported solution of the QRE system at a fixed rationality.
 
-    ``start_count`` is the number of search seeds whose Newton polish or
-    descent ended within ``merge_tol`` (max-norm) of the point.
+    ``start_count`` is the number of search seeds whose descent ended within
+    ``merge_tol`` (max-norm) of the point; a crossing of the arc counts none.
     """
 
     lam: float
@@ -519,10 +521,10 @@ def _descend(lam: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, matrix: Payo
     ``DESCENT_LOCAL_STEP`` is taken whole.  Iterates are clipped into
     [CLAMP_EPS, 1 - CLAMP_EPS]^2.  An element stops once an unshifted step
     is below ``DESCENT_STEP_TOL`` or no halving lowers F.  It is a minimum
-    only where grad F is below ``DESCENT_GRAD_TOL`` and the Hessian is
-    positive definite, so boundary stalls and saddles fail.  Returns arrays
-    (alpha, gamma, objective, is_min, clipped), where ``clipped`` counts
-    each element's clipped trial points.
+    only off the box's edge, with grad F below its bound (``DESCENT_GRAD_TOL``)
+    and a positive definite Hessian, so clip stalls and saddles fail.  Returns
+    arrays (alpha, gamma, objective, is_min, clipped), where ``clipped``
+    counts each element's clipped trial points.
     """
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
     a, g = np.clip(alpha, lo, hi), np.clip(gamma, lo, hi)
@@ -565,14 +567,13 @@ def _descend(lam: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, matrix: Payo
         f[live], grad[:, live], hess[:, live] = _objective_derivatives(
             lam[live], a[live], g[live], matrix
         )
-    grad_small = np.maximum(np.abs(grad[0]), np.abs(grad[1])) <= DESCENT_GRAD_TOL
-    return a, g, f, grad_small & (_min_eigenvalue(hess) > 0.0), clipped
+    small = np.abs(grad).max(0) <= DESCENT_GRAD_TOL * np.sqrt(np.maximum(1.0, hess[::2].max(0)))
+    inside = (lo < a) & (a < hi) & (lo < g) & (g < hi)
+    return a, g, f, small & inside & (_min_eigenvalue(hess) > 0.0), clipped
 
 
-def _dedupe(
-    entries: list[tuple[float, float, float]], tol: float
-) -> list[tuple[float, float, float]]:
-    """Keep the lowest-objective representative per max-norm cluster."""
+def _dedupe(entries: list, tol: float) -> list[tuple[float, float, float]]:
+    """Keep the lowest-objective (alpha, gamma, objective) entry per max-norm cluster."""
     kept: list[tuple[float, float, float]] = []
     for a, g, f in sorted(entries, key=lambda e: (e[2], e[0], e[1])):
         if all(max(abs(a - ka), abs(g - kg)) > tol for ka, kg, _ in kept):
@@ -608,46 +609,49 @@ def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix) -> list[tuple[fl
     return list(zip(a.tolist(), g.tolist()))
 
 
-def _collect(
-    lam: float, cfg: SolverConfig, results: list[tuple[int, float, float, float, bool]]
-) -> list[QrePoint]:
-    """Merge the (seed, alpha, gamma, objective, accepted) results of one rationality.
+def _collect(lam: float, cfg: SolverConfig, crossings: list, descents: list):
+    """Merge the polished crossings and the descents of one rationality.
 
-    A point's ``start_count`` is the number of seeds with a result within
-    ``merge_tol`` of it.  Accepted points come first.
+    ``crossings`` are (alpha, gamma, objective) in arc order; ``descents`` are
+    (alpha, gamma, objective, accepted) of the descents that ended on a minimum.
+    The exact crossings and the accepted descents are the accepted points, and
+    a point's ``start_count`` is the number of descents within ``merge_tol`` of
+    it.  Returns the points, accepted first, and a list of the first accepted
+    point within ``merge_tol`` of the first crossing.
     """
-    exact = _dedupe([r[1:4] for r in results if r[4]], cfg.merge_tol)
+    tol = cfg.merge_tol
+    roots = [c for c in crossings if c[2] < cfg.accept_tol] + [r[:3] for r in descents if r[3]]
+    exact = _dedupe(roots, tol)
     cands = [
         c
-        for c in _dedupe([r[1:4] for r in results if not r[4]], cfg.merge_tol)
-        if c[2] < cfg.candidate_ceiling
-        and all(max(abs(c[0] - e[0]), abs(c[1] - e[1])) > cfg.merge_tol for e in exact)
+        for c in _dedupe([r[:3] for r in descents if not r[3]], tol)
+        if cfg.include_candidates
+        and c[2] < cfg.candidate_ceiling
+        and all(max(abs(c[0] - e[0]), abs(c[1] - e[1])) > tol for e in exact)
     ]
-    if not cfg.include_candidates:
-        cands = []
 
     def start_count(a0: float, g0: float) -> int:
-        return len(
-            {i for i, a, g, _, _ in results if max(abs(a - a0), abs(g - g0)) <= cfg.merge_tol}
-        )
+        return sum(max(abs(a - a0), abs(g - g0)) <= tol for a, g, _, _ in descents)
 
-    return [
+    points = [
         QrePoint(lam, a0, g0, f0, accepted, start_count=start_count(a0, g0))
         for accepted, kept in ((True, exact), (False, cands))
         for a0, g0, f0 in sorted(kept, key=lambda e: (e[0], e[1]))
     ]
+    a1, g1, _ = crossings[0]
+    main = [p for p in points[: len(exact)] if max(abs(p.alpha - a1), abs(p.gamma - g1)) <= tol]
+    return points, main[:1]
 
 
 def _solve(lams: list[float], cfg: SolverConfig, matrix: PayoffMatrix):
-    """Yield (points, clipped descent trials) for each rationality of ``lams``, in order.
+    """Yield (points, main, folds passed, clipped descent trials) per rationality of ``lams``.
 
     Consecutive rationalities join one stack until it holds as many
     (rationality, seed) pairs as the seed mesh has nodes, so its arrays stay
-    the size of the mesh and memory does not grow with the grid.  No pair's
-    result depends on the rest of its stack.
+    the size of the mesh and memory does not grow with the grid.  No result
+    depends on the rest of its stack.
     """
-    stack: list[tuple[float, list[tuple[float, float]]]] = []
-    n_pairs = 0
+    stack, n_pairs = [], 0
     for k, lam in enumerate(lams):
         stack.append((lam, _seeds(lam, cfg, matrix)))
         n_pairs += len(stack[-1][1])
@@ -657,41 +661,36 @@ def _solve(lams: list[float], cfg: SolverConfig, matrix: PayoffMatrix):
 
 
 def _solve_stack(stack, cfg: SolverConfig, matrix: PayoffMatrix):
-    """Yield (points, clipped descent trials) for each (rationality, seeds) of ``stack``.
+    """Yield what :func:`_solve` yields for each (rationality, seeds) of ``stack``.
 
-    Every (rationality, seed) pair gets a Newton polish of sigma(x) = x,
-    kept when it reaches ``accept_tol``.  Unless that polish landed within
-    0.05 (max-norm) of its seed, the seed also descends: Newton escaping the
-    seed's neighbourhood means the seed may sit in a rootless basin.  A
-    descent that ends on a strict local minimum below ``accept_tol`` is
-    polished and accepted; one above it is a candidate.
+    Each rationality's crossings of the arc (:func:`_crossings`) that polish
+    below ``accept_tol`` are accepted.  Every (rationality, seed) pair descends:
+    a descent that ends on a strict local minimum below ``accept_tol`` is
+    polished and accepted, which finds a root off the arc; one above it is a
+    candidate.  A root among the seeds on the box's edge, outside the clip of
+    the descent, is accepted as it stands.  Folds passed precede the first crossing.
     """
     owner = np.repeat(np.arange(len(stack)), [len(seeds) for _, seeds in stack])
     lam = np.array([lam for lam, _ in stack], dtype=float)[owner]
     seed_a, seed_g = np.array([s for _, seeds in stack for s in seeds]).reshape(-1, 2).T
-    pa, pg, pf = _newton_polish(lam, seed_a, seed_g, matrix)
-    exact = pf < cfg.accept_tol
-    near = np.maximum(np.abs(pa - seed_a), np.abs(pg - seed_g)) <= 0.05
-    down = np.flatnonzero(~(exact & near))
-    da, dg, df, is_min, clipped = _descend(lam[down], seed_a[down], seed_g[down], matrix)
+    da, dg, df, is_min, clipped = _descend(lam, seed_a, seed_g, matrix)
     low = is_min & (df < cfg.accept_tol)
-    da[low], dg[low], df[low] = _newton_polish(lam[down][low], da[low], dg[low], matrix)
-
-    # (pair, alpha, gamma, objective, accepted) of every kept polish and descent
-    kept = zip(
-        np.concatenate([np.flatnonzero(exact), down[is_min]]).tolist(),
-        np.concatenate([pa[exact], da[is_min]]).tolist(),
-        np.concatenate([pg[exact], dg[is_min]]).tolist(),
-        np.concatenate([pf[exact], df[is_min]]).tolist(),
-        np.concatenate([exact[exact], low[is_min]]).tolist(),
-    )
-    results: list[list] = [[] for _ in stack]
-    owner_of = owner.tolist()
-    for result in kept:
-        results[owner_of[result[0]]].append(result)
-    clamped_evals = np.bincount(owner[down], clipped, len(stack)).astype(np.int64)
-    for (lam, _), found, n in zip(stack, results, clamped_evals.tolist()):
-        yield _collect(lam, cfg, found), n
+    da[low], dg[low], df[low] = _newton_polish(lam[low], da[low], dg[low], matrix)
+    sa, sg = _sigma_vec(lam, seed_a, seed_g, matrix)
+    sf = (sa - seed_a) ** 2 + (sg - seed_g) ** 2
+    edge = (np.minimum(seed_a, seed_g) < CLAMP_EPS) | (np.maximum(seed_a, seed_g) > 1.0 - CLAMP_EPS)
+    root = edge & (sf < cfg.accept_tol)
+    da[root], dg[root], df[root] = seed_a[root], seed_g[root], sf[root]
+    is_min[root] = low[root] = True
+    level, *crossed, passed = _crossings([lam for lam, _ in stack], matrix)
+    found = [([], []) for _ in stack]  # (crossings, descents) per rationality
+    for k, *crossing in zip(level.tolist(), *(v.tolist() for v in crossed)):
+        found[k][0].append(crossing)
+    for k, *descent in zip(*(v[is_min].tolist() for v in (owner, da, dg, df, low))):
+        found[k][1].append(descent)
+    clamped = np.bincount(owner, clipped, len(stack)).astype(np.int64).tolist()
+    for (lam, _), (crossings, descents), folds, n in zip(stack, found, passed.tolist(), clamped):
+        yield *_collect(lam, cfg, crossings, descents), folds, n
 
 
 def solve_qre(
@@ -700,20 +699,21 @@ def solve_qre(
     matrix: PayoffMatrix = DEFAULT_MATRIX,
     diagnostics: dict | None = None,
 ) -> list[QrePoint]:
-    """All distinct QRE solutions at one rationality from deterministic seeds.
+    """All distinct QRE solutions at one rationality.
 
-    Every seed of :func:`_seeds` gets a Newton polish of sigma(x) = x and,
-    unless that lands on a root nearby, a Newton descent on the objective,
-    which also finds candidate near-solutions (strict local minima of the
-    objective).  Results within ``merge_tol`` (max-norm) merge; a point's
-    ``start_count`` is the number of seeds with a result merged into it.
+    The accepted points are the arc's crossings of this rationality (H = 0)
+    that polish to exact roots, the roots a Newton descent on the objective
+    reaches from the seeds of :func:`_seeds` and the edge seeds that are roots.
+    The descents also find candidate near-solutions (strict local minima of
+    the objective).  Results within ``merge_tol`` (max-norm) merge; a point's
+    ``start_count`` is the number of seeds whose descent merged into it.
     Clipped descent steps go to ``diagnostics["clamped_evals"]``.  Accepted
-    points come first in the result; raises :class:`NoSolution` when no seed
-    reaches ``accept_tol``.  :func:`sweep_lambda` runs the same solve.
+    points come first; raises :class:`NoSolution` when none reaches
+    ``accept_tol``.  :func:`sweep_lambda` runs the same solve.
     """
     cfg = config or SolverConfig()
     _check_rationality(lam)
-    ((points, clamped_evals),) = _solve([lam], cfg, matrix)
+    ((points, _, _, clamped_evals),) = _solve([lam], cfg, matrix)
     n_exact = sum(p.accepted for p in points)
     if diagnostics is not None:
         diagnostics.update(
@@ -792,22 +792,24 @@ def _bisect_chord(lo, hi, value, matrix: PayoffMatrix):
     return hi
 
 
-def _trace_arc(lam_max: float, matrix: PayoffMatrix):
-    """Nodes of the arc of H = 0 from (1/2, 1/2) to the first one past ``lam_max``.
+@functools.lru_cache(maxsize=1)  # a process solves under one payoff matrix
+def _trace_arc(matrix: PayoffMatrix):
+    """Nodes of the arc of H = 0 from (1/2, 1/2) until it leaves the solver's box.
 
     A predictor step goes ``ARC_STEP * max(1, |x|, |y|)`` along the tangent and is
     halved, at most 40 times, until projecting it onto H = 0 moves it by at most
     half its length and leaves lambda in [0, 1 + 2 lambda] (past a pole of lambda,
-    an interior Nash point, lambda is negative).  Each fold where lambda stops
-    growing is refined and joins the nodes.  The trace also ends where no step is
-    accepted, grad H vanishes, the arc leaves the solver's box or at 10,000 nodes;
-    a last node at infinite lambda repeats the last point.  Returns the logit
-    points (n, 2), their lambdas and the indices of the fold nodes.
+    an interior Nash point, lambda is negative).  Each fold, where lambda stops or
+    starts growing, is refined and joins the nodes.  The trace also ends where no
+    step is accepted, grad H vanishes or at 10,000 nodes; a last node at infinite
+    lambda repeats the last point.  Returns read-only arrays: the logit points
+    (n, 2), their lambdas and the indices of the fold nodes.  The payoff matrix is
+    frozen, so the last one's trace is kept.
     """
     nodes, folds = [((0.0, 0.0), _arc_frame((0.0, 0.0), matrix))], []
-    while nodes[-1][1][2] <= lam_max:
+    while len(nodes) < 10_000:
         (x, y), (_, (gx, gy), lam, dlam, _) = nodes[-1]
-        if len(nodes) >= 10_000 or not any((gx, gy)) or max(abs(x), abs(y)) >= -math.log(CLAMP_EPS):
+        if not any((gx, gy)) or max(abs(x), abs(y)) >= -math.log(CLAMP_EPS):
             break
         norm, length = math.hypot(gx, gy), ARC_STEP * max(1.0, abs(x), abs(y))
         for _ in range(40):
@@ -818,31 +820,36 @@ def _trace_arc(lam_max: float, matrix: PayoffMatrix):
             length *= 0.5
         else:
             break
-        if dlam > 0.0 >= step[1][3]:
+        if (dlam > 0.0) != (step[1][3] > 0.0):
             folds.append(len(nodes))
             nodes.append(_bisect_chord(nodes[-1], step, lambda z, frame: frame[3], matrix))
         nodes.append(step)
     nodes.append((nodes[-1][0], (0.0, None, math.inf, 0.0)))
-    return np.array([z for z, _ in nodes]), np.array([f[2] for _, f in nodes]), folds
+    arc = np.array([z for z, _ in nodes]), np.array([f[2] for _, f in nodes]), np.array(folds, int)
+    for array in arc:
+        array.flags.writeable = False
+    return arc
 
 
-def _main_crossings(lams: list[float], matrix: PayoffMatrix):
-    """The arc's first crossing of each level of an ascending grid, polished there.
+def _crossings(lams: list[float], matrix: PayoffMatrix):
+    """Every crossing of the arc with each level of ``lams``, polished there.
 
-    Returns lists (alpha, gamma, objective) and the levels whose first crossing
-    lies past a fold that the previous level's did not.
+    Returns arrays (level index, alpha, gamma, objective), by level and then
+    along the arc, and per level the number of folds before its first crossing.
     """
-    z, arc_lams, folds = _trace_arc(max(lams, default=0.0), matrix)
+    z, arc_lams, folds = _trace_arc(matrix)
     levels = np.array(lams, dtype=float)
-    end = np.searchsorted(np.maximum.accumulate(arc_lams), levels, side="right")
-    w = (levels - arc_lams[end - 1]) / (arc_lams[end] - arc_lams[end - 1])
-    # lambda is quadratic in arclength at a fold: below one, 1 - w is squared
-    w = np.where((end[:, None] == folds).any(axis=1), 1.0 - np.sqrt(1.0 - w), w)
-    x, y = (z[end - 1] + w[:, None] * (z[end] - z[end - 1])).T
-    alpha, gamma, f = _newton_polish(levels, _logistic(1.0, x), _logistic(1.0, y), matrix)
-    passed = np.searchsorted(folds, end)
-    jumped = np.flatnonzero(np.diff(passed, prepend=passed[:1]))
-    return alpha.tolist(), gamma.tolist(), f.tolist(), [lams[k] for k in jumped]
+    lo, hi = arc_lams[:-1, None], arc_lams[1:, None]
+    # a rising segment holds the levels in [lo, hi), a falling one those in (hi, lo]
+    level, seg = np.nonzero(((lo <= levels) & (levels < hi) | (hi < levels) & (levels <= lo)).T)
+    w = (levels[level] - arc_lams[seg]) / (arc_lams[seg + 1] - arc_lams[seg])
+    # lambda is quadratic in arclength at a fold: w is a square on the fold's side
+    before, after = np.isin(seg + 1, folds), np.isin(seg, folds)
+    w = np.where(before, 1.0 - np.sqrt(1.0 - w), np.where(after, np.sqrt(w), w))
+    x, y = (z[seg] + w[:, None] * (z[seg + 1] - z[seg])).T
+    alpha, gamma, f = _newton_polish(levels[level], _logistic(1.0, x), _logistic(1.0, y), matrix)
+    first = np.flatnonzero(np.diff(level, prepend=-1))
+    return level, alpha, gamma, f, np.searchsorted(folds, seg[first] + 1)
 
 
 def sweep_lambda(
@@ -852,9 +859,10 @@ def sweep_lambda(
 ) -> SweepResult:
     """Solve each rationality of an ascending grid on its own, as :func:`solve_qre` does.
 
-    Every point gets a branch label; the main branch and the discontinuities
-    come from :func:`_main_crossings`: the solve's accepted point within
-    ``merge_tol`` of each crossing, or the crossing, with ``start_count`` 0.
+    Every point gets a branch label.  The main branch is the accepted point at
+    each rationality's first crossing of the arc, and the discontinuities are
+    the rationalities whose first crossing lies past a fold that the previous
+    one's did not.
     """
     cfg = config or SolverConfig()
     lam_list = [float(v) for v in lambdas]
@@ -863,30 +871,23 @@ def sweep_lambda(
     if any(b < a for a, b in zip(lam_list, lam_list[1:])):
         raise ValueError("lambda grid must be ascending")
 
-    points: list[QrePoint] = []
-    main: list[QrePoint] = []
-    no_solution: list[float] = []
-    transition: float | None = None
-    diag_total = {"clamped_evals": 0}
-    *crossings, discontinuities = _main_crossings(lam_list, matrix)
+    points, main, no_solution, passed = [], [], [], []
+    transition, diag = None, {"clamped_evals": 0}
 
-    for lam, (pts, clamped), a, g, f in zip(lam_list, _solve(lam_list, cfg, matrix), *crossings):
-        accepted = [p for p in pts if p.accepted]
-        near = [p for p in accepted if max(abs(p.alpha - a), abs(p.gamma - g)) <= cfg.merge_tol]
-        if not near and f < cfg.accept_tol:  # a root on the arc that the solve missed
-            near = [QrePoint(lam, a, g, f, True)]
-            pts.insert(len(accepted), near[0])
-        main.extend(near[:1])
+    for lam, (pts, first, folds, n) in zip(lam_list, _solve(lam_list, cfg, matrix)):
+        main.extend(first)
+        passed.append(folds)
         if not any(p.accepted for p in pts):
             no_solution.append(lam)
-        diag_total["clamped_evals"] += clamped
+        diag["clamped_evals"] += n
         for p in pts:
             p.branch = label_branch(p, cfg, matrix)
         points.extend(pts)
         if transition is None and any(max(p.alpha, p.gamma) < DEFECT_REGION for p in pts):
             transition = lam
 
-    return SweepResult(points, main, no_solution, discontinuities, transition, cfg, diag_total)
+    jumps = [lam for lam, a, b in zip(lam_list[1:], passed, passed[1:]) if a != b]
+    return SweepResult(points, main, no_solution, jumps, transition, cfg, diag)
 
 
 def find_intersections(
@@ -925,9 +926,7 @@ def find_intersections(
 
     if math.isfinite(res[0]) and abs(res[0]) < tol:
         events.append(Intersection(main[0].lam, main[0].alpha, main[0].gamma, res[0], "entry"))
-    for i in range(len(main) - 1):
-        p, q = main[i], main[i + 1]
-        r_p, r_q = res[i], res[i + 1]
+    for p, q, r_p, r_q in zip(main, main[1:], res, res[1:]):
         if not (math.isfinite(r_p) and math.isfinite(r_q)) or q.lam in sweep.discontinuities:
             continue
         if r_p * r_q < 0.0:

@@ -1,14 +1,16 @@
-"""The arc of H = 0 behind a sweep's main branch, jumps and intersections.
+"""The arc of H = 0 behind the accepted points, the main branch, jumps and intersections.
 
-``sweep_lambda`` takes its main branch from the arc's first crossing of
-each grid rationality and its discontinuities from the arc's folds, and
-``find_intersections`` refines events on the arc.  Each is checked here
+Every solve accepts the arc's crossings of its rationality that polish to
+exact roots, ``sweep_lambda`` takes its main branch from each grid
+rationality's first crossing and its discontinuities from the arc's folds,
+and ``find_intersections`` refines events on the arc.  Each is checked here
 against something the trace does not produce: the scalar reference
-objective, the per-rationality multistart solve and the curve residual.
+objective, the descents from the objective mesh and the curve residual.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,10 @@ from hypothesis import strategies as st
 import pdqre.qre
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
+    CLAMP_EPS,
     SolverConfig,
+    _crossings,
     _logistic,
-    _main_crossings,
     _trace_arc,
     find_intersections,
     qre_objective,
@@ -27,6 +30,14 @@ from pdqre.qre import (
 )
 
 GRID = [0.01 * k for k in range(1001)]
+
+
+def _first(crossings):
+    """(alpha, gamma, objective) of each level's first crossing and the levels past a new fold."""
+    level, alpha, gamma, objective, passed = crossings
+    first = np.flatnonzero(np.diff(level, prepend=-1))
+    jumped = np.flatnonzero(np.diff(passed, prepend=passed[:1]))
+    return alpha[first], gamma[first], objective[first], jumped.tolist()
 
 
 @pytest.fixture(
@@ -40,7 +51,7 @@ def swept(request):
 
 def test_first_crossings_are_exact_roots_and_the_main_branch(swept):
     matrix, sweep = swept
-    alpha, gamma, _, jumps = _main_crossings(GRID, matrix)
+    alpha, gamma, _, jumps = _first(_crossings(GRID, matrix))
     crossings = list(zip(GRID, alpha, gamma))
     worst = max(qre_objective(lam, a, g, matrix) for lam, a, g in crossings)
     apart = max(
@@ -52,7 +63,20 @@ def test_first_crossings_are_exact_roots_and_the_main_branch(swept):
     assert apart <= 1e-12
     # the main branch is the sweep's own accepted points, not copies
     assert all(any(p is q for q in sweep.points) and p.accepted for p in sweep.main_branch)
-    assert sweep.discontinuities == jumps
+    assert sweep.discontinuities == [GRID[k] for k in jumps]
+
+
+def test_every_crossing_is_an_accepted_point(swept):
+    # on this grid the accepted points are exactly the arc's crossings: one per
+    # crossing, each an exact root by the scalar reference objective
+    matrix, sweep = swept
+    level, alpha, gamma, _, _ = _crossings(GRID, matrix)
+    accepted = [p for p in sweep.points if p.accepted]
+    assert len(accepted) == len(level)
+    for k, a, g in zip(level.tolist(), alpha, gamma):
+        assert qre_objective(GRID[k], a, g, matrix) <= SolverConfig().accept_tol
+        here = [p for p in accepted if p.lam == GRID[k]]
+        assert min(max(abs(p.alpha - a), abs(p.gamma - g)) for p in here) <= 1e-12
 
 
 def test_refined_events_lie_on_the_arc(swept):
@@ -93,8 +117,7 @@ def test_upper_fold_is_refined_between_two_solves():
 
     assert interior(9.62) == pytest.approx([0.265827, 0.650736, 0.265975, 0.651170], abs=1e-6)
     assert interior(9.6201) == []
-    z, lams, folds = _trace_arc(10.0, DEFAULT_MATRIX)
-    assert len(folds) == 1
+    z, lams, folds = _trace_arc(DEFAULT_MATRIX)
     top = folds[0]
     print(f"fold at lambda={lams[top]:.9f}, (alpha, gamma)={_logistic(1.0, z[top])}")
     assert 9.62 < lams[top] < 9.6201
@@ -102,14 +125,109 @@ def test_upper_fold_is_refined_between_two_solves():
     assert _logistic(1.0, z[top]) == pytest.approx([0.26590, 0.65095], abs=1e-5)
 
 
+def test_both_folds_of_the_default_matrix_are_refined():
+    # the arc climbs to the upper fold, falls to the lower one and climbs to
+    # the top edge; solve_qre brackets the lower fold too, through the arc's
+    # crossings: one accepted root just below it, three just above it
+    z, lams, folds = _trace_arc(DEFAULT_MATRIX)
+    assert lams[folds].tolist() == pytest.approx([9.6200068, 5.102812], abs=1e-6)
+    low = folds[1]
+    assert lams[low - 1] > lams[low] < lams[low + 1]
+    assert _logistic(1.0, z[low]) == pytest.approx([0.30307, 0.93468], abs=1e-5)
+    for offset, count in ((-1e-4, 1), (1e-4, 3)):
+        assert sum(p.accepted for p in solve_qre(lams[low] + offset)) == count, offset
+
+
+def test_an_arc_that_returns_below_its_fold_keeps_its_roots():
+    # with T = 7 the arc climbs past lambda 10 to a fold near 58.3, returns to
+    # a fold near 7.795 and climbs again: the two upper roots of lambda 7.80..10
+    # lie on the arc beyond lambda 10, and a trace cut there would not see them
+    matrix = PayoffMatrix(temptation_dc=7.0)
+    z, lams, folds = _trace_arc(matrix)
+    assert lams[folds].tolist() == pytest.approx([58.3252, 7.79519], abs=1e-4)
+    for lam, count in ((7.79, 1), (7.80, 3)):
+        level, alpha, gamma, objective, _ = _crossings([lam], matrix)
+        assert len(level) == count and objective.max() <= SolverConfig().accept_tol
+        accepted = sorted((p.alpha, p.gamma) for p in solve_qre(lam, matrix=matrix) if p.accepted)
+        assert len(accepted) == count, lam
+        for got, want in zip(accepted, sorted(zip(alpha, gamma))):
+            assert got == pytest.approx(want, abs=1e-12), lam
+
+
+EDGE_MATRIX = PayoffMatrix(
+    3.0837773077049224, 0.77929607189742, 8.16189188771522, 1.169928757760017
+)
+
+
+@pytest.mark.parametrize(
+    "lam,matrix,alpha,gamma",
+    [
+        (7.7, EDGE_MATRIX, "0.12500", "0.99271"),
+        (1e5, DEFAULT_MATRIX, "0.392437", "0.99999946"),
+        (1e6, DEFAULT_MATRIX, "0.392456", "0.99999995"),
+    ],
+)
+def test_single_solves_accept_roots_next_to_the_top_edge(lam, matrix, alpha, gamma):
+    # these roots sit within a cell of the seed mesh's top edge, where no seed
+    # reaches them; the arc's crossing gives them to a single solve
+    found = [p for p in solve_qre(lam, matrix=matrix) if p.accepted]
+    a_digits, g_digits = len(alpha) - 2, len(gamma) - 2
+    rounded = [(f"{p.alpha:.{a_digits}f}", f"{p.gamma:.{g_digits}f}") for p in found]
+    assert rounded == [(alpha, gamma)]
+    assert qre_objective(lam, found[0].alpha, found[0].gamma, matrix) <= SolverConfig().accept_tol
+
+
+@pytest.mark.parametrize(
+    "lam,matrix,root",
+    [
+        # roots on the strategy box's edge, outside the box the descents are
+        # clipped into: a descent from the edge seed stalls against the clip
+        (
+            20.0,
+            PayoffMatrix(7.522310924928103, 2.3766717366353056, 8.082767460122454, 3.599629019707033),
+            (0.5, 1.0),
+        ),
+        (
+            250.0,
+            PayoffMatrix(5.175183795670874, 2.0823998390907157, 7.558875063350665, 3.850009831201387),
+            (0.0, 0.5),
+        ),
+        # an interior root off the arc, so steep that the descent ending on it
+        # fails the minimum test's absolute gradient bound (1.1e-10)
+        (
+            1000.0,
+            PayoffMatrix(7.266980383610264, 2.854839405234877, 9.028734034394049, 4.977684710974585),
+            (0.5695434927397625, 0.9991584627254869),
+        ),
+    ],
+)
+def test_roots_the_arc_does_not_reach_are_accepted(lam, matrix, root):
+    found = [p for p in solve_qre(lam, matrix=matrix) if p.accepted]
+    near = [p for p in found if max(abs(p.alpha - root[0]), abs(p.gamma - root[1])) <= 1e-12]
+    assert len(near) == 1
+    assert qre_objective(lam, near[0].alpha, near[0].gamma, matrix) <= SolverConfig().accept_tol
+
+
+def test_a_descent_stalled_against_the_clip_is_no_root():
+    # next to the degenerate corner (0, 1) the descent from the seed (0.0375,
+    # 0.95) stops on the clipped edge at (2.6e-9, 1 - CLAMP_EPS) with F = 1e-18
+    matrix = PayoffMatrix(4.871996778916673, 3.9400092772168067, 6.314380700510172, 4.630547701367358)
+    points = solve_qre(250.0, matrix=matrix)
+    assert [(round(p.alpha, 4), round(p.gamma, 4)) for p in points if p.accepted] == [
+        (0.0, 0.5),
+        (0.0942, 0.9992),
+    ]
+    assert not any({p.alpha, p.gamma} & {CLAMP_EPS, 1.0 - CLAMP_EPS} for p in points)
+
+
 def test_crossings_just_below_the_fold_are_exact_roots_before_it():
     # lambda is quadratic in arclength at the fold, so the two roots of a
     # level delta below it sit about sqrt(delta) apart on either side; the
     # first crossing must be the one before the fold, polished to an exact root
-    z, lams, folds = _trace_arc(10.0, DEFAULT_MATRIX)
+    z, lams, folds = _trace_arc(DEFAULT_MATRIX)
     top, gamma_top = lams[folds[0]], _logistic(1.0, z[folds[0]])[1]
     deltas = [10.0**-k for k in range(3, 10)]
-    _, gamma, objective, jumps = _main_crossings([top - d for d in deltas], DEFAULT_MATRIX)
+    _, gamma, objective, jumps = _first(_crossings([top - d for d in deltas], DEFAULT_MATRIX))
     assert jumps == []
     for d, g, f in zip(deltas, gamma, objective):
         print(f"delta={d:.0e}: gamma - gamma_fold = {g - gamma_top:.3e}, objective {f:.1e}")
@@ -117,24 +235,25 @@ def test_crossings_just_below_the_fold_are_exact_roots_before_it():
         assert -3.0 * math.sqrt(d / 1e-3) * 2.63e-3 <= g - gamma_top <= -math.sqrt(d / 1e-3) * 2.63e-3 / 3.0
 
 
-def test_a_root_the_solve_missed_joins_the_points(monkeypatch):
-    want = sweep_lambda([1.0, 2.0])
-    solve = pdqre.qre._solve
+def test_descents_find_the_roots_off_the_first_crossing(monkeypatch):
+    # with every crossing but each level's first taken away, the descents from
+    # the objective mesh alone must still give the other accepted roots
+    lams = [5.5, 7.09, 9.6, 9.62]
+    want = [[(p.alpha, p.gamma) for p in solve_qre(lam) if p.accepted] for lam in lams]
+    crossings = pdqre.qre._crossings
 
-    def without_accepted(lams, cfg, matrix):
-        for points, clamped in solve(lams, cfg, matrix):
-            yield [p for p in points if not p.accepted], clamped
+    def first_only(levels, matrix):
+        level, alpha, gamma, objective, passed = crossings(levels, matrix)
+        first = np.flatnonzero(np.diff(level, prepend=-1))
+        return level[first], alpha[first], gamma[first], objective[first], passed
 
-    monkeypatch.setattr(pdqre.qre, "_solve", without_accepted)
-    got = sweep_lambda([1.0, 2.0])
-    assert got.no_solution == []
-    assert [(p.lam, p.accepted, p.start_count) for p in got.main_branch] == [
-        (1.0, True, 0),
-        (2.0, True, 0),
-    ]
-    assert all(any(p is q for q in got.points) for p in got.main_branch)
-    for p, q in zip(got.main_branch, want.main_branch):
-        assert max(abs(p.alpha - q.alpha), abs(p.gamma - q.gamma)) <= 1e-12
+    monkeypatch.setattr(pdqre.qre, "_crossings", first_only)
+    for lam, roots in zip(lams, want):
+        assert len(roots) > 1, lam
+        got = [(p.alpha, p.gamma) for p in solve_qre(lam) if p.accepted]
+        assert len(got) == len(roots), lam
+        for point, root in zip(got, roots):
+            assert point == pytest.approx(root, abs=1e-11), lam
 
 
 @settings(max_examples=25, deadline=None)
@@ -156,8 +275,8 @@ def test_prisoners_dilemmas_get_a_complete_exact_main_branch(sucker, gaps):
     for p in sweep.main_branch:
         assert p.accepted and any(p is q for q in sweep.points)
         assert qre_objective(p.lam, p.alpha, p.gamma, matrix) <= SolverConfig().accept_tol
-    z, lams, _ = _trace_arc(grid[-1], matrix)
-    assert lams[-1] == math.inf and lams[-2] > grid[-1]  # the arc reached past the grid
+    z, lams, _ = _trace_arc(matrix)
+    assert lams[-1] == math.inf and lams[:-1].max() > grid[-1]  # the arc reached past the grid
     assert (lams[:-1] >= 0.0).all()
 
 
@@ -180,8 +299,8 @@ def test_the_trace_steps_around_a_steep_rise_of_lambda():
     # gradually, and every crossing up to 100 polishes to an exact root.
     matrix = PayoffMatrix(reward_cc=2.7, sucker_cd=4.3, temptation_dc=7.3, punishment_dd=0.3)
     grid = [10.0 * k for k in range(11)]
-    _, lams, _ = _trace_arc(grid[-1], matrix)
+    _, lams, _ = _trace_arc(matrix)
     assert all(b <= 1.0 + 2.0 * a + 1e-9 for a, b in zip(lams[:-2], lams[1:-1]) if b > a)
-    alpha, gamma, objective, _ = _main_crossings(grid, matrix)
+    level, alpha, gamma, objective, _ = _crossings(grid, matrix)
     assert max(objective) <= SolverConfig().accept_tol
-    assert max(qre_objective(*x, matrix) for x in zip(grid, alpha, gamma)) <= 1e-20
+    assert max(qre_objective(grid[k], *x, matrix) for k, *x in zip(level, alpha, gamma)) <= 1e-20

@@ -6,6 +6,7 @@ and for leaks between the rationalities that share one stack of arrays.
 """
 
 import functools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,15 @@ from scalar_route import solve_scalar
 
 import pdqre.qre
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
-from pdqre.qre import NoSolution, SolverConfig, _solve, solve_qre, sweep_lambda
+from pdqre.qre import (
+    NoSolution,
+    SolverConfig,
+    _solve,
+    conditional_payoffs_compositional,
+    logit_response,
+    solve_qre,
+    sweep_lambda,
+)
 
 PANEL = [0.0, 2.0, 4.0, 5.2, 5.5, 7.09, 9.6, 9.62, 9.7, 20.0, 100.0]
 
@@ -32,6 +41,14 @@ def _solve_alone(lam, matrix=DEFAULT_MATRIX):
 _cached_alone = functools.lru_cache(maxsize=None)(_solve_alone)
 
 
+def _oracle_residual(lam, point, matrix):
+    """|sigma(x) - x| at a point, from the compositional payoffs."""
+    u = conditional_payoffs_compositional(point.alpha, point.gamma, matrix)
+    ra = logit_response(lam, u.u_alpha1, u.u_alpha0) - point.alpha
+    rg = logit_response(lam, u.u_gamma1, u.u_gamma0) - point.gamma
+    return math.hypot(ra, rg)
+
+
 def _bits(points):
     """Every field of each point, floats by bit pattern, branch labels aside."""
     return [
@@ -46,16 +63,25 @@ def _bits(points):
 @pytest.mark.parametrize("lam", PANEL)
 def test_batched_solve_matches_the_scalar_route(lam, matrix):
     # numpy's exp and libm's differ in the last bits, so the points agree
-    # within tolerances, and the counts exactly
+    # within tolerances, and the counts exactly.  The scalar route polishes
+    # every seed, so its start counts are not the solve's.
     want, _ = solve_scalar(lam, SolverConfig(), matrix)
     got, _ = _solve_alone(lam, matrix)
     for accepted in (True, False):
         w = [p for p in want if p.accepted is accepted]
         g = [p for p in got if p.accepted is accepted]
-        assert [p.start_count for p in g] == [p.start_count for p in w], accepted
+        assert len(g) == len(w), (accepted, g, w)
         for p, q in zip(g, w):
             moved = max(abs(p.alpha - q.alpha), abs(p.gamma - q.gamma))
-            if accepted:
+            if accepted and (q.alpha, q.gamma) == (0.5, 1.0):
+                # The scalar route accepts the edge seed (1/2, 1) itself, with F = 0
+                # exactly, outside [CLAMP_EPS, 1 - CLAMP_EPS].  Only T = 7 at lambda 100
+                # has it; the solve reports the arc's root next to it, which must
+                # pass the oracle's residual bound.
+                assert (lam, matrix) == (100.0, PayoffMatrix(temptation_dc=7.0))
+                bound = math.sqrt(SolverConfig().accept_tol)
+                assert moved <= 1e-7 and _oracle_residual(lam, p, matrix) <= bound, (p, q)
+            elif accepted:
                 assert moved <= 1e-11 and abs(p.objective - q.objective) <= 1e-25, (p, q)
             else:
                 assert moved <= 1e-9, (p, q)
@@ -67,7 +93,8 @@ def test_batched_solve_matches_the_scalar_route(lam, matrix):
 @example(lams=PANEL)
 @example(lams=PANEL[::-1])
 def test_no_rationality_leaks_into_another_in_the_stack(lams):
-    for lam, (points, clamped_evals) in zip(lams, _solve(lams, SolverConfig(), DEFAULT_MATRIX)):
+    solved = _solve(lams, SolverConfig(), DEFAULT_MATRIX)
+    for lam, (points, _, _, clamped_evals) in zip(lams, solved):
         want, want_clamped = _cached_alone(lam)
         assert _bits(points) == _bits(want), lam
         assert clamped_evals == want_clamped, lam
@@ -95,11 +122,8 @@ def test_a_grid_split_into_several_stacks_matches_single_solves(monkeypatch):
     grid = [0.1 * k for k in range(100)]
     sweep = sweep_lambda(grid)
     assert len(stacks) > 2 and sum(stacks) == len(grid)
+    # the arc's root at lambda 9.6, which the coarse mesh misses, is in the
+    # single solve too, so every point is compared
     for lam in grid:
-        solved = [p for p in sweep.points if p.lam == lam and p.start_count > 0]
-        assert _bits(solved) == _bits(_solve_alone(lam)[0])
-    # The coarse mesh misses the main-branch root at lambda 9.6; the arc's
-    # crossing joins the sweep's points there, with no seed behind it.
-    added = [p for p in sweep.points if p.start_count == 0]
-    assert [round(p.lam, 12) for p in added] == [9.6]
-    assert all(p.accepted and any(p is q for q in sweep.main_branch) for p in added)
+        assert _bits([p for p in sweep.points if p.lam == lam]) == _bits(_solve_alone(lam)[0])
+    assert [p.lam for p in sweep.main_branch] == grid
