@@ -33,14 +33,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .game import (
-    DEFAULT_MATRIX,
-    DEGENERACY_THRESHOLD,
-    DegenerateChain,
-    MarkovStrategy,
-    PayoffMatrix,
-)
-from .game import expected_payoff, stationary_state
+from .game import DEFAULT_MATRIX, DEGENERACY_THRESHOLD, DegenerateChain, MarkovStrategy
+from .game import PayoffMatrix, expected_payoff, stationary_state
 from .nash import curve_residual
 
 __all__ = [
@@ -63,7 +57,7 @@ __all__ = [
 #: Nodes per axis of the objective mesh whose local minima seed the search.
 SEED_GRID_SIZE = 81
 
-#: Newton steps per polish.
+#: Newton steps per polish, and per projection onto the arc (``_project``).
 NEWTON_MAX_ITER = 14
 
 #: Newton steps per descent on the objective.
@@ -179,11 +173,16 @@ class SolverConfig:
             if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
                 bound = "positive" if positive else "nonnegative"
                 raise ValueError(f"{name} must be finite and {bound}, got {value}")
+        curve_residual(self.curve_choice)  # raises ValueError for an unknown curve
 
 
 @dataclass
 class SweepResult:
-    """Labeled solutions over a rationality grid plus sweep-level findings."""
+    """Labeled solutions over a rationality grid plus sweep-level findings.
+
+    ``matrix`` is the payoff matrix the grid was solved under; a result built
+    by hand without one describes the default game.
+    """
 
     points: list[QrePoint]
     main_branch: list[QrePoint]
@@ -192,6 +191,7 @@ class SweepResult:
     transition_lambda: float | None
     config: SolverConfig
     diagnostics: dict
+    matrix: PayoffMatrix = DEFAULT_MATRIX
 
 
 def _conditional_dens(alpha, gamma):
@@ -666,7 +666,7 @@ def _solve_stack(stack, cfg: SolverConfig, matrix: PayoffMatrix):
     Each rationality's crossings of the arc (:func:`_crossings`) that polish
     below ``accept_tol`` are accepted.  Every (rationality, seed) pair descends:
     a descent that ends on a strict local minimum below ``accept_tol`` is
-    polished and accepted, which finds a root off the arc; one above it is a
+    accepted as it ends, which finds a root off the arc; one above it is a
     candidate.  A root among the seeds on the box's edge, outside the clip of
     the descent, is accepted as it stands.  Folds passed precede the first crossing.
     """
@@ -675,7 +675,6 @@ def _solve_stack(stack, cfg: SolverConfig, matrix: PayoffMatrix):
     seed_a, seed_g = np.array([s for _, seeds in stack for s in seeds]).reshape(-1, 2).T
     da, dg, df, is_min, clipped = _descend(lam, seed_a, seed_g, matrix)
     low = is_min & (df < cfg.accept_tol)
-    da[low], dg[low], df[low] = _newton_polish(lam[low], da[low], dg[low], matrix)
     sa, sg = _sigma_vec(lam, seed_a, seed_g, matrix)
     sf = (sa - seed_a) ** 2 + (sg - seed_g) ** 2
     edge = (np.minimum(seed_a, seed_g) < CLAMP_EPS) | (np.maximum(seed_a, seed_g) > 1.0 - CLAMP_EPS)
@@ -703,7 +702,8 @@ def solve_qre(
 
     The accepted points are the arc's crossings of this rationality (H = 0)
     that polish to exact roots, the roots a Newton descent on the objective
-    reaches from the seeds of :func:`_seeds` and the edge seeds that are roots.
+    reaches from the seeds of :func:`_seeds`, as the descent ends them, and
+    the edge seeds that are roots.
     The descents also find candidate near-solutions (strict local minima of
     the objective).  Results within ``merge_tol`` (max-norm) merge; a point's
     ``start_count`` is the number of seeds whose descent merged into it.
@@ -887,24 +887,24 @@ def sweep_lambda(
             transition = lam
 
     jumps = [lam for lam, a, b in zip(lam_list[1:], passed, passed[1:]) if a != b]
-    return SweepResult(points, main, no_solution, jumps, transition, cfg, diag)
+    return SweepResult(points, main, no_solution, jumps, transition, cfg, diag, matrix)
 
 
 def find_intersections(
     sweep: SweepResult,
     curve_choice: str | None = None,
     tol: float = 0.05,
-    matrix: PayoffMatrix = DEFAULT_MATRIX,
 ) -> list[Intersection]:
     """Intersections of the main QRE branch with the selected Nash curve.
 
-    Two event kinds are reported: a ``crossing`` where the curve residual
-    changes sign along the branch, and an ``entry`` where its magnitude
-    first drops below ``tol``.  Both are refined on the arc of H = 0 between
-    two main-branch points, but not across a discontinuity.  The lowest
-    lambda event is flagged as first.
+    The game is the one the sweep was solved under, ``sweep.matrix``.  Two
+    event kinds are reported: a ``crossing`` where the curve residual changes
+    sign along the branch, and an ``entry`` where its magnitude first drops
+    below ``tol``.  Both are refined on the arc of H = 0 between two
+    main-branch points, but not across a discontinuity.  The lowest lambda
+    event is flagged as first.
     """
-    resid_fn = curve_residual(curve_choice or sweep.config.curve_choice)
+    resid_fn, matrix = curve_residual(curve_choice or sweep.config.curve_choice), sweep.matrix
 
     def safe_resid(a: float, g: float) -> float:
         try:

@@ -20,6 +20,7 @@ from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     CLAMP_EPS,
     SolverConfig,
+    _conditional_utilities,
     _crossings,
     _logistic,
     _trace_arc,
@@ -84,7 +85,7 @@ def test_refined_events_lie_on_the_arc(swept):
     events = [
         e
         for choice in ("stationarity", "quadratic")
-        for e in find_intersections(sweep, choice, matrix=matrix)
+        for e in find_intersections(sweep, choice)
     ]
     assert events
     for e in events:
@@ -95,6 +96,17 @@ def test_refined_events_lie_on_the_arc(swept):
             assert abs(e.residual) <= 1e-12
         else:
             assert abs(e.residual) == pytest.approx(0.05, abs=1e-12)
+
+
+def test_events_are_found_in_the_game_the_sweep_was_solved_under():
+    # the sweep carries its payoff matrix: the stationarity curve of T = 7 is
+    # entered near lambda 7.49, which the default game's curve would not show
+    matrix = PayoffMatrix(temptation_dc=7.0)
+    sweep = sweep_lambda([7.40 + 0.01 * k for k in range(21)], matrix=matrix)
+    events = find_intersections(sweep, "stationarity")
+    assert [e.kind for e in events] == ["entry"]
+    assert events[0].lam == pytest.approx(7.4927886, abs=1e-6)
+    assert (events[0].alpha, events[0].gamma) == pytest.approx((0.208816, 0.394832), abs=1e-6)
 
 
 def test_events_do_not_depend_on_the_grid():
@@ -254,6 +266,60 @@ def test_descents_find_the_roots_off_the_first_crossing(monkeypatch):
         assert len(got) == len(roots), lam
         for point, root in zip(got, roots):
             assert point == pytest.approx(root, abs=1e-11), lam
+
+
+@pytest.mark.parametrize(
+    "matrix", [DEFAULT_MATRIX, PayoffMatrix(temptation_dc=7.0)], ids=["default", "t7"]
+)
+def test_each_crossing_is_polished_once_and_nothing_else(monkeypatch, matrix):
+    # a descent that ends on a root is accepted as it ends: the only elements
+    # the Newton polish sees are the arc's crossings
+    grid = [5.5, 7.09, 9.6, 9.62, 20.0, 100.0]
+    n_crossings = len(_crossings(grid, matrix)[0])
+    polish, polished = pdqre.qre._newton_polish, []
+
+    def spy(lam, alpha, gamma, matrix):
+        polished.append(lam.size)
+        return polish(lam, alpha, gamma, matrix)
+
+    monkeypatch.setattr(pdqre.qre, "_newton_polish", spy)
+    sweep_lambda(grid, matrix=matrix)
+    assert sum(polished) == n_crossings
+
+
+@pytest.mark.parametrize(
+    "matrix", [DEFAULT_MATRIX, PayoffMatrix(temptation_dc=7.0)], ids=["default", "t7"]
+)
+def test_every_crossing_of_h_on_a_logit_mesh_lies_on_the_traced_arc(matrix):
+    # H's sign changes between neighbours of an 801^2 mesh over the box in
+    # logit coordinates, the strategy clipped as the trace clips it.  On H = 0
+    # lambda = x/gap_alpha = y/gap_gamma, so an edge where x*gap_alpha or
+    # y*gap_gamma is negative at both ends lies on a negative-lambda branch,
+    # past a pole of lambda, and is skipped; every other edge must lie within
+    # one mesh step of the traced polyline.
+    axis = np.linspace(math.log(CLAMP_EPS), -math.log(CLAMP_EPS), 801)
+    step = axis[1] - axis[0]
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    a, g = (np.clip(_logistic(1.0, v), CLAMP_EPS, 1.0 - CLAMP_EPS) for v in (x, y))
+    u = _conditional_utilities(a, g, matrix)
+    gap_a, gap_g = u[1] - u[0], u[3] - u[2]
+    h, lam_a, lam_g = x * gap_g - y * gap_a, x * gap_a >= 0.0, y * gap_g >= 0.0
+    mids, edges = [], (
+        ((slice(-1), slice(None)), (slice(1, None), slice(None))),  # along x
+        ((slice(None), slice(-1)), (slice(None), slice(1, None))),  # along y
+    )
+    for lo, hi in edges:
+        kept = (h[lo] * h[hi] < 0.0) & (lam_a[lo] | lam_a[hi]) & (lam_g[lo] | lam_g[hi])
+        mids.append(np.stack([0.5 * (v[lo] + v[hi])[kept] for v in (x, y)], axis=1))
+    mids = np.concatenate(mids)
+    z = _trace_arc(matrix)[0]
+    start, chord = z[:-1], np.diff(z, axis=0)
+    t = ((mids[:, None] - start) * chord).sum(2) / np.maximum((chord * chord).sum(1), 1e-300)
+    foot = start + np.clip(t, 0.0, 1.0)[..., None] * chord
+    apart = np.sqrt(((mids[:, None] - foot) ** 2).sum(2)).min(1)
+    print(f"{len(mids)} edges, farthest from the arc {apart.max():.4f} (mesh step {step:.4f})")
+    assert len(mids) > 400
+    assert apart.max() <= step
 
 
 @settings(max_examples=25, deadline=None)

@@ -31,6 +31,15 @@ def test_version_flag(capsys):
     assert "pdqre" in capsys.readouterr().out
 
 
+def test_package_exports_each_modules_names():
+    # the package's public names are its version plus every module's __all__, in
+    # import order; ``pdqre.simulate`` is the function, not the module
+    modules = [sys.modules[f"pdqre.{m}"] for m in ("game", "nash", "qre", "simulate", "data")]
+    assert pdqre.__all__ == ["__version__"] + [name for m in modules for name in m.__all__]
+    assert all(getattr(pdqre, name) is getattr(m, name) for m in modules for name in m.__all__)
+    assert pdqre.simulate is modules[3].simulate and "COLUMNS" in pdqre.__all__
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit) as info:
         run(["frobnicate"])

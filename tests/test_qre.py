@@ -388,6 +388,12 @@ def test_solver_config_rejects_out_of_range(field, value):
         SolverConfig(**{field: value})
 
 
+def test_solver_config_rejects_an_unknown_curve():
+    # caught at construction, not when the first point past the smooth range is labelled
+    with pytest.raises(ValueError, match="unknown curve choice 'bogus'"):
+        SolverConfig(curve_choice="bogus")
+
+
 def test_solver_config_accepts_boundary_values():
     cfg = SolverConfig(accept_tol=0.0, merge_tol=5e-324, candidate_ceiling=0.0)
     assert (cfg.accept_tol, cfg.merge_tol, cfg.candidate_ceiling) == (0.0, 5e-324, 0.0)
