@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 #: Nodes per axis of the objective mesh whose local minima seed the search.
+#: Its payoff gaps have no lambda and are priced once per payoff matrix.
 SEED_GRID_SIZE = 81
 
 #: Newton steps per polish, and per projection onto the arc (``_project``).
@@ -581,17 +582,50 @@ def _dedupe(entries: list, tol: float) -> list[tuple[float, float, float]]:
     return kept
 
 
+def _mesh(mesh: int, matrix: PayoffMatrix):
+    """A uniform mesh over [0, 1]^2 and the part of the objective on it that has no lambda.
+
+    Returns flat arrays (alpha, gamma, pulled alpha, pulled gamma, clamped,
+    gap_alpha, gap_gamma): the nodes, the nodes pulled off the corners by
+    :func:`_off_corners` with its flags, and the payoff gaps u1 - u0 and
+    u3 - u2 at the pulled nodes.
+    """
+    axis = np.linspace(0.0, 1.0, mesh)
+    ga, gg = np.meshgrid(axis, axis, indexing="ij")
+    alpha, gamma = ga.ravel(), gg.ravel()
+    a, g, clamped = _off_corners(alpha, gamma)
+    u = _conditional_utilities(a, g, matrix)
+    return alpha, gamma, a, g, clamped, u[1] - u[0], u[3] - u[2]
+
+
+def _mesh_objective(lam: float, nodes) -> np.ndarray:
+    """The objective F at rationality ``lam`` on the nodes of :func:`_mesh`."""
+    _, _, a, g, _, gap_a, gap_g = nodes
+    return (_logistic(lam, gap_a) - a) ** 2 + (_logistic(lam, gap_g) - g) ** 2
+
+
+@functools.lru_cache(maxsize=1)  # a process solves under one payoff matrix
+def _seed_mesh(mesh: int, matrix: PayoffMatrix):
+    """:func:`_mesh` as read-only arrays, kept for the last (mesh size, matrix)."""
+    nodes = _mesh(mesh, matrix)
+    for array in nodes:
+        array.flags.writeable = False
+    return nodes
+
+
 def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix) -> list[tuple[float, float]]:
     """Search seeds of one solve: the local minima of the objective mesh.
 
     Fixed points, attracting or repelling, and candidate basins are all
     local minima of the objective, so the nodes of the ``SEED_GRID_SIZE``
-    mesh of :func:`objective_grid` that are no higher than their four
-    neighbours seed the search: the lowest 40, none far above the candidate
-    ceiling.  Degenerate corner nodes are pulled off the corner.
+    mesh of :func:`_seed_mesh`, priced once per (mesh size, matrix), that are
+    no higher than their four neighbours seed the search: the lowest 40, none
+    far above the candidate ceiling.  Degenerate corner nodes are pulled off
+    the corner.  Per rationality only the two logistic responses are new.
     """
     m = SEED_GRID_SIZE
-    alpha, gamma, f, _ = objective_grid(lam, m, matrix)
+    _, _, a, g, *_ = grid = _seed_mesh(m, matrix)
+    f = _mesh_objective(lam, grid)
     f_sq = np.where(np.isfinite(f), f, np.inf).reshape(m, m)
     pad = np.pad(f_sq, 1, constant_values=np.inf)
     is_min = (
@@ -605,8 +639,7 @@ def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix) -> list[tuple[fl
     order = np.argsort(f_min, kind="stable")[:40]
     # Nodes far above the candidate ceiling cannot sit in a reportable basin.
     order = order[f_min[order] <= max(0.5, 10.0 * cfg.candidate_ceiling)]
-    a, g, _ = _off_corners(alpha[nodes[order]], gamma[nodes[order]])
-    return list(zip(a.tolist(), g.tolist()))
+    return list(zip(a[nodes[order]].tolist(), g[nodes[order]].tolist()))
 
 
 def _collect(lam: float, cfg: SolverConfig, crossings: list, descents: list):
@@ -948,10 +981,5 @@ def objective_grid(
     Returns flat arrays (alpha, gamma, objective, clamped).
     """
     _check_rationality(lam)
-    axis = np.linspace(0.0, 1.0, mesh)
-    ga, gg = np.meshgrid(axis, axis, indexing="ij")
-    alpha, gamma = ga.ravel(), gg.ravel()
-    a, g, clamped = _off_corners(alpha, gamma)
-    sa, sg = _sigma_vec(lam, a, g, matrix)
-    f = (sa - a) ** 2 + (sg - g) ** 2
-    return alpha, gamma, f, clamped
+    alpha, gamma, _, _, clamped, *_ = nodes = _mesh(mesh, matrix)
+    return alpha, gamma, _mesh_objective(lam, nodes), clamped

@@ -4,10 +4,16 @@ Each seed is polished and, unless the polish settles next to it, descended
 one at a time, on Python floats with a ``math.exp`` sigma.  The seeds,
 ``_dedupe`` and the closed-form derivatives are the solver's own; only the
 loop over seeds, the scalar sigma and the scalar corner clamp live here.
+
+``seeds_via_objective_grid`` is the seed scan that the memoized seed mesh
+replaced: it prices the whole mesh through ``objective_grid`` at every call.
 """
 
 import math
 
+import numpy as np
+
+import pdqre.qre
 from pdqre.game import DEGENERACY_THRESHOLD
 from pdqre.qre import (
     CLAMP_EPS,
@@ -21,8 +27,10 @@ from pdqre.qre import (
     _conditional_utilities,
     _dedupe,
     _objective_derivatives,
+    _off_corners,
     _seeds,
     _sigma_derivatives,
+    objective_grid,
 )
 
 
@@ -52,6 +60,28 @@ def clamped(alpha, gamma):
         float(min(max(gamma, CLAMP_EPS), 1.0 - CLAMP_EPS)),
         True,
     )
+
+
+def seeds_via_objective_grid(lam, cfg, matrix):
+    """The seeds of ``_seeds``: the mesh of ``objective_grid``, its nodes no
+    higher than their four neighbours, the lowest 40 under the ceiling, each
+    pulled off the corner on its own."""
+    m = pdqre.qre.SEED_GRID_SIZE
+    alpha, gamma, f, _ = objective_grid(lam, m, matrix)
+    f_sq = np.where(np.isfinite(f), f, np.inf).reshape(m, m)
+    pad = np.pad(f_sq, 1, constant_values=np.inf)
+    is_min = (
+        (f_sq <= pad[:-2, 1:-1])
+        & (f_sq <= pad[2:, 1:-1])
+        & (f_sq <= pad[1:-1, :-2])
+        & (f_sq <= pad[1:-1, 2:])
+    )
+    nodes = np.flatnonzero(is_min)
+    f_min = f_sq[is_min]
+    order = np.argsort(f_min, kind="stable")[:40]
+    order = order[f_min[order] <= max(0.5, 10.0 * cfg.candidate_ceiling)]
+    a, g, _ = _off_corners(alpha[nodes[order]], gamma[nodes[order]])
+    return list(zip(a.tolist(), g.tolist()))
 
 
 def newton_polish(lam, x0, matrix):

@@ -11,13 +11,15 @@ import math
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scalar_route import solve_scalar
+import numpy as np
+from scalar_route import seeds_via_objective_grid, solve_scalar
 
 import pdqre.qre
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     NoSolution,
     SolverConfig,
+    _seeds,
     _solve,
     conditional_payoffs_compositional,
     logit_response,
@@ -127,3 +129,37 @@ def test_a_grid_split_into_several_stacks_matches_single_solves(monkeypatch):
     for lam in grid:
         assert _bits([p for p in sweep.points if p.lam == lam]) == _bits(_solve_alone(lam)[0])
     assert [p.lam for p in sweep.main_branch] == grid
+
+
+def test_seeds_from_the_priced_mesh_equal_the_objective_grid_route(monkeypatch):
+    # The matrices alternate, so the one-entry mesh cache is rebuilt at every
+    # call, and the first 9 x 9 call finds the 81 x 81 mesh of its matrix cached.
+    cfg = SolverConfig()
+    lams = [0.0, 1e-3, 2.0, 5.2, 5.5, 7.08, 7.09, 9.62, 20.0, 100.0, 1e5, 1e308]
+    matrices = [DEFAULT_MATRIX, PayoffMatrix(temptation_dc=7.0)]
+    for size in (pdqre.qre.SEED_GRID_SIZE, 9):
+        monkeypatch.setattr(pdqre.qre, "SEED_GRID_SIZE", size)
+        for lam in lams:
+            for matrix in matrices:
+                want = seeds_via_objective_grid(lam, cfg, matrix)
+                assert _seeds(lam, cfg, matrix) == want, (size, lam, matrix)
+        matrices.reverse()
+    for array in pdqre.qre._seed_mesh(9, DEFAULT_MATRIX):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_a_sweep_prices_the_seed_mesh_once(monkeypatch):
+    # a sweep's stack holds at most 40 seeds per rationality, so no
+    # array but the mesh has SEED_GRID_SIZE**2 elements here
+    sizes = []
+    price = pdqre.qre._conditional_utilities
+
+    def spy(alpha, gamma, matrix):
+        sizes.append(np.size(alpha))
+        return price(alpha, gamma, matrix)
+
+    pdqre.qre._seed_mesh.cache_clear()
+    monkeypatch.setattr(pdqre.qre, "_conditional_utilities", spy)
+    sweep_lambda([0.025 * k for k in range(161)])
+    assert sizes.count(pdqre.qre.SEED_GRID_SIZE**2) == 1
