@@ -1,17 +1,18 @@
 """Bulk CSV rows: the bytes of one ``.12g`` f-string per row, written in blocks.
 
 A large export (the million-cell objective grid, a million-round log) spends
-its time formatting, not computing.  Two things make that cheap without
-changing a byte.  A low-cardinality column is formatted once per distinct
-value and then indexed, and several such columns can be fused into one.
-The rows of a block are built by a single ``%`` over one flat tuple of
-cells.  Blocks of :data:`CHUNK_ROWS` rows keep the memory a write needs
-bounded whatever the row count.
+its time formatting, not computing.  Its label cells (axis values, flags,
+choices, payoffs) take few distinct values, so each distinct value is
+formatted once and then indexed, and several labelled columns can be fused
+into one.  A label goes into a row template as text, its ``%`` escaped by
+:func:`template`, so a block of rows is one format string and a single ``%``
+converts only its numeric cells.  A block holds at most :data:`CHUNK_ROWS`
+rows, which keeps the memory a write needs bounded whatever the row count.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,28 +67,29 @@ def fuse(columns: Sequence[Labelled]) -> Labelled:
     return labels, codes
 
 
-def write_rows(
-    path,
-    head: str,
-    row_fmt: str,
-    columns: Sequence[np.ndarray | Labelled],
-) -> None:
-    """Write ``head``, then one ``row_fmt`` line per row, a block at a time.
+def template(fmt: str, *labels: str) -> str:
+    """``fmt`` with ``labels`` in its ``{}`` fields, each ``%`` doubled so that ``%`` keeps it."""
+    return fmt.format(*(label.replace("%", "%%") for label in labels))
 
-    ``row_fmt`` holds one ``%`` conversion per column and ends in a newline.
-    A column is either a :data:`Labelled` pair, whose strings fill a ``%s``,
-    or an array whose elements ``row_fmt`` formats itself (``%.12g``, ``%d``).
-    All columns have the same length.
+
+def labelled_blocks(fmt: str, column: Labelled, values) -> Iterator[tuple[str, tuple]]:
+    """Blocks of at most :data:`CHUNK_ROWS` rows for :func:`write_blocks`.
+
+    Row i is ``fmt`` with ``labels[codes[i]]`` in its ``{}`` field and
+    ``values[i]`` in its one ``%`` conversion.  Each label's template is
+    built once, so a block's ``%`` converts only the values.
     """
-    lengths = {len(col[1]) if isinstance(col, tuple) else len(col) for col in columns}
-    if len(lengths) != 1:
-        raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    (n,) = lengths
+    labels, codes = column
+    if len(codes) != len(values):
+        raise ValueError(f"{len(codes)} labelled rows but {len(values)} rows of values")
+    templates = np.array([template(fmt, label) for label in labels.tolist()], dtype=object)
+    chunks = [slice(lo, lo + CHUNK_ROWS) for lo in range(0, len(codes), CHUNK_ROWS)]
+    return (("".join(templates[codes[c]].tolist()), tuple(values[c].tolist())) for c in chunks)
+
+
+def write_blocks(path, head: str, blocks: Iterable[tuple[str, tuple]]) -> None:
+    """Write ``head``, then ``block % values`` for each (block, values) in turn."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head)
-        for lo in range(0, n, CHUNK_ROWS):
-            hi = min(lo + CHUNK_ROWS, n)
-            cells = np.empty((hi - lo, len(columns)), dtype=object)
-            for j, col in enumerate(columns):
-                cells[:, j] = col[0][col[1][lo:hi]] if isinstance(col, tuple) else col[lo:hi]
-            fh.write((row_fmt * (hi - lo)) % tuple(cells.ravel().tolist()))
+        for block, values in blocks:
+            fh.write(block % values)

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from ._rows import distinct_g12, flags, write_rows
+from ._rows import template, write_blocks
 from .data import (
     InsufficientSweep,
     ParseError,
@@ -266,6 +266,26 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_blocks(mesh: int, alpha, gamma, objective, clamped):
+    """The objective-grid rows, one block per alpha row of the mesh.
+
+    ``objective_grid`` lays the mesh out alpha-major, so every block shares
+    the gamma labels, priced once, and starts each of its lines with its
+    alpha; only a row holding clamped cells gets its own flag text.
+    """
+    gammas = [format(v, ".12g") for v in gamma[:mesh].tolist()]
+
+    def cells(row) -> list[str]:
+        return [template("{},%.12g,{}", g, "true" if c else "false") for g, c in zip(gammas, row)]
+
+    plain = cells([False] * mesh)
+    for lo in range(0, len(alpha), mesh):
+        row = clamped[lo : lo + mesh]
+        start = template("{},", format(alpha[lo], ".12g"))
+        text = ("\n" + start).join(cells(row.tolist()) if row.any() else plain)
+        yield start + text + "\n", tuple(objective[lo : lo + mesh].tolist())
+
+
 def _cmd_objective_grid(args: argparse.Namespace) -> int:
     if args.mesh < 2:
         raise ValueError(f"mesh must have at least 2 nodes per axis, got {args.mesh}")
@@ -275,12 +295,7 @@ def _cmd_objective_grid(args: argparse.Namespace) -> int:
         )
     a, g, f, clamped = objective_grid(args.rationality, args.mesh)
     out = Path(args.output)
-    write_rows(
-        out,
-        "alpha,gamma,objective,clamped\n",
-        "%s,%s,%.12g,%s\n",
-        [distinct_g12(a), distinct_g12(g), f, flags(clamped, "false", "true")],
-    )
+    write_blocks(out, "alpha,gamma,objective,clamped\n", _grid_blocks(args.mesh, a, g, f, clamped))
     _write_manifest(
         out,
         "objective-grid",

@@ -37,6 +37,10 @@ __all__ = [
 
 PHASES = ("before", "after")
 
+#: How far a branch's first and last rationality may miss 0 and ``lambda_max``
+#: and still cover [0, lambda_max]: float steps leave grid ends a few ulps off.
+LAMBDA_COVERAGE_TOL = 1e-9
+
 COLUMNS = (
     "Number of the experiment",
     "% of cooperation before socialization",
@@ -265,7 +269,7 @@ def _extract_branch(
         raise InsufficientSweep(
             f"need at least 2 accepted points with lambda <= {lambda_max}"
         )
-    if branch[0].lam > 1e-9 or branch[-1].lam < lambda_max - 1e-9:
+    if branch[0].lam > LAMBDA_COVERAGE_TOL or branch[-1].lam < lambda_max - LAMBDA_COVERAGE_TOL:
         raise InsufficientSweep(
             f"sweep covers lambda in [{branch[0].lam:g}, {branch[-1].lam:g}], "
             f"need [0, {lambda_max:g}]"

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rows import distinct_g12, flags, fuse, write_rows
+from ._rows import distinct_g12, flags, fuse, labelled_blocks, write_blocks
 from .game import DEFAULT_MATRIX, MarkovStrategy, PayoffMatrix
 
 __all__ = [
@@ -292,19 +292,6 @@ def export_log(log: GameLog, path) -> None:
         f"# strategy2={log.strategy2.alpha:.12g},{log.strategy2.gamma:.12g}\n"
         "round,choice1,choice2,payoff1,payoff2\n"
     )
-    write_rows(
-        path,
-        head,
-        "%d,%s\n",
-        [
-            np.arange(1, log.rounds + 1),
-            fuse(
-                [
-                    flags(log.choices1, "D", "C"),
-                    flags(log.choices2, "D", "C"),
-                    distinct_g12(log.payoffs1),
-                    distinct_g12(log.payoffs2),
-                ]
-            ),
-        ],
-    )
+    choices = [flags(log.choices1, "D", "C"), flags(log.choices2, "D", "C")]
+    column = fuse(choices + [distinct_g12(log.payoffs1), distinct_g12(log.payoffs2)])
+    write_blocks(path, head, labelled_blocks("%d,{}\n", column, np.arange(1, log.rounds + 1)))

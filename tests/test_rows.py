@@ -1,4 +1,4 @@
-"""Bulk row writer against the per-row f-string route it replaces: same bytes."""
+"""Block writer against the per-row f-string route it replaces: same bytes."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdqre._rows import CHUNK_ROWS, distinct_g12, flags, fuse, write_rows
+from pdqre._rows import CHUNK_ROWS, distinct_g12, flags, fuse, labelled_blocks, template, write_blocks
 from pdqre.cli import main
 from pdqre.game import MarkovStrategy, PayoffMatrix
 from pdqre.qre import objective_grid
@@ -72,13 +72,11 @@ def test_writer_matches_per_row_route(tmp_path_factory, n, pool, seed):
         f"{t + 1},{'C' if flag[t] else 'D'},{labelled[t]:.12g},{dense[t]:.12g}\n"
         for t in range(n)
     )
+    # the dense column is the row's number; the round is one more label
+    rounds = (np.array([str(t + 1) for t in range(n)], dtype=object), np.arange(n))
+    column = fuse([rounds, flags(flag, "D", "C"), distinct_g12(labelled)])
     out = tmp_path_factory.mktemp("rows") / "rows.csv"
-    write_rows(
-        out,
-        "head\n",
-        "%d,%s,%s,%.12g\n",
-        [np.arange(1, n + 1), flags(flag, "D", "C"), distinct_g12(labelled), dense],
-    )
+    write_blocks(out, "head\n", labelled_blocks("{},%.12g\n", column, dense))
     assert out.read_bytes() == want.encode("utf-8")
 
 
@@ -97,16 +95,14 @@ def test_fused_column_writes_the_bytes_of_the_unfused_columns(tmp_path_factory, 
         # uint8 codes as flags makes them, intp as distinct_g12 does
         codes = rng.integers(0, width, n).astype(np.uint8 if width <= 2 else np.intp)
         columns.append((labels, codes))
+    # the oracle reads each unfused column's label of the row
     want = "".join(
         f"{t + 1}," + ",".join(labels[codes[t]] for labels, codes in columns) + "\n"
         for t in range(n)
     )
-    tmp = tmp_path_factory.mktemp("fuse")
-    write_rows(tmp / "fused.csv", "", "%d,%s\n", [np.arange(1, n + 1), fuse(columns)])
-    row_fmt = "%d," + ",".join(["%s"] * len(columns)) + "\n"
-    write_rows(tmp / "plain.csv", "", row_fmt, [np.arange(1, n + 1), *columns])
-    assert (tmp / "fused.csv").read_bytes() == want.encode("utf-8")
-    assert (tmp / "plain.csv").read_bytes() == want.encode("utf-8")
+    out = tmp_path_factory.mktemp("fuse") / "fused.csv"
+    write_blocks(out, "", labelled_blocks("%d,{}\n", fuse(columns), np.arange(1, n + 1)))
+    assert out.read_bytes() == want.encode("utf-8")
     if len(columns) > 1:  # one label per combination that occurs
         occurring = set(zip(*(codes.tolist() for _, codes in columns)))
         assert sorted(fuse(columns)[0].tolist()) == sorted(
@@ -114,10 +110,25 @@ def test_fused_column_writes_the_bytes_of_the_unfused_columns(tmp_path_factory, 
         )
 
 
+def test_labels_holding_percent_signs_are_written_as_they_are(tmp_path):
+    # a label's % is template text, never a conversion
+    n = CHUNK_ROWS + 5
+    flag = np.random.default_rng(3).random(n) < 0.5
+    column = fuse([flags(flag, "50%", "%d%%s%"), (np.array(["%(x)s", "{}"], dtype=object), flag.view(np.uint8))])
+    out = tmp_path / "rows.csv"
+    write_blocks(out, "%\n", labelled_blocks("{},%.12g\n", column, np.arange(n) + 0.5))
+    want = "%\n" + "".join(
+        f"{'%d%%s%' if flag[t] else '50%'},{'{}' if flag[t] else '%(x)s'},{t + 0.5:.12g}\n"
+        for t in range(n)
+    )
+    assert out.read_bytes() == want.encode("utf-8")
+    assert template("{},%.12g,{}", "1%", "%") % 0.25 == "1%,0.25,%"
+
+
 def test_writer_rejects_columns_of_different_lengths(tmp_path):
     out = tmp_path / "rows.csv"
-    with pytest.raises(ValueError, match="differ in length"):
-        write_rows(out, "", "%d,%.12g\n", [np.arange(3), np.zeros(4)])
+    with pytest.raises(ValueError, match="3 labelled rows but 4 rows of values"):
+        write_blocks(out, "", labelled_blocks("%d,{}\n", flags([True] * 3, "D", "C"), np.zeros(4)))
     assert not out.exists()
 
 
@@ -129,6 +140,21 @@ def test_objective_grid_matches_per_row_route(tmp_path, capsys):
     capsys.readouterr()
     grid = objective_grid(7.2, 301)
     assert len(grid[0]) > CHUNK_ROWS  # the file spans more than one block
+    assert out.read_bytes() == _grid_oracle(*grid)
+
+
+@pytest.mark.parametrize("rationality", ["0", "7.2", "1e308"])
+@pytest.mark.parametrize("mesh", [2, 3])
+def test_objective_grid_rows_next_to_clamped_corners_match_per_row_route(
+    tmp_path, capsys, rationality, mesh
+):
+    # every alpha row holds a clamped corner (mesh 2) or borders one (mesh 3)
+    out = tmp_path / "grid.csv"
+    argv = ["objective-grid", "--rationality", rationality, "--mesh", str(mesh)]
+    assert main(argv + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    grid = objective_grid(float(rationality), mesh)
+    assert grid[3].any()
     assert out.read_bytes() == _grid_oracle(*grid)
 
 
