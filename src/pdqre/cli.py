@@ -85,7 +85,7 @@ def _write_manifest(output: Path, subcommand: str, config: dict, inputs=None) ->
 #: Largest grid a flag may ask for; keeps memory bounded for any bounds and step.
 MAX_GRID_POINTS = 1_000_000
 
-#: Largest ``objective-grid --mesh`` (nodes per axis, about a million cells).
+#: Largest ``objective-grid --mesh`` (nodes per axis): about 1M cells, 25 MB of outputs.
 MAX_MESH = 1001
 
 #: Largest ``simulate --rounds``; the rounds are pre-drawn in memory, the log
@@ -155,6 +155,8 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_nash_curve(args: argparse.Namespace) -> int:
     gammas = _float_grid(args.gamma_min, args.gamma_max, args.gamma_step, "gamma")
+    if args.gamma_min < 0.0 or args.gamma_max > 1.0:  # gamma is a probability
+        raise ValueError(f"gamma range must lie in [0, 1], got [{args.gamma_min}, {args.gamma_max}]")
     tracers = {"quadratic": trace_quadratic_curve, "stationarity": trace_stationarity_curve}
     wanted = ["quadratic", "stationarity"] if args.curve == "both" else [args.curve]
     lines = ["curve,alpha,gamma,branch,quadratic_residual,stationarity_residual"]

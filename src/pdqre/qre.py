@@ -58,6 +58,10 @@ __all__ = [
 #: Its payoff gaps have no lambda and are priced once per payoff matrix.
 SEED_GRID_SIZE = 81
 
+#: Nodes per block of :func:`objective_grid`: the dozen or so 128 KB temporaries of a
+#: block stay in a 2 MB L2 cache (8K to 32K were equally fast, 2K or 64K+ slower).
+MESH_BLOCK = 1 << 14
+
 #: Newton steps per polish, and per projection onto the arc (``_project``).
 NEWTON_MAX_ITER = 14
 
@@ -582,35 +586,37 @@ def _dedupe(entries: list, tol: float) -> list[tuple[float, float, float]]:
     return kept
 
 
-def _mesh(mesh: int, matrix: PayoffMatrix):
-    """A uniform mesh over [0, 1]^2 and the part of the objective on it that has no lambda.
-
-    Returns flat arrays (alpha, gamma, pulled alpha, pulled gamma, clamped,
-    gap_alpha, gap_gamma): the nodes, the nodes pulled off the corners by
-    :func:`_off_corners` with its flags, and the payoff gaps u1 - u0 and
-    u3 - u2 at the pulled nodes.
-    """
+def _mesh(mesh: int):
+    """The nodes (alpha, gamma) of a uniform mesh over [0, 1]^2, as flat alpha-major arrays."""
     axis = np.linspace(0.0, 1.0, mesh)
     ga, gg = np.meshgrid(axis, axis, indexing="ij")
-    alpha, gamma = ga.ravel(), gg.ravel()
+    return ga.ravel(), gg.ravel()
+
+
+def _price_nodes(alpha, gamma, matrix: PayoffMatrix):
+    """The part of the objective at the nodes (alpha, gamma) that has no lambda, elementwise.
+
+    Returns arrays (pulled alpha, pulled gamma, clamped, gap_alpha, gap_gamma): the nodes
+    pulled off the corners by :func:`_off_corners` with its flags, and the payoff gaps
+    u1 - u0 and u3 - u2 at the pulled nodes."""
     a, g, clamped = _off_corners(alpha, gamma)
     u = _conditional_utilities(a, g, matrix)
-    return alpha, gamma, a, g, clamped, u[1] - u[0], u[3] - u[2]
+    return a, g, clamped, u[1] - u[0], u[3] - u[2]
 
 
-def _mesh_objective(lam: float, nodes) -> np.ndarray:
-    """The objective F at rationality ``lam`` on the nodes of :func:`_mesh`."""
-    _, _, a, g, _, gap_a, gap_g = nodes
+def _mesh_objective(lam: float, priced) -> np.ndarray:
+    """The objective F at rationality ``lam`` on nodes priced by :func:`_price_nodes`."""
+    a, g, _, gap_a, gap_g = priced
     return (_logistic(lam, gap_a) - a) ** 2 + (_logistic(lam, gap_g) - g) ** 2
 
 
 @functools.lru_cache(maxsize=1)  # a process solves under one payoff matrix
 def _seed_mesh(mesh: int, matrix: PayoffMatrix):
-    """:func:`_mesh` as read-only arrays, kept for the last (mesh size, matrix)."""
-    nodes = _mesh(mesh, matrix)
-    for array in nodes:
+    """:func:`_mesh` priced in one block, read-only, kept for the last (mesh size, matrix)."""
+    priced = _price_nodes(*_mesh(mesh), matrix)
+    for array in priced:
         array.flags.writeable = False
-    return nodes
+    return priced
 
 
 def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix) -> list[tuple[float, float]]:
@@ -624,8 +630,8 @@ def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix) -> list[tuple[fl
     the corner.  Per rationality only the two logistic responses are new.
     """
     m = SEED_GRID_SIZE
-    _, _, a, g, *_ = grid = _seed_mesh(m, matrix)
-    f = _mesh_objective(lam, grid)
+    a, g, *_ = priced = _seed_mesh(m, matrix)
+    f = _mesh_objective(lam, priced)
     f_sq = np.where(np.isfinite(f), f, np.inf).reshape(m, m)
     pad = np.pad(f_sq, 1, constant_values=np.inf)
     is_min = (
@@ -978,8 +984,15 @@ def objective_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Objective values over a uniform mesh, with degenerate cells flagged.
 
-    Returns flat arrays (alpha, gamma, objective, clamped).
+    Returns flat arrays (alpha, gamma, objective, clamped) of :func:`_mesh`.
+    ``MESH_BLOCK`` nodes at a time are priced into the outputs, so no other
+    array has the mesh's size; each cell has the bits of a whole-mesh pricing.
     """
     _check_rationality(lam)
-    alpha, gamma, _, _, clamped, *_ = nodes = _mesh(mesh, matrix)
-    return alpha, gamma, _mesh_objective(lam, nodes), clamped
+    alpha, gamma = _mesh(mesh)
+    f, clamped = np.empty(alpha.size), np.empty(alpha.size, dtype=bool)
+    for lo in range(0, alpha.size, MESH_BLOCK):
+        block = slice(lo, lo + MESH_BLOCK)
+        priced = _price_nodes(alpha[block], gamma[block], matrix)
+        f[block], clamped[block] = _mesh_objective(lam, priced), priced[2]
+    return alpha, gamma, f, clamped

@@ -140,6 +140,10 @@ _SWEEP_AT_9 = ["qre-sweep", "--lambda-min", "9", "--lambda-max", "9.7", "--lambd
         ["qre-sweep", "--lambda-max", "0", "--accept-tol", "-1"],
         # the grid guard: the point count overflows to inf
         ["nash-curve", "--gamma-min=-1e308", "--gamma-max", "1e308", "--gamma-step", "1"],
+        # a gamma range outside [0, 1]: wholly, in part, and past 1
+        ["nash-curve", "--gamma-min=-2", "--gamma-max=-1"],
+        ["nash-curve", "--gamma-min=-0.5", "--gamma-max", "0.2"],
+        ["nash-curve", "--gamma-max", "1.5"],
         ["qre-sweep", "--lambda-min=-1e308", "--lambda-max", "1e308", "--lambda-step", "1"],
         # burn-in outside [0, rounds): negative, and the default 1000 on 100 rounds
         ["simulate", "--alpha1", "0.2", "--gamma1", "0.5", "--rounds", "100", "--burn-in", "-1"],

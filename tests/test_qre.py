@@ -1,6 +1,7 @@
 """QRE solver tests: conditional payoffs, solver anchors, sweeps, intersections."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,9 @@ from pdqre.qre import (
     _dedupe,
     _degenerate_mask,
     _logistic,
+    _mesh,
+    _mesh_objective,
+    _price_nodes,
     _seeds,
     _sigma_vec,
     conditional_payoffs,
@@ -260,7 +264,9 @@ def test_degenerate_mask_matches_scalar_clamp_flag():
 
 def test_objective_grid_equals_per_cell_clamp_route():
     # The per-cell loop the vectorized mask replaced, kept as the reference.
-    lam, mesh = 7.2, 101
+    # The mesh spans several blocks of objective_grid and a partial last one.
+    lam, mesh = 7.2, 201
+    assert mesh * mesh > 2 * pdqre.qre.MESH_BLOCK and mesh * mesh % pdqre.qre.MESH_BLOCK
     axis = np.linspace(0.0, 1.0, mesh)
     ga, gg = np.meshgrid(axis, axis, indexing="ij")
     a = ga.ravel().copy()
@@ -276,6 +282,34 @@ def test_objective_grid_equals_per_cell_clamp_route():
     assert np.array_equal(gamma, gg.ravel())
     assert np.array_equal(clamped, flags)
     assert np.array_equal(f, f_ref)
+
+
+@pytest.mark.parametrize("block", [None, 37], ids=["MESH_BLOCK", "block37"])
+@pytest.mark.parametrize("matrix", [DEFAULT_MATRIX, PayoffMatrix(temptation_dc=7.0)], ids=["R", "T7"])
+@pytest.mark.parametrize("mesh", [2, 3, 201])
+@pytest.mark.parametrize("lam", [0.0, 7.2, 1e308])
+def test_blocked_objective_grid_has_the_bits_of_the_whole_mesh(monkeypatch, lam, mesh, matrix, block):
+    # tobytes, so that a -0.0 in place of 0.0 counts; blocks of 37 nodes leave
+    # every kernel a short tail, which numpy's SIMD loops treat on their own
+    if block:
+        monkeypatch.setattr(pdqre.qre, "MESH_BLOCK", block)
+    alpha, gamma = _mesh(mesh)
+    priced = _price_nodes(alpha, gamma, matrix)
+    want = (alpha, gamma, _mesh_objective(lam, priced), priced[2])
+    got = objective_grid(lam, mesh, matrix)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_objective_grid_memory_stays_near_its_outputs():
+    # the four outputs of a 1001^2 mesh take 25 MB; pricing the whole mesh at
+    # once took about 140 MB, with dozens of mesh-sized temporaries
+    tracemalloc.start()
+    try:
+        objective_grid(7.2, 1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def _damped_oracle(lam, steps=300, damping=0.5):
