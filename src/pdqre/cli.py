@@ -19,17 +19,17 @@ from . import __version__
 from ._rows import template, write_blocks
 from .data import (
     InsufficientSweep,
-    ParseError,
     aggregate,
     bundled_experiments_path,
     classify_against_qre,
     load_experiments,
 )
-from .game import DegenerateChain, MarkovStrategy
+from .game import MarkovStrategy
 from .nash import trace_quadratic_curve, trace_stationarity_curve
 from .qre import (
     QrePoint,
     SolverConfig,
+    _check_finite,
     find_intersections,
     objective_grid,
     sweep_lambda,
@@ -70,10 +70,20 @@ def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(output: Path, subcommand: str, config: dict, inputs=None) -> None:
-    """Write the sidecar; ``inputs`` maps the name to record to the file to digest."""
+#: Parsed entries a manifest does not echo: the subcommand is a key of its
+#: own, and where the outputs go does not change what they hold.
+_NOT_ECHOED = frozenset({"subcommand", "handler", "output", "report"})
+
+
+def _write_manifest(output: Path, args: argparse.Namespace, config=None, inputs=None) -> None:
+    """Write the sidecar; ``inputs`` maps the name to record to the file to digest.
+
+    ``config`` defaults to every parsed flag but those in ``_NOT_ECHOED``.
+    """
+    if config is None:
+        config = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "version": __version__,
         "config": config,
         "inputs": {name: _sha256(path) for name, path in (inputs or {}).items()},
@@ -111,15 +121,14 @@ def _float_grid(lo: float, hi: float, step: float, what: str) -> list[float]:
     n = round(steps)
     values = [lo + k * step for k in range(n + 1)]
     if values[-1] > hi + 1e-12:
-        values.pop()
-    if not values:
-        raise ValueError(f"{what} grid is empty")
+        values.pop()  # n >= 1 here: the first point, lo, never passes hi
+    values[-1] = min(values[-1], hi)  # rounding can carry the last point past hi
     return values
 
 
 #: The solver flags as (argparse dest, SolverConfig field, argparse keywords).
-#: Parser defaults, the SolverConfig and the qre-sweep manifest echo all come
-#: from this table; ``--no-candidates`` is the one flag that negates its field.
+#: Parser defaults and the SolverConfig both come from this table;
+#: ``--no-candidates`` is the one flag that negates its field.
 _SOLVER_FLAGS = (
     ("accept_tol", "accept_tol", {"type": float, "help": "acceptance objective"}),
     ("merge_tol", "merge_tol", {"type": float, "help": "solution merge radius"}),
@@ -168,16 +177,7 @@ def _cmd_nash_curve(args: argparse.Namespace) -> int:
             )
     out = Path(args.output)
     _write_text(out, "\n".join(lines) + "\n")
-    _write_manifest(
-        out,
-        "nash-curve",
-        {
-            "curve": args.curve,
-            "gamma_min": args.gamma_min,
-            "gamma_max": args.gamma_max,
-            "gamma_step": args.gamma_step,
-        },
-    )
+    _write_manifest(out, args)
     print(f"wrote {len(lines) - 1} curve points to {out}")
     return 0
 
@@ -197,6 +197,7 @@ SWEEP_HEADER = "lambda,alpha,gamma,objective,branch,accepted,start_count"
 
 def _cmd_qre_sweep(args: argparse.Namespace) -> int:
     lambdas = _float_grid(args.lambda_min, args.lambda_max, args.lambda_step, "lambda")
+    _check_finite("intersection_tol", args.intersection_tol, positive=True)
     cfg = _solver_config(args)
     sweep = sweep_lambda(lambdas, cfg)
     out = Path(args.output)
@@ -223,7 +224,7 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
                 "lambda": _round12(e.lam),
                 "alpha": _round12(e.alpha),
                 "gamma": _round12(e.gamma),
-                "residual": _round12(e.residual),
+                "residual": round(e.residual, 12) + 0.0,  # noise and -0 read 0
                 "kind": e.kind,
                 "first": e.first,
             }
@@ -252,15 +253,8 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
     }
     report_path = Path(args.report) if args.report else Path(str(out) + ".report.json")
     _write_json(report_path, report)
-    config_echo = {
-        "lambda_min": args.lambda_min,
-        "lambda_max": args.lambda_max,
-        "lambda_step": args.lambda_step,
-        "intersection_tol": args.intersection_tol,
-        **{dest: getattr(args, dest) for dest, _, _ in _SOLVER_FLAGS},
-    }
-    _write_manifest(out, "qre-sweep", config_echo)
-    _write_manifest(report_path, "qre-sweep", config_echo)
+    _write_manifest(out, args)
+    _write_manifest(report_path, args)
     print(
         f"wrote {len(sweep.points)} points to {out}; "
         f"transition_lambda={report['transition_lambda']}"
@@ -298,11 +292,7 @@ def _cmd_objective_grid(args: argparse.Namespace) -> int:
     a, g, f, clamped = objective_grid(args.rationality, args.mesh)
     out = Path(args.output)
     write_blocks(out, "alpha,gamma,objective,clamped\n", _grid_blocks(args.mesh, a, g, f, clamped))
-    _write_manifest(
-        out,
-        "objective-grid",
-        {"rationality": args.rationality, "mesh": args.mesh},
-    )
+    _write_manifest(out, args)
     print(f"wrote {len(a)} grid nodes to {out}")
     return 0
 
@@ -329,8 +319,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     export_log(log, out)
     _write_manifest(
         out,
-        "simulate",
-        {
+        args,
+        {  # the resolved pair: player 2's strategy defaults to player 1's
             "strategy1": [s1.alpha, s1.gamma],
             "strategy2": [s2.alpha, s2.gamma],
             "rounds": args.rounds,
@@ -431,17 +421,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     }
     out = Path(args.output)
     _write_json(out, payload)
-    _write_manifest(
-        out,
-        "classify",
-        {
-            "data": args.data,
-            "sweep": args.sweep,
-            "lambda_max": args.lambda_max,
-            "lambda_step": args.lambda_step,
-        },
-        inputs=inputs,
-    )
+    _write_manifest(out, args, inputs=inputs)
     print(
         f"classified {len(records)} records; "
         f"separation_score={_fmt(report.separation_score)}"
@@ -551,13 +531,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        ValueError,
-        DegenerateChain,
-        ParseError,
-        InsufficientSweep,
-        OSError,
-    ) as err:
+    except (ValueError, OSError) as err:  # every domain error is a ValueError
         payload = {"error": type(err).__name__, "message": str(err)}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1

@@ -99,10 +99,16 @@ ARC_STEP = 0.1
 CLAMP_EPS = 1e-9
 
 
+def _check_finite(name: str, value: float, positive: bool) -> None:
+    """Reject a NaN, an infinity or a negative value; 0 too when ``positive``."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        bound = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {bound}, got {value}")
+
+
 def _check_rationality(lam: float) -> None:
     """Reject a rationality that is negative, infinite or NaN."""
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"rationality must be finite and nonnegative, got {lam}")
+    _check_finite("rationality", lam, positive=False)
 
 
 class NoSolution(RuntimeError):
@@ -169,15 +175,9 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         # merge_tol is a radius: at 0 nothing merges, so it must be positive
-        for name, positive in (
-            ("accept_tol", False),
-            ("merge_tol", True),
-            ("candidate_ceiling", False),
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
-                bound = "positive" if positive else "nonnegative"
-                raise ValueError(f"{name} must be finite and {bound}, got {value}")
+        _check_finite("accept_tol", self.accept_tol, positive=False)
+        _check_finite("merge_tol", self.merge_tol, positive=True)
+        _check_finite("candidate_ceiling", self.candidate_ceiling, positive=False)
         curve_residual(self.curve_choice)  # raises ValueError for an unknown curve
 
 
@@ -939,10 +939,11 @@ def find_intersections(
     The game is the one the sweep was solved under, ``sweep.matrix``.  Two
     event kinds are reported: a ``crossing`` where the curve residual changes
     sign along the branch, and an ``entry`` where its magnitude first drops
-    below ``tol``.  Both are refined on the arc of H = 0 between two
-    main-branch points, but not across a discontinuity.  The lowest lambda
-    event is flagged as first.
+    below ``tol``, which must be finite and positive.  Both are refined on
+    the arc of H = 0 between two main-branch points, but not across a
+    discontinuity.  The lowest lambda event is flagged as first.
     """
+    _check_finite("tol", tol, positive=True)
     resid_fn, matrix = curve_residual(curve_choice or sweep.config.curve_choice), sweep.matrix
 
     def safe_resid(a: float, g: float) -> float:

@@ -1,13 +1,22 @@
 """CLI tests: outputs, manifests, error mapping, byte-stable re-runs."""
 
+import hashlib
+import io
+import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import pdqre
 from pdqre import cli
@@ -160,6 +169,12 @@ _SWEEP_AT_9 = ["qre-sweep", "--lambda-min", "9", "--lambda-max", "9.7", "--lambd
         [*_SWEEP_AT_9, "--candidate-ceiling=nan"],
         [*_SWEEP_AT_9, "--candidate-ceiling=-1"],
         [*_SWEEP_AT_9, "--candidate-ceiling=inf"],
+        # an intersection tolerance that is not finite and positive: refused before
+        # the sweep, where an infinite one used to report an entry at every grid start
+        ["qre-sweep", "--lambda-max", "0", "--intersection-tol=-1"],
+        ["qre-sweep", "--lambda-max", "0", "--intersection-tol", "0"],
+        ["qre-sweep", "--lambda-max", "0", "--intersection-tol", "nan"],
+        ["qre-sweep", "--lambda-max", "0", "--intersection-tol", "inf"],
     ],
 )
 def test_bad_solver_input_maps_to_json_error(tmp_path, capsys, argv):
@@ -174,6 +189,23 @@ def test_grid_guard_rejects_before_allocating():
     # 2,000,001 points, past the cap; the guard raises before building the list
     with pytest.raises(ValueError, match="gamma grid"):
         _float_grid(0.0, 1.0, 5e-7, "gamma")
+
+
+def test_grid_ends_at_its_upper_bound():
+    # lo + k * step can round past hi; the last point is clamped back to it
+    assert _float_grid(0.09, 1.0, 0.07, "gamma")[-1] == 1.0
+    assert _float_grid(7.4, 7.6, 0.01, "lambda")[-1] == 7.6
+    assert _float_grid(0.0, 10.0, 0.01, "lambda")[-1] == 10.0
+
+
+def test_nash_curve_grid_that_rounds_past_one(tmp_path, capsys):
+    # 0.09 + 13 * 0.07 is 1.0000000000000002, which the tracer refused as a gamma
+    out = tmp_path / "curve.csv"
+    argv = ["nash-curve", "--gamma-min", "0.09", "--gamma-max", "1", "--gamma-step", "0.07"]
+    assert run([*argv, "--output", str(out)]) == 0
+    gammas = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    assert gammas and max(gammas) == 1.0
+    capsys.readouterr()
 
 
 def test_grid_guard_boundary(monkeypatch):
@@ -451,3 +483,275 @@ for argv in (
     assert lines["grid.csv"] == 1 + 21 * 21
     assert lines["sweep.csv"] > 1
     assert lines["log.csv"] == 7 + 2000
+
+
+def test_manifests_are_pinned(tmp_path, monkeypatch, capsys):
+    # one small run per subcommand; relative paths, since classify records --sweep as given
+    monkeypatch.chdir(tmp_path)
+    _write_synthetic_sweep(Path("given.csv"))
+    for argv in (
+        ["nash-curve", "--gamma-step", "0.05", "--output", "curve.csv"],
+        ["qre-sweep", "--lambda-max", "0.5", "--lambda-step", "0.25", "--output", "sweep.csv",
+         "--report", "report.json"],
+        ["objective-grid", "--rationality", "1", "--mesh", "11", "--output", "grid.csv"],
+        ["simulate", "--alpha1", "0.2", "--gamma1", "0.5", "--rounds", "200", "--seed", "7",
+         "--burn-in", "10", "--output", "log.csv"],
+        ["classify", "--sweep", "given.csv", "--output", "classify.json"],
+    ):
+        assert run(argv) == 0, argv
+    sweep = "70b48fb3fbc5f0adc5f4a4db0068e00d385621b81bea82cc11f54d271529b056"
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.manifest.json")}
+    assert digests == {
+        "curve.csv.manifest.json": "ab77c93b4adeef1a9540371bf48fb6f7ce3316beb4a50892471f537eacfc5822",
+        "sweep.csv.manifest.json": sweep,
+        "report.json.manifest.json": sweep,  # the CSV's and the report's manifests are one
+        "grid.csv.manifest.json": "7d920e121bc7ea7453e0ba9f104d8056c70d32ec47ded3c17468ea7871625b0f",
+        "log.csv.manifest.json": "13cb859c298ee6830538313b1d083bd917b0eb374ad635af5602739a3b0abc39",
+        "classify.json.manifest.json": "bf71387efab3f8ca59abfc2ca2e119c8ac3e2d2f8e53e183518c3e31b92caa52",
+    }
+    capsys.readouterr()
+
+
+# The CLI boundary as a property: every numeric flag of every subcommand, drawn
+# from finite, infinite, NaN, signed-zero, extreme and near-bound values.
+
+_EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324)
+
+
+def _near(lo, hi):
+    """Values in [lo, hi], or a bound, a bound's float neighbour or an edge value."""
+    bounds = [lo, hi, *(math.nextafter(b, d) for b in (lo, hi) for d in (-math.inf, math.inf))]
+    return st.floats(lo, hi) | st.sampled_from(_EDGES + tuple(bounds))
+
+
+def _ints(*edges, lo, hi):
+    """Integers in [lo, hi], or an edge value or a token that is not an integer."""
+    return st.integers(lo, hi) | st.sampled_from([*edges, "1.5", "1e3"])
+
+
+def _flag(name, values, optional=True):
+    """``--name=value``, or nothing (the default) when ``optional``."""
+    given = values.map(lambda v: [f"--{name}={v}"])
+    return st.one_of(st.just([]), given) if optional else given
+
+
+@st.composite
+def _grid_flags(draw, prefix, lo_hi, with_min=True):
+    """Grid bounds, in order three times in four; the step often splits them into at most 19."""
+    lo = draw(_near(*lo_hi)) if with_min else 0.0
+    hi = draw(_near(*lo_hi))
+    if with_min and (lo > hi) != (draw(st.integers(0, 3)) == 0):
+        lo, hi = hi, lo
+    step = draw(st.one_of(_near(0.05, 1.0), st.integers(1, 19).map(lambda k: (hi - lo) / k)))
+    flags = [f"--{prefix}-max={hi}", f"--{prefix}-step={step}"]
+    return [f"--{prefix}-min={lo}", *flags] if with_min else flags
+
+
+@st.composite
+def _simulate_flags(draw):
+    rounds = draw(_ints(-1, 0, 1, 2, 2000, cli.MAX_ROUNDS + 1, lo=2, hi=2000))
+    inside = st.integers(0, rounds - 1) if isinstance(rounds, int) and rounds > 0 else st.nothing()
+    burn_in = inside | st.sampled_from([-1, 0, rounds, "1.5"])
+    probability = _near(0.0, 1.0)
+    pair = st.tuples(probability, probability).map(lambda p: ["--initial-coop", *map(str, p)])
+    parts = (
+        _flag("alpha1", probability, optional=False),
+        _flag("gamma1", probability, optional=False),
+        _flag("alpha2", probability),
+        _flag("gamma2", probability),
+        st.one_of(st.just([]), pair),
+        st.just([f"--rounds={rounds}"]),
+        _flag("seed", _ints(-1, 0, 2**64 - 1, 2**64, lo=0, hi=2**64 - 1)),
+        _flag("burn-in", burn_in),
+    )
+    return ["simulate", *itertools.chain.from_iterable(draw(p) for p in parts)]
+
+
+def _argv(subcommand, *parts):
+    return st.tuples(*parts).map(lambda ps: [subcommand, *itertools.chain.from_iterable(ps)])
+
+
+_ARGVS = st.one_of(
+    _argv("nash-curve", _grid_flags("gamma", (0.0, 1.0))),
+    _argv(
+        "qre-sweep",
+        _grid_flags("lambda", (0.0, 10.0)),
+        _flag("intersection-tol", _near(0.0, 1.0)),
+        _flag("accept-tol", _near(0.0, 1e-6)),
+        _flag("merge-tol", _near(0.0, 0.1)),
+        _flag("candidate-ceiling", _near(0.0, 1.0)),
+    ),
+    _argv(
+        "objective-grid",
+        _flag("rationality", _near(0.0, 10.0), optional=False),
+        _flag("mesh", _ints(-1, 0, 1, 2, 21, cli.MAX_MESH + 1, lo=2, hi=21), optional=False),
+    ),
+    _simulate_flags(),
+    _argv("classify", _grid_flags("lambda", (0.0, 10.0), with_min=False)),
+)
+
+
+def _nonnegative(v):
+    return math.isfinite(v) and v >= 0.0
+
+
+def _positive(v):
+    return math.isfinite(v) and v > 0.0
+
+
+def _probability(v):
+    return 0.0 <= v <= 1.0
+
+
+#: The documented domain of each numeric flag, by argparse dest; a flag left at
+#: a default of None is in its domain.
+_DOMAIN = {
+    "gamma_min": _probability,
+    "gamma_max": _probability,
+    "gamma_step": _positive,
+    "lambda_min": _nonnegative,
+    "lambda_max": _nonnegative,
+    "lambda_step": _positive,
+    "intersection_tol": _positive,
+    "accept_tol": _nonnegative,
+    "merge_tol": _positive,
+    "candidate_ceiling": _nonnegative,
+    "rationality": _nonnegative,
+    "mesh": lambda v: 2 <= v <= cli.MAX_MESH,
+    "alpha1": _probability,
+    "gamma1": _probability,
+    "alpha2": _probability,
+    "gamma2": _probability,
+    "initial_coop": lambda pair: all(map(_probability, pair)),
+    "rounds": lambda v: 2 <= v <= cli.MAX_ROUNDS,
+    "seed": lambda v: 0 <= v < 2**64,
+    "burn_in": lambda v: v >= 0,
+}
+
+
+def _in_domain(args):
+    given = vars(args)
+    flags = all(_DOMAIN[k](v) for k, v in given.items() if k in _DOMAIN and v is not None)
+    # the joint rules: bounds in order, and a burn-in that leaves rounds to summarize
+    ordered = all(
+        given.get(lo, 0.0) <= given.get(hi, math.inf)
+        for lo, hi in (("gamma_min", "gamma_max"), ("lambda_min", "lambda_max"))
+    )
+    return flags and ordered and given.get("burn_in", 0) < given.get("rounds", 1)
+
+
+#: argparse reads a token that starts with "-" as an option unless it is a plain
+#: negative number, so ``--initial-coop -inf 0`` cannot be parsed.
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _parses(argv):
+    """Whether argparse can read every value in ``argv``."""
+    for i, token in enumerate(argv):
+        name, _, text = token.partition("=")
+        if name in ("--mesh", "--rounds", "--seed", "--burn-in"):
+            try:
+                int(text)
+            except ValueError:
+                return False
+        pair = argv[i + 1 : i + 3] if token == "--initial-coop" else []
+        if any(t.startswith("-") and not _NEGATIVE_NUMBER.fullmatch(t) for t in pair):
+            return False
+    return True
+
+
+def _grid(args):
+    """The example's (lo, hi, step) grid flags, or None for a subcommand without one."""
+    if args.subcommand == "nash-curve":
+        return args.gamma_min, args.gamma_max, args.gamma_step
+    if args.subcommand == "qre-sweep":
+        return args.lambda_min, args.lambda_max, args.lambda_step
+    if args.subcommand == "classify":
+        return 0.0, args.lambda_max, args.lambda_step
+    return None
+
+
+def _many_points(grid):
+    """Whether ``_float_grid`` would build more than 21 points from ``grid``."""
+    lo, hi, step = grid
+    built = all(map(math.isfinite, grid)) and lo <= hi and step > 0.0
+    return built and (hi - lo) / step > 20.5
+
+
+def _expected_config(args):
+    if args.subcommand == "simulate":  # the resolved pair, not the flags
+        alpha2 = args.alpha1 if args.alpha2 is None else args.alpha2
+        gamma2 = args.gamma1 if args.gamma2 is None else args.gamma2
+        return {
+            "strategy1": [args.alpha1, args.gamma1],
+            "strategy2": [alpha2, gamma2],
+            "rounds": args.rounds,
+            "seed": args.seed,
+            "initial_coop_prob": list(args.initial_coop),
+            "burn_in": args.burn_in,
+        }
+    unechoed = ("subcommand", "handler", "output", "report")
+    return {k: v for k, v in vars(args).items() if k not in unechoed}
+
+
+def _rendered(v):
+    """``v`` as the CSV writes it, read back."""
+    return float(f"{v:.12g}")
+
+
+def _bounded_columns(args):
+    """The output's CSV columns that hold grid values, each with its rendered bounds."""
+    if args.subcommand == "objective-grid":
+        return [(0, (0.0, 1.0)), (1, (0.0, 1.0))]
+    column = {"nash-curve": 2, "qre-sweep": 0}.get(args.subcommand)
+    if column is None:
+        return []
+    lo, hi, _ = _grid(args)
+    return [(column, (_rendered(lo), _rendered(hi)))]
+
+
+@settings(max_examples=200, deadline=None)
+@example(["nash-curve", "--gamma-min=0.09", "--gamma-max=1", "--gamma-step=0.07"])
+@example(["qre-sweep", "--lambda-min=7.4", "--lambda-max=7.6", "--lambda-step=0.01"])
+@example(["qre-sweep", "--lambda-min=3", "--lambda-max=6", "--lambda-step=0.5",
+          "--intersection-tol=inf"])
+@given(_ARGVS)
+def test_cli_boundary(argv):
+    # each example ends in one of three ways: outputs with their manifests, one
+    # JSON error line and nothing written, or argparse's exit 2
+    outputs = {"qre-sweep": ["out.csv", "out.csv.report.json"], "classify": ["out.json"]}
+    outputs = outputs.get(argv[0], ["out.csv"])
+    parses = _parses(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        full = [*argv, "--output", str(Path(tmp) / outputs[0])]
+        if parses:
+            args = cli.build_parser().parse_args(full)
+            # a grid past 21 points is only slower; the size caps have their own tests
+            assume(_grid(args) is None or not _many_points(_grid(args)))
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            try:
+                code = main(full)
+            except SystemExit as stop:
+                code = stop.code
+        written = sorted(p.name for p in Path(tmp).iterdir())
+        if not parses:
+            assert (code, written) == (2, [])
+            return
+        if not _in_domain(args):
+            assert code == 1
+        elif argv[0] != "classify":  # classify can still find too few accepted points
+            assert code == 0, stderr.getvalue()
+        if code == 1:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and {"error", "message"} == set(json.loads(lines[0]))
+            assert written == []
+            return
+        assert code == 0
+        assert written == sorted([*outputs, *(name + ".manifest.json" for name in outputs)])
+        for name in outputs:
+            manifest = json.loads((Path(tmp) / (name + ".manifest.json")).read_text())
+            assert manifest["config"] == _expected_config(args)
+        for column, (lo, hi) in _bounded_columns(args):
+            rows = (Path(tmp) / outputs[0]).read_text().splitlines()[1:]
+            assert all(lo <= float(row.split(",")[column]) <= hi for row in rows), (column, lo, hi)

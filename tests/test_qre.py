@@ -224,6 +224,14 @@ def test_crossing_intersection_refined():
     assert first_events[0].lam == pytest.approx(5.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_intersection_tolerance_must_be_finite_and_positive(tol):
+    # an infinite band would report an entry at the first point of every sweep
+    sweep = sweep_lambda([3.0, 3.5])
+    with pytest.raises(ValueError, match=f"tol must be finite and positive, got {tol}"):
+        find_intersections(sweep, tol=tol)
+
+
 def test_quadratic_curve_never_met_on_smooth_segment():
     sweep = sweep_lambda([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
     assert find_intersections(sweep, curve_choice="quadratic") == []
