@@ -19,6 +19,7 @@ from . import __version__
 from ._rows import template, write_blocks
 from .data import (
     InsufficientSweep,
+    ParseError,
     aggregate,
     bundled_experiments_path,
     classify_against_qre,
@@ -126,40 +127,11 @@ def _float_grid(lo: float, hi: float, step: float, what: str) -> list[float]:
     return values
 
 
-#: The solver flags as (argparse dest, SolverConfig field, argparse keywords).
-#: Parser defaults and the SolverConfig both come from this table;
-#: ``--no-candidates`` is the one flag that negates its field.
-_SOLVER_FLAGS = (
-    ("accept_tol", "accept_tol", {"type": float, "help": "acceptance objective"}),
-    ("merge_tol", "merge_tol", {"type": float, "help": "solution merge radius"}),
-    ("candidate_ceiling", "candidate_ceiling",
-     {"type": float, "help": "max objective for reported non-exact local minima"}),
-    ("no_candidates", "include_candidates",
-     {"action": "store_true", "help": "report exact equilibria only"}),
-    ("curve", "curve_choice",
-     {"choices": ["quadratic", "stationarity"], "help": "Nash curve used for branch labels"}),
-)
-
-
-def _flag_to_field(dest: str, value):
-    """Map a flag value to its field value, and back: negation is its own inverse."""
-    return not value if dest == "no_candidates" else value
-
-
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
-        **{field: _flag_to_field(dest, getattr(args, dest)) for dest, field, _ in _SOLVER_FLAGS}
+        accept_tol=args.accept_tol, merge_tol=args.merge_tol, curve_choice=args.curve,
+        candidate_ceiling=args.candidate_ceiling, include_candidates=not args.no_candidates,
     )
-
-
-def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
-    defaults = SolverConfig()
-    for dest, field, kwargs in _SOLVER_FLAGS:
-        sub.add_argument(
-            "--" + dest.replace("_", "-"),
-            default=_flag_to_field(dest, getattr(defaults, field)),
-            **kwargs,
-        )
 
 
 def _cmd_nash_curve(args: argparse.Namespace) -> int:
@@ -193,6 +165,9 @@ def _point_rows(points: list[QrePoint]) -> list[str]:
 #: ``start_count`` is :attr:`QrePoint.start_count`: the seeds whose descent
 #: merged into the point, 0 for a root that only the arc's crossing gives.
 SWEEP_HEADER = "lambda,alpha,gamma,objective,branch,accepted,start_count"
+
+#: The labels of :func:`pdqre.qre.label_branch`, the sweep CSV's ``branch`` cells.
+SWEEP_BRANCHES = ("smooth", "defect", "near_nash", "other")
 
 
 def _cmd_qre_sweep(args: argparse.Namespace) -> int:
@@ -341,33 +316,46 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_float(cell: str, line: int, column: str, hi: float = math.inf) -> float:
+    """``cell`` as a finite float in [0, hi]."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value) and 0.0 <= value <= hi:
+        return value
+    want = "a finite number >= 0" if hi == math.inf else f"a number in [0, {hi:g}]"
+    raise ParseError(f"expected {want}, got {cell!r}", line, column)
+
+
+def _sweep_row(cells: list[str], line: int) -> QrePoint:
+    """One row of a ``qre-sweep`` CSV; a cell that breaks its column's rule is a ParseError."""
+    if len(cells) != 7:
+        raise ParseError(f"expected 7 cells, got {len(cells)}", line)
+    lam, alpha, gamma, objective, branch, accepted, count = cells
+    for column, cell, ok, want in (
+        ("branch", branch, branch in SWEEP_BRANCHES, f"one of {SWEEP_BRANCHES}"),
+        ("accepted", accepted, accepted in ("true", "false"), "true or false"),
+        ("start_count", count, count.isascii() and count.isdigit(), "an integer >= 0"),
+    ):
+        if not ok:
+            raise ParseError(f"expected {want}, got {cell!r}", line, column)
+    return QrePoint(
+        _sweep_float(lam, line, "lambda"), _sweep_float(alpha, line, "alpha", 1.0),
+        _sweep_float(gamma, line, "gamma", 1.0), _sweep_float(objective, line, "objective"),
+        accepted == "true", branch, int(count),
+    )
+
+
 def _read_sweep_csv(path: Path) -> list[QrePoint]:
     if not path.exists():
         raise InsufficientSweep(f"sweep file not found: {path}")
-    points = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != SWEEP_HEADER:
-            raise InsufficientSweep(
-                f"unexpected sweep header in {path}: {header!r}"
-            )
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            lam, alpha, gamma, objective, branch, accepted, start_count = line.split(",")
-            points.append(
-                QrePoint(
-                    lam=float(lam),
-                    alpha=float(alpha),
-                    gamma=float(gamma),
-                    objective=float(objective),
-                    accepted=accepted == "true",
-                    branch=branch,
-                    start_count=int(start_count),
-                )
-            )
-    return points
+            raise InsufficientSweep(f"unexpected sweep header in {path}: {header!r}")
+        lines = enumerate((line.strip() for line in fh), start=2)
+        return [_sweep_row(line.split(","), number) for number, line in lines if line]
 
 
 #: Manifest name of the bundled table: package-relative, so that every
@@ -464,7 +452,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.05,
         help="residual magnitude that counts as reaching the Nash curve",
     )
-    _add_solver_flags(sweep)
+    defaults = SolverConfig()
+    sweep.add_argument(
+        "--accept-tol", type=float, default=defaults.accept_tol, help="acceptance objective"
+    )
+    sweep.add_argument(
+        "--merge-tol", type=float, default=defaults.merge_tol, help="solution merge radius"
+    )
+    sweep.add_argument(
+        "--candidate-ceiling", type=float, default=defaults.candidate_ceiling,
+        help="max objective for reported non-exact local minima",
+    )
+    sweep.add_argument(
+        "--no-candidates", action="store_true", default=not defaults.include_candidates,
+        help="report exact equilibria only",
+    )
+    sweep.add_argument(
+        "--curve", choices=["quadratic", "stationarity"], default=defaults.curve_choice,
+        help="Nash curve used for branch labels",
+    )
     sweep.add_argument("--output", required=True, help="CSV output path")
     sweep.add_argument("--report", default=None, help="JSON report path (default: <output>.report.json)")
     sweep.set_defaults(handler=_cmd_qre_sweep)

@@ -9,6 +9,7 @@ probabilities gives a linear dynamics whose fixed point has a closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -39,6 +40,10 @@ class PayoffMatrix:
     sucker_cd: float = 0.0
     temptation_dc: float = 10.0
     punishment_dd: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in vars(self).values()):
+            raise ValueError(f"payoffs must be finite, got {self}")
 
     def payoff(self, own, other):
         """Expected stage payoff at cooperation probabilities ``own`` and ``other``.

@@ -152,19 +152,27 @@ def stationarity_curve_residual(
     return own_payoff_gradient(profile, profile, matrix)[1]
 
 
+def _stationarity_or_nan(alpha: float, gamma: float, matrix: PayoffMatrix = DEFAULT_MATRIX) -> float:
+    """:func:`stationarity_curve_residual`, NaN where the chain is degenerate."""
+    try:
+        return stationarity_curve_residual(alpha, gamma, matrix)
+    except DegenerateChain:
+        return math.nan
+
+
 def curve_residual(choice: CurveChoice) -> Callable[..., float]:
     """Residual function selected by ``curve_choice``.
 
-    Both returned callables accept (alpha, gamma, matrix=DEFAULT_MATRIX);
-    the quadratic form is specific to the default payoffs and ignores the
-    matrix argument.
+    Both returned callables accept (alpha, gamma, matrix=DEFAULT_MATRIX); the
+    quadratic form is specific to the default payoffs and ignores the matrix
+    argument, and the stationarity form is NaN where the chain is degenerate.
     """
     if choice == "quadratic":
         return lambda alpha, gamma, matrix=DEFAULT_MATRIX: quadratic_residual(
             alpha, gamma
         )
     if choice == "stationarity":
-        return stationarity_curve_residual
+        return _stationarity_or_nan
     raise ValueError(f"unknown curve choice {choice!r}")
 
 
@@ -182,18 +190,14 @@ def _trace(
         root = math.sqrt(disc)
         for branch, alpha in (("low", (-b - root) / 10.0), ("high", (-b + root) / 10.0)):
             if -1e-12 <= alpha <= 1.0 + 1e-12:
-                alpha = min(max(alpha, 0.0), 1.0)
-                try:
-                    stat = stationarity_curve_residual(alpha, gamma)
-                except DegenerateChain:
-                    stat = float("nan")
+                alpha = min(max(alpha, 0.0), 1.0) + 0.0  # -0 reads 0
                 points.append(
                     CurvePoint(
                         alpha=alpha,
                         gamma=gamma,
                         branch=branch,
                         quadratic_residual=quadratic_residual(alpha, gamma),
-                        stationarity_residual=stat,
+                        stationarity_residual=_stationarity_or_nan(alpha, gamma),
                     )
                 )
     return points

@@ -134,8 +134,8 @@ class ConditionalPayoffs:
 class QrePoint:
     """One reported solution of the QRE system at a fixed rationality.
 
-    ``start_count`` is the number of search seeds whose descent ended within
-    ``merge_tol`` (max-norm) of the point; a crossing of the arc counts none.
+    ``start_count`` is the number of search seeds whose descent merged into
+    the point; a crossing of the arc counts none.
     """
 
     lam: float
@@ -577,15 +577,6 @@ def _descend(lam: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, matrix: Payo
     return a, g, f, small & inside & (_min_eigenvalue(hess) > 0.0), clipped
 
 
-def _dedupe(entries: list, tol: float) -> list[tuple[float, float, float]]:
-    """Keep the lowest-objective (alpha, gamma, objective) entry per max-norm cluster."""
-    kept: list[tuple[float, float, float]] = []
-    for a, g, f in sorted(entries, key=lambda e: (e[2], e[0], e[1])):
-        if all(max(abs(a - ka), abs(g - kg)) > tol for ka, kg, _ in kept):
-            kept.append((a, g, f))
-    return kept
-
-
 def _mesh(mesh: int):
     """The nodes (alpha, gamma) of a uniform mesh over [0, 1]^2, as flat alpha-major arrays."""
     axis = np.linspace(0.0, 1.0, mesh)
@@ -653,33 +644,32 @@ def _collect(lam: float, cfg: SolverConfig, crossings: list, descents: list):
 
     ``crossings`` are (alpha, gamma, objective) in arc order; ``descents`` are
     (alpha, gamma, objective, accepted) of the descents that ended on a minimum.
-    The exact crossings and the accepted descents are the accepted points, and
-    a point's ``start_count`` is the number of descents within ``merge_tol`` of
-    it.  Returns the points, accepted first, and a list of the first accepted
-    point within ``merge_tol`` of the first crossing.
+    The roots (crossings below ``accept_tol``, accepted descents), then the other
+    minima, each by (objective, alpha, gamma), fold into the first point kept
+    within ``merge_tol`` (max-norm), adding their descent to its ``start_count``,
+    or are kept.  Returns the points, accepted first, and a list of the first
+    accepted point within ``merge_tol`` of the first crossing.
     """
-    tol = cfg.merge_tol
-    roots = [c for c in crossings if c[2] < cfg.accept_tol] + [r[:3] for r in descents if r[3]]
-    exact = _dedupe(roots, tol)
-    cands = [
-        c
-        for c in _dedupe([r[:3] for r in descents if not r[3]], tol)
-        if cfg.include_candidates
-        and c[2] < cfg.candidate_ceiling
-        and all(max(abs(c[0] - e[0]), abs(c[1] - e[1])) > tol for e in exact)
-    ]
 
-    def start_count(a0: float, g0: float) -> int:
-        return sum(max(abs(a - a0), abs(g - g0)) <= tol for a, g, _, _ in descents)
+    def near(p: QrePoint, a: float, g: float) -> bool:
+        return max(abs(p.alpha - a), abs(p.gamma - g)) <= cfg.merge_tol
 
-    points = [
-        QrePoint(lam, a0, g0, f0, accepted, start_count=start_count(a0, g0))
-        for accepted, kept in ((True, exact), (False, cands))
-        for a0, g0, f0 in sorted(kept, key=lambda e: (e[0], e[1]))
-    ]
+    results = [(a, g, f, True, 0) for a, g, f in crossings if f < cfg.accept_tol]
+    results += [(a, g, f, low, 1) for a, g, f, low in descents]
+    kept: list[QrePoint] = []
+    for a, g, f, accepted, n in sorted(results, key=lambda r: (not r[3], r[2], r[0], r[1])):
+        point = next((p for p in kept if near(p, a, g)), None)
+        if point is None:
+            kept.append(QrePoint(lam, a, g, f, accepted, start_count=n))
+        else:
+            point.start_count += n
+    ceiling = cfg.candidate_ceiling if cfg.include_candidates else -math.inf
+    points = sorted(
+        (p for p in kept if p.accepted or p.objective < ceiling),
+        key=lambda p: (not p.accepted, p.alpha, p.gamma),
+    )
     a1, g1, _ = crossings[0]
-    main = [p for p in points[: len(exact)] if max(abs(p.alpha - a1), abs(p.gamma - g1)) <= tol]
-    return points, main[:1]
+    return points, [p for p in points if p.accepted and near(p, a1, g1)][:1]
 
 
 def _solve(lams: list[float], cfg: SolverConfig, matrix: PayoffMatrix):
@@ -727,7 +717,9 @@ def _solve_stack(stack, cfg: SolverConfig, matrix: PayoffMatrix):
     for k, *descent in zip(*(v[is_min].tolist() for v in (owner, da, dg, df, low))):
         found[k][1].append(descent)
     clamped = np.bincount(owner, clipped, len(stack)).astype(np.int64).tolist()
-    for (lam, _), (crossings, descents), folds, n in zip(stack, found, passed.tolist(), clamped):
+    for (lam, _), (crossings, descents), folds, n in zip(
+        stack, found, passed.tolist(), clamped, strict=True
+    ):
         yield *_collect(lam, cfg, crossings, descents), folds, n
 
 
@@ -771,11 +763,7 @@ def label_branch(
         return "smooth"
     if max(point.alpha, point.gamma) < DEFECT_THRESHOLD:
         return "defect"
-    resid_fn = curve_residual(config.curve_choice)
-    try:
-        resid = resid_fn(point.alpha, point.gamma, matrix)
-    except DegenerateChain:
-        resid = math.inf
+    resid = curve_residual(config.curve_choice)(point.alpha, point.gamma, matrix)
     if abs(resid) < NEARNASH_THRESHOLD:
         return "near_nash"
     return "other"
@@ -913,7 +901,7 @@ def sweep_lambda(
     points, main, no_solution, passed = [], [], [], []
     transition, diag = None, {"clamped_evals": 0}
 
-    for lam, (pts, first, folds, n) in zip(lam_list, _solve(lam_list, cfg, matrix)):
+    for lam, (pts, first, folds, n) in zip(lam_list, _solve(lam_list, cfg, matrix), strict=True):
         main.extend(first)
         passed.append(folds)
         if not any(p.accepted for p in pts):
@@ -946,23 +934,17 @@ def find_intersections(
     _check_finite("tol", tol, positive=True)
     resid_fn, matrix = curve_residual(curve_choice or sweep.config.curve_choice), sweep.matrix
 
-    def safe_resid(a: float, g: float) -> float:
-        try:
-            return resid_fn(a, g, matrix)
-        except DegenerateChain:
-            return math.nan
-
     main = sorted(sweep.main_branch, key=lambda p: p.lam)
     if not main:
         return []
-    res = [safe_resid(p.alpha, p.gamma) for p in main]
+    res = [resid_fn(p.alpha, p.gamma, matrix) for p in main]
     events: list[Intersection] = []
 
     def refine(p: QrePoint, q: QrePoint, kind: str, value) -> None:
         ends = ([math.log(v / (1.0 - v)) for v in (r.alpha, r.gamma)] for r in (p, q))
         lo, hi = (_project(z, matrix) for z in ends)
-        _, frame = _bisect_chord(lo, hi, lambda _, frame: value(safe_resid(*frame[4])), matrix)
-        events.append(Intersection(frame[2], *frame[4], safe_resid(*frame[4]), kind))
+        _, frame = _bisect_chord(lo, hi, lambda _, f: value(resid_fn(*f[4], matrix)), matrix)
+        events.append(Intersection(frame[2], *frame[4], resid_fn(*frame[4], matrix), kind))
 
     if math.isfinite(res[0]) and abs(res[0]) < tol:
         events.append(Intersection(main[0].lam, main[0].alpha, main[0].gamma, res[0], "entry"))

@@ -1,12 +1,17 @@
 """The per-seed scalar solve that the batched solver replaced, kept as an oracle.
 
 Each seed is polished and, unless the polish settles next to it, descended
-one at a time, on Python floats with a ``math.exp`` sigma.  The seeds,
-``_dedupe`` and the closed-form derivatives are the solver's own; only the
-loop over seeds, the scalar sigma and the scalar corner clamp live here.
+one at a time, on Python floats with a ``math.exp`` sigma.  The seeds and the
+closed-form derivatives are the solver's own; only the loop over seeds, the
+scalar sigma and the scalar corner clamp live here.
 
 ``seeds_via_objective_grid`` is the seed scan that the memoized seed mesh
 replaced: it prices the whole mesh through ``objective_grid`` at every call.
+
+``collect_by_dedupe`` is the merge that the one-pass ``qre._collect``
+replaced, with its ``_dedupe``: roots and other minima deduplicated apart,
+minima near a root dropped, and every point's ``start_count`` counted over
+all descents within ``merge_tol`` of it.
 """
 
 import math
@@ -25,13 +30,47 @@ from pdqre.qre import (
     QrePoint,
     _conditional_dens,
     _conditional_utilities,
-    _dedupe,
     _objective_derivatives,
     _off_corners,
     _seeds,
     _sigma_derivatives,
     objective_grid,
 )
+
+
+def _dedupe(entries: list, tol: float) -> list[tuple[float, float, float]]:
+    """Keep the lowest-objective (alpha, gamma, objective) entry per max-norm cluster."""
+    kept: list[tuple[float, float, float]] = []
+    for a, g, f in sorted(entries, key=lambda e: (e[2], e[0], e[1])):
+        if all(max(abs(a - ka), abs(g - kg)) > tol for ka, kg, _ in kept):
+            kept.append((a, g, f))
+    return kept
+
+
+def collect_by_dedupe(lam, cfg, crossings, descents):
+    """(points, main branch) of one rationality, as ``qre._collect`` merged them before."""
+    tol = cfg.merge_tol
+    roots = [c for c in crossings if c[2] < cfg.accept_tol] + [r[:3] for r in descents if r[3]]
+    exact = _dedupe(roots, tol)
+    cands = [
+        c
+        for c in _dedupe([r[:3] for r in descents if not r[3]], tol)
+        if cfg.include_candidates
+        and c[2] < cfg.candidate_ceiling
+        and all(max(abs(c[0] - e[0]), abs(c[1] - e[1])) > tol for e in exact)
+    ]
+
+    def start_count(a0, g0):
+        return sum(max(abs(a - a0), abs(g - g0)) <= tol for a, g, _, _ in descents)
+
+    points = [
+        QrePoint(lam, a0, g0, f0, accepted, start_count=start_count(a0, g0))
+        for accepted, kept in ((True, exact), (False, cands))
+        for a0, g0, f0 in sorted(kept, key=lambda e: (e[0], e[1]))
+    ]
+    a1, g1, _ = crossings[0]
+    main = [p for p in points[: len(exact)] if max(abs(p.alpha - a1), abs(p.gamma - g1)) <= tol]
+    return points, main[:1]
 
 
 def expit(x):

@@ -208,6 +208,19 @@ def test_nash_curve_grid_that_rounds_past_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "grid", [["--gamma-step", "0.0001"], ["--gamma-min", "0.09", "--gamma-step", "0.07"]]
+)
+def test_nash_curve_writes_no_signed_zero(tmp_path, capsys, grid):
+    # the low root at gamma = 1 is -0.0, which the clamp into [0, 1] used to keep
+    out = tmp_path / "curve.csv"
+    assert run(["nash-curve", *grid, "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "stationarity,0,1,low,0,nan" in lines
+    assert not any(cell == "-0" for line in lines for cell in line.split(","))
+    capsys.readouterr()
+
+
 def test_grid_guard_boundary(monkeypatch):
     monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
     assert len(_float_grid(0.0, 1.0, 0.1, "lambda")) == 11
@@ -428,6 +441,49 @@ def test_classify_past_the_fold_follows_the_main_branch(tmp_path, capsys):
     assert err["error"] == "InsufficientSweep"
     assert "several accepted points at lambda=5.15;" in err["message"]
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "index,cell,column",
+    [
+        (7, "1", ""),  # an eighth cell
+        (0, "-1", "lambda"),
+        (0, "nan", "lambda"),
+        (0, "inf", "lambda"),
+        (1, "nan", "alpha"),
+        (1, "-0.1", "alpha"),
+        (2, "7", "gamma"),
+        (3, "nan", "objective"),
+        (3, "-1", "objective"),
+        (4, "xyz", "branch"),
+        (5, "yes", "accepted"),
+        (6, "-3", "start_count"),
+        (6, "1.5", "start_count"),
+    ],
+)
+def test_classify_rejects_a_bad_sweep_row(tmp_path, capsys, index, cell, column):
+    sweep = tmp_path / "sweep.csv"
+    _write_synthetic_sweep(sweep)
+    lines = sweep.read_text().splitlines()
+    cells = lines[2].split(",")  # line 3, an accepted row
+    cells[index : index + 1] = [cell]
+    lines[2] = ",".join(cells)
+    sweep.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run(["classify", "--sweep", str(sweep), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["message"].endswith(f"(row 3, column {column!r})" if column else "(row 3)")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
+
+
+def test_sweep_csv_reads_back_unchanged(tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    argv = ["qre-sweep", "--lambda-min", "4.5", "--lambda-max", "10", "--lambda-step", "0.25"]
+    assert run([*argv, "--output", str(sweep)]) == 0
+    rows = sweep.read_text().splitlines()[1:]
+    assert cli._point_rows(cli._read_sweep_csv(sweep)) == rows
+    capsys.readouterr()
 
 
 def test_classify_rejects_foreign_sweep_header(tmp_path, capsys):

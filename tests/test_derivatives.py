@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scalar_route import clamped, sigma_scalar
+from scalar_route import _dedupe, clamped, sigma_scalar
 from scipy.optimize import minimize
 
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     CLAMP_EPS,
     SolverConfig,
-    _dedupe,
     _descend,
     _objective_derivatives,
     _seeds,

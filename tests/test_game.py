@@ -34,6 +34,13 @@ def test_non_pd_ordering_detected():
     assert not PayoffMatrix(5.0, 0.0, 4.0, 1.0).is_prisoners_dilemma()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["reward_cc", "sucker_cd", "temptation_dc", "punishment_dd"])
+def test_payoff_matrix_rejects_non_finite_payoffs(field, value):
+    with pytest.raises(ValueError, match="payoffs must be finite"):
+        PayoffMatrix(**{field: value})
+
+
 @pytest.mark.parametrize("alpha,gamma", [(-0.1, 0.5), (0.5, 1.5), (2.0, 2.0)])
 def test_strategy_validation(alpha, gamma):
     with pytest.raises(ValueError):

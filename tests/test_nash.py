@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pdqre.game import DEFAULT_MATRIX, MarkovStrategy
+from pdqre.game import DEFAULT_MATRIX, DegenerateChain, MarkovStrategy
 from pdqre.nash import (
     curve_residual,
     own_payoff_gradient,
@@ -112,5 +112,10 @@ def test_curve_residual_dispatch():
     assert stat(0.3, 0.4) == pytest.approx(
         stationarity_curve_residual(0.3, 0.4), abs=1e-15
     )
+    # (0, 1) against itself is a degenerate chain: the residual itself raises,
+    # the selected function reads NaN
+    with pytest.raises(DegenerateChain):
+        stationarity_curve_residual(0.0, 1.0)
+    assert math.isnan(stat(0.0, 1.0))
     with pytest.raises(ValueError):
         curve_residual("cubic")

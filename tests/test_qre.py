@@ -3,11 +3,13 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scalar_route import _dedupe, collect_by_dedupe
 from scalar_route import clamped as scalar_clamped
 from scipy.special import expit
 
@@ -21,7 +23,8 @@ from pdqre.qre import (
     NoSolution,
     QrePoint,
     SolverConfig,
-    _dedupe,
+    _collect,
+    _crossings,
     _degenerate_mask,
     _logistic,
     _mesh,
@@ -539,3 +542,92 @@ def test_label_branch_uses_the_sweep_matrix():
             assert got == want, (a, g)
             labels[got] = labels.get(got, 0) + 1
     assert set(labels) == {"defect", "near_nash", "other"}
+
+
+def test_sweep_without_a_root_has_no_main_branch_and_no_events():
+    # at accept_tol 0 no objective is low enough: every level is unsolved
+    sweep = sweep_lambda([0.0, 1.0, 2.0], SolverConfig(accept_tol=0.0))
+    assert sweep.no_solution == [0.0, 1.0, 2.0]
+    assert sweep.main_branch == []
+    assert sweep.points and not any(p.accepted for p in sweep.points)
+    assert find_intersections(sweep) == []
+
+
+def test_sweep_raises_when_a_level_has_no_crossing(monkeypatch):
+    # the parent zipped the levels against the shorter per-level lists and
+    # returned the first two levels without a word
+    def crossings_without_the_last_level(lams, matrix):
+        level, *crossed, passed = _crossings(lams, matrix)
+        keep = level < len(lams) - 1
+        return level[keep], *(v[keep] for v in crossed), passed[: len(lams) - 1]
+
+    monkeypatch.setattr(pdqre.qre, "_crossings", crossings_without_the_last_level)
+    with pytest.raises(ValueError, match="zip"):
+        sweep_lambda([0.0, 1.0, 2.0])
+
+
+def test_extreme_finite_payoffs_still_cross_every_level():
+    lams = [0.0, 0.5, 2.0, 10.0, 100.0]
+    level, *_ = _crossings(lams, PayoffMatrix(1e308, 0.0, 1e308, -1e308))
+    assert set(level.tolist()) == set(range(len(lams)))
+
+
+def _clustered(crossings, descents, tol):
+    """Whether every two results lie within tol/4 or at least 3 tol apart (max-norm)."""
+    xy = [r[:2] for r in crossings + descents]
+    dists = [max(abs(a - b), abs(g - h)) for i, (a, g) in enumerate(xy) for b, h in xy[:i]]
+    return all(d <= tol / 4 or d >= 3 * tol for d in dists)
+
+
+@st.composite
+def _merge_inputs(draw):
+    """One level's crossings and descents, in clusters at most merge_tol/4 wide,
+    at least 3 merge_tol apart: the regime the solver produces."""
+    tol = draw(st.sampled_from([1e-4, 1e-3, 0.02]))
+    cfg = SolverConfig(
+        accept_tol=draw(st.sampled_from([0.0, 1e-12, 1e-6])),
+        merge_tol=tol,
+        include_candidates=draw(st.booleans()),
+        candidate_ceiling=draw(st.sampled_from([0.0, 0.05, 0.5])),
+    )
+    cell = st.tuples(st.integers(0, 7), st.integers(0, 7))
+    centers = draw(st.lists(cell, min_size=1, max_size=5, unique=True))
+    objective = st.sampled_from([0.0, 1e-30, 1e-13, 1e-8, 1e-3, 0.04, 0.06, 0.3])
+    offset = st.floats(0.0, tol / 4)
+    crossings, descents = [], []
+    for i, j in centers:
+        for _ in range(draw(st.integers(1, 4))):
+            a, g = 0.1 + 4 * tol * i + draw(offset), 0.1 + 4 * tol * j + draw(offset)
+            if not crossings or draw(st.booleans()):
+                crossings.append((a, g, draw(objective)))
+            else:
+                descents.append((a, g, draw(objective), draw(st.booleans())))
+    return cfg, crossings, descents
+
+
+_ROOT = (0.5, 0.5, 0.0)
+_TWO_MINIMA = [(0.50006, 0.5, 0.01, False), (0.50012, 0.5, 0.02, False)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_merge_inputs())
+# a minimum 0.6 merge_tol from a root and another 1.2 merge_tol from it: the
+# old rule dropped the first with the second folded into it, so it reported
+# no candidate; the one pass folds the first into the root and keeps the second
+@example(inputs=(SolverConfig(), [_ROOT], _TWO_MINIMA))
+# a descent within merge_tol of two roots: the old rule counted it for both
+@example(inputs=(SolverConfig(), [_ROOT, (0.50015, 0.5, 0.0)], [(0.500075, 0.5, 0.01, False)]))
+def test_collect_merges_clusters_as_the_dedupe_rule_did(inputs):
+    cfg, crossings, descents = inputs
+    points, main = _collect(1.0, cfg, crossings, descents)
+    if _clustered(crossings, descents, cfg.merge_tol):
+        assert (points, main) == collect_by_dedupe(1.0, cfg, crossings, descents)
+    assert all(
+        max(abs(p.alpha - q.alpha), abs(p.gamma - q.gamma)) > cfg.merge_tol
+        for i, p in enumerate(points)
+        for q in points[:i]
+    )
+    # with every candidate reported, each descent is counted once
+    everything = replace(cfg, include_candidates=True, candidate_ceiling=1.0)
+    counted = sum(p.start_count for p in _collect(1.0, everything, crossings, descents)[0])
+    assert counted == len(descents)

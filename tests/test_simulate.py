@@ -180,6 +180,11 @@ def test_group_play_pairing_invariants():
                 (False, False): 1.0,
             }[(bool(mine), bool(theirs))]
             assert log.payoffs[t] == want
+    # round 1 cooperates from the initial probability; then each plays its strategy
+    assert [log.cooperation_rate() for log in logs] == [1.0, 1.0, 0.02, 0.02]
+    assert [log.cooperation_rate(burn_in=1) for log in logs] == [1.0, 1.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        logs[0].cooperation_rate(burn_in=cfg.rounds)
 
 
 def _stage_table(m):
