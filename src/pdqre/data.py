@@ -149,16 +149,17 @@ def load_experiments(source: str | Path | None = None) -> list[ExperimentRecord]
     path = Path(source) if source is not None else bundled_experiments_path()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        # each row is numbered by its (last) line in the file, blank lines included
+        rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise ParseError("empty table", row=1)
-    header = tuple(cell.strip() for cell in rows[0])
+    line, header = rows[0][0], tuple(cell.strip() for cell in rows[0][1])
     if header != COLUMNS:
         raise ParseError(
-            f"header {header} does not match the expected columns", row=1
+            f"header {header} does not match the expected columns", row=line
         )
     records: list[ExperimentRecord] = []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if len(row) != len(COLUMNS):
             raise ParseError(f"expected {len(COLUMNS)} cells, got {len(row)}", row=i)
         exp_id = row[0].strip()

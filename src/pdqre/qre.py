@@ -8,7 +8,7 @@ is a fixed point of the resulting two-equation map; the solver searches
 the squared residual of that map for its zeros and local minima, on arrays
 of (rationality, seed) pairs.  Its derivatives are in closed form: the
 substituted stationary states are quotients of quadratics in (alpha, gamma)
-and the payoff is bilinear in them.
+and the payoff is bilinear in them (``pdqre._kernel``).
 
 In logit coordinates (x, y) the fixed points of every rationality lie on one
 curve, H = x*gap_gamma - y*gap_alpha = 0, with lambda = x/gap_alpha on it and
@@ -35,6 +35,8 @@ import numpy as np
 
 from .game import DEFAULT_MATRIX, DEGENERACY_THRESHOLD, DegenerateChain, MarkovStrategy
 from .game import PayoffMatrix, expected_payoff, stationary_state
+from ._kernel import KERNEL_BLOCK, _conditional_dens, _conditional_utilities, _gap_gradients
+from ._kernel import _logistic, _objective_derivatives, _sigma_derivatives, _sigma_vec
 from .nash import curve_residual
 
 __all__ = [
@@ -199,118 +201,6 @@ class SweepResult:
     matrix: PayoffMatrix = DEFAULT_MATRIX
 
 
-def _conditional_dens(alpha, gamma):
-    """Denominators of the four substituted stationary states.
-
-    Works elementwise for floats and numpy arrays alike.  Order:
-    (alpha=0, alpha=1, gamma=0, gamma=1).
-    """
-    d = alpha - gamma
-    return (
-        1.0 + gamma * d,
-        1.0 - (1.0 - gamma) * d,
-        1.0 - alpha * d,
-        1.0 - (alpha - 1.0) * d,
-    )
-
-
-def _conditional_parts(alpha, gamma):
-    """Substituted stationary states as (p1, p2) pairs.
-
-    Pair order matches :func:`_conditional_dens`.
-    """
-    den_a0, den_a1, den_g0, den_g1 = _conditional_dens(alpha, gamma)
-    p2_g = alpha - alpha * alpha + alpha * gamma
-    return (
-        (alpha * gamma / den_a0, alpha / den_a0),
-        ((1.0 - alpha + alpha * gamma) / den_a1, gamma / den_a1),
-        ((alpha - alpha * alpha) / den_g0, p2_g / den_g0),
-        ((2.0 * alpha - alpha * alpha) / den_g1, p2_g / den_g1),
-    )
-
-
-def _conditional_utilities(alpha, gamma, matrix: PayoffMatrix):
-    """Payoffs of the four substituted states, in :func:`_conditional_dens` order."""
-    return [matrix.payoff(p1, p2) for p1, p2 in _conditional_parts(alpha, gamma)]
-
-
-#: The numerators and denominators of :func:`_conditional_parts` as quadratics
-#: c0 + c1*a + c2*g + c3*a*a + c4*a*g + c5*g*g in (alpha, gamma).  One row per
-#: substitution in :func:`_conditional_dens` order: (p1 numerator, p2
-#: numerator, denominator).
-_PART_COEFFS = (
-    ((0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 1, -1)),
-    ((1, -1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 0), (1, -1, 1, 0, 1, -1)),
-    ((0, 1, 0, -1, 0, 0), (0, 1, 0, -1, 1, 0), (1, 0, 0, -1, 1, 0)),
-    ((0, 2, 0, -1, 0, 0), (0, 1, 0, -1, 1, 0), (1, 1, -1, -1, 1, 0)),
-)
-
-
-def _quadratic(c, a, g):
-    """Value, gradient and Hessian (aa, ag, gg) of one ``_PART_COEFFS`` row."""
-    c0, c1, c2, c3, c4, c5 = c
-    value = c0 + a * (c1 + c3 * a + c4 * g) + g * (c2 + c5 * g)
-    return value, (c1 + 2.0 * c3 * a + c4 * g, c2 + c4 * a + 2.0 * c5 * g), (2.0 * c3, c4, 2.0 * c5)
-
-
-def _quotient(num, den, hessian: bool):
-    """Value, gradient and Hessian of num/den from those of num and den.
-
-    Differentiating p*D = N once and twice gives D*p_i = N_i - p*D_i and
-    D*p_ij = N_ij - p_i*D_j - p_j*D_i - p*D_ij.  Without ``hessian`` the
-    Hessian is None.
-    """
-    n, (n_a, n_g), (n_aa, n_ag, n_gg) = num
-    d, (d_a, d_g), (d_aa, d_ag, d_gg) = den
-    p = n / d
-    p_a = (n_a - p * d_a) / d
-    p_g = (n_g - p * d_g) / d
-    if not hessian:
-        return p, (p_a, p_g), None
-    hess = (
-        (n_aa - 2.0 * p_a * d_a - p * d_aa) / d,
-        (n_ag - p_a * d_g - p_g * d_a - p * d_ag) / d,
-        (n_gg - 2.0 * p_g * d_g - p * d_gg) / d,
-    )
-    return p, (p_a, p_g), hess
-
-
-def _gap_derivatives(alpha, gamma, matrix: PayoffMatrix, hessians: bool):
-    """Gradients and Hessians in (alpha, gamma) of the two payoff gaps.
-
-    Returns ``((grad, hess) of u_alpha1 - u_alpha0, (grad, hess) of
-    u_gamma1 - u_gamma0)`` with grad = (d/da, d/dg) and hess = (aa, ag, gg);
-    without ``hessians`` each hess is None.
-    The payoff is bilinear, u = P + (S-P)p1 + (T-P)p2 + k*p1*p2 with
-    k = R - S - T + P, so u_i = u_1*p1_i + u_2*p2_i and u_ij = u_1*p1_ij +
-    u_2*p2_ij + k*(p1_i*p2_j + p1_j*p2_i), where u_1 = S - P + k*p2 and
-    u_2 = T - P + k*p1.  Works elementwise for floats and numpy arrays alike.
-    """
-    m = matrix
-    k = m.reward_cc - m.sucker_cd - m.temptation_dc + m.punishment_dd
-    per_state = []
-    for coeffs in _PART_COEFFS:
-        n1, n2, den = (_quadratic(c, alpha, gamma) for c in coeffs)
-        p1, (p1_a, p1_g), hess1 = _quotient(n1, den, hessians)
-        p2, (p2_a, p2_g), hess2 = _quotient(n2, den, hessians)
-        u_1 = m.sucker_cd - m.punishment_dd + k * p2
-        u_2 = m.temptation_dc - m.punishment_dd + k * p1
-        derivs = (u_1 * p1_a + u_2 * p2_a, u_1 * p1_g + u_2 * p2_g)
-        if hessians:
-            (p1_aa, p1_ag, p1_gg), (p2_aa, p2_ag, p2_gg) = hess1, hess2
-            derivs += (
-                u_1 * p1_aa + u_2 * p2_aa + 2.0 * k * p1_a * p2_a,
-                u_1 * p1_ag + u_2 * p2_ag + k * (p1_a * p2_g + p1_g * p2_a),
-                u_1 * p1_gg + u_2 * p2_gg + 2.0 * k * p1_g * p2_g,
-            )
-        per_state.append(derivs)
-    gaps = []
-    for lo, hi in ((0, 1), (2, 3)):
-        diff = [x1 - x0 for x0, x1 in zip(per_state[lo], per_state[hi])]
-        gaps.append((tuple(diff[:2]), tuple(diff[2:]) if hessians else None))
-    return tuple(gaps)
-
-
 def conditional_payoffs(
     alpha: float, gamma: float, matrix: PayoffMatrix = DEFAULT_MATRIX
 ) -> ConditionalPayoffs:
@@ -359,27 +249,6 @@ def logit_response(lam: float, u_choice1: float, u_choice0: float) -> float:
     return z / (1.0 + z)
 
 
-def _logistic(lam, gap):
-    """The logit response 1/(1 + exp(-lam*gap)) over arrays.
-
-    A huge lam*gap overflows to +-inf and exp to inf or 0, so the response
-    saturates to exactly 0 or 1; both overflows are expected and silenced.
-    Within 2**-52 of 0 the response is 1/2 to within one ulp, and there it is
-    exactly 1/2: numpy's exp is one ulp low for small negative arguments,
-    which would otherwise give 1/2 + 1 ulp for lam*gap in (2**-53, 1.5 * 2**-53).
-    """
-    with np.errstate(over="ignore"):
-        x = lam * gap
-        response = 1.0 / (1.0 + np.exp(-x))
-    return np.where(np.abs(x) < 2.0**-52, 0.5, response)
-
-
-def _sigma_vec(lam, alpha, gamma, matrix: PayoffMatrix):
-    """The solver's sigma, elementwise over arrays (``lam`` may be one too)."""
-    u = _conditional_utilities(alpha, gamma, matrix)
-    return _logistic(lam, u[1] - u[0]), _logistic(lam, u[3] - u[2])
-
-
 def qre_objective(
     lam: float, alpha: float, gamma: float, matrix: PayoffMatrix = DEFAULT_MATRIX
 ) -> float:
@@ -393,58 +262,11 @@ def qre_objective(
     return (sa - alpha) ** 2 + (sg - gamma) ** 2
 
 
-def _sigma_derivatives(
-    lam, alpha, gamma, matrix: PayoffMatrix, sigma=None, hessians: bool = True
-):
-    """sigma with its Jacobian rows and the Hessian (aa, ag, gg) of each component.
-
-    With s = expit(lam*gap) and w = s*(1 - s): grad s = lam*w*grad(gap) and
-    hess s = lam*w*hess(gap) + lam^2*w*(1 - 2s)*grad(gap)grad(gap)^T.  A
-    caller that has priced the point passes its ``sigma`` in; one that needs
-    only the Jacobian turns ``hessians`` off and gets None in their place.
-    """
-    if sigma is None:
-        sigma = _sigma_vec(lam, alpha, gamma, matrix)
-    rows, hess = [], []
-    for s, ((d_a, d_g), gap_hess) in zip(
-        sigma, _gap_derivatives(alpha, gamma, matrix, hessians)
-    ):
-        w = lam * s * (1.0 - s)
-        rows.append((w * d_a, w * d_g))
-        if hessians:
-            d_aa, d_ag, d_gg = gap_hess
-            v = lam * w * (1.0 - 2.0 * s)
-            hess.append(
-                (w * d_aa + v * d_a * d_a, w * d_ag + v * d_a * d_g, w * d_gg + v * d_g * d_g)
-            )
-    return sigma, rows, hess if hessians else None
-
-
-def _objective_derivatives(lam, alpha, gamma, matrix: PayoffMatrix, sigma=None):
-    """F = |sigma(x) - x|^2 with its gradient and Hessian (aa, ag, gg).
-
-    With r = sigma(x) - x and J = J_sigma - I: grad F = 2 J^T r and
-    hess F = 2 J^T J + 2 sum_i r_i hess(sigma_i).  ``sigma``, if given, is
-    sigma at the point.
-    """
-    (sa, sg), (row_a, row_g), (ha, hg) = _sigma_derivatives(lam, alpha, gamma, matrix, sigma)
-    ra, rg = sa - alpha, sg - gamma
-    j00, j01 = row_a[0] - 1.0, row_a[1]
-    j10, j11 = row_g[0], row_g[1] - 1.0
-    grad = (2.0 * (j00 * ra + j10 * rg), 2.0 * (j01 * ra + j11 * rg))
-    hess = (
-        2.0 * (j00 * j00 + j10 * j10 + ra * ha[0] + rg * hg[0]),
-        2.0 * (j00 * j01 + j10 * j11 + ra * ha[1] + rg * hg[1]),
-        2.0 * (j01 * j01 + j11 * j11 + ra * ha[2] + rg * hg[2]),
-    )
-    return ra * ra + rg * rg, grad, hess
-
-
 def _degenerate_mask(alpha: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Points where some substituted chain is degenerate: a denominator of
     :func:`_conditional_dens` below ``DEGENERACY_THRESHOLD`` in magnitude."""
-    dens = _conditional_dens(alpha, gamma)
-    return np.minimum.reduce([np.abs(den) for den in dens]) < DEGENERACY_THRESHOLD
+    d0, d1, d2, d3 = (np.abs(den) for den in _conditional_dens(alpha, gamma))
+    return np.minimum(np.minimum(d0, d1), np.minimum(d2, d3)) < DEGENERACY_THRESHOLD
 
 
 def _off_corners(alpha, gamma):
@@ -458,6 +280,62 @@ def _off_corners(alpha, gamma):
     )
 
 
+#: Fractions 1/2, ..., 1/1024 of a Newton step that its line search tries after the whole
+#: step, as a column.
+_HALVINGS = 0.5 ** np.arange(1.0, 11.0)[:, None]
+
+
+def _trial_points(lam, x, f, step, t, local, matrix: PayoffMatrix):
+    """Price the trial points x + t*step, clipped into the box, in one sigma call.
+
+    ``x`` and ``step`` stack (alpha, gamma) on their first axis; ``t`` is a
+    number or a column of fractions.  Returns the clipped points, their sigma
+    and objective, whether each lay inside the box unclipped and whether it
+    is accepted: below the objective ``f`` of its start, or inside the box on
+    a ``local`` step.
+    """
+    trial = x + t * step
+    point = np.clip(trial, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    unmoved = point == trial
+    inside = unmoved[0] & unmoved[1]
+    sigma = _sigma_vec(lam, point[0], point[1], matrix)
+    r = sigma - point
+    r *= r
+    nf = r[0] + r[1]
+    return point, sigma, nf, inside, (local & inside) | (nf < f)
+
+
+def _line_search(lam, x, f, step, halvings: int, matrix: PayoffMatrix, local=False):
+    """Halve each element's Newton step until its trial point is accepted, down to 2**-halvings.
+
+    A trial is accepted as :func:`_trial_points` accepts it.  The whole steps
+    are priced in one sigma call and every halving of the steps that failed in
+    one more (several, of at most 3 * ``KERNEL_BLOCK`` trial points, for a
+    large stack), so each element gets the float operations of a loop that halves
+    its step one trial at a time.  Returns (accepted, point, sigma, objective,
+    clipped): per element whether a trial was accepted, that trial's point,
+    sigma and objective, and how many of the trials it made (up to the
+    accepted one) were clipped.
+    """
+    point, sigma, nf, inside, ok = _trial_points(lam, x, f, step, 1.0, local, matrix)
+    clipped = (~inside).astype(np.int64)
+    failed = np.flatnonzero(~ok)
+    per_call = 3 * KERNEL_BLOCK // halvings  # sigma needs a third of the kernel's memory
+    for lo in range(0, failed.size, per_call):
+        retry = failed[lo : lo + per_call]
+        h_point, h_sigma, h_nf, h_inside, h_ok = _trial_points(
+            lam[retry], x[:, None, retry], f[retry], step[:, None, retry], _HALVINGS[:halvings],
+            local[retry] if np.ndim(local) else local, matrix,
+        )
+        first = np.where(h_ok.any(0), h_ok.argmax(0), halvings)
+        clipped[retry] += (~h_inside & (np.arange(halvings)[:, None] <= first)).sum(0)
+        hit = np.flatnonzero(first < halvings)
+        at, k = retry[hit], first[hit]
+        point[:, at], sigma[:, at], nf[at] = h_point[:, k, hit], h_sigma[:, k, hit], h_nf[k, hit]
+        ok[at] = True
+    return ok, point, sigma, nf, clipped
+
+
 # Python floats overflow to inf and give NaN for inf - inf without a word; the
 # array solver stays as quiet at huge rationalities, where lam*w overflows.  It
 # also divides before it drops the elements whose determinant rules a step out.
@@ -467,46 +345,32 @@ def _newton_polish(lam: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, matrix
 
     Every element iterates on its own: a degenerate start is pulled off its
     corner, and each Newton step is halved until the objective falls, down
-    to 1/16, with trial points clipped into the box.  An element stops once
-    its objective is below 1e-28, its Jacobian is singular or no halving
-    helps.  Returns arrays (alpha, gamma, objective).
+    to 1/16, with trial points clipped into the box (:func:`_line_search`).
+    An element stops once its objective is below 1e-28, its Jacobian is
+    singular or no halving helps.  Returns arrays (alpha, gamma, objective).
     """
-    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    a, g, _ = _off_corners(alpha, gamma)
-    sa, sg = _sigma_vec(lam, a, g, matrix)
-    ra, rg = sa - a, sg - g
-    f = ra * ra + rg * rg
-    live = np.arange(a.size)
+    x = np.array(_off_corners(alpha, gamma)[:2])
+    s = _sigma_vec(lam, x[0], x[1], matrix)
+    r = s - x
+    f = r[0] * r[0] + r[1] * r[1]
+    live = np.arange(f.size)
     for _ in range(NEWTON_MAX_ITER):
         live = live[~(f[live] < 1e-28)]
         if not live.size:
             break
-        _, (row_a, row_g), _ = _sigma_derivatives(
-            lam[live], a[live], g[live], matrix, (sa[live], sg[live]), hessians=False
-        )
+        xl, sl = x[:, live], s[:, live]
+        _, (row_a, row_g), _ = _sigma_derivatives(lam[live], *xl, matrix, sl, hessians=False)
         j00, j01 = row_a[0] - 1.0, row_a[1]
         j10, j11 = row_g[0], row_g[1] - 1.0
         det = j00 * j11 - j01 * j10
-        step_a = (-ra[live] * j11 + rg[live] * j01) / det
-        step_g = (-rg[live] * j00 + ra[live] * j10) / det
+        ra, rg = sl - xl
+        step = np.array((-ra * j11 + rg * j01, -rg * j00 + ra * j10)) / det
         keep = ~(np.abs(det) < 1e-14)
-        live, step_a, step_g = live[keep], step_a[keep], step_g[keep]
-        pending, t = np.arange(live.size), 1.0
-        while t >= 1.0 / 16.0 and pending.size:
-            at = live[pending]
-            na = np.clip(a[at] + t * step_a[pending], lo, hi)
-            ng = np.clip(g[at] + t * step_g[pending], lo, hi)
-            nsa, nsg = _sigma_vec(lam[at], na, ng, matrix)
-            nra, nrg = nsa - na, nsg - ng
-            nf = nra * nra + nrg * nrg
-            better = nf < f[at]
-            at = at[better]
-            a[at], g[at], sa[at], sg[at] = na[better], ng[better], nsa[better], nsg[better]
-            ra[at], rg[at], f[at] = nra[better], nrg[better], nf[better]
-            pending = pending[~better]
-            t *= 0.5
-        live = np.delete(live, pending)
-    return a, g, f
+        live, step = live[keep], step[:, keep]
+        ok, point, sigma, nf, _ = _line_search(lam[live], x[:, live], f[live], step, 4, matrix)
+        live = live[ok]
+        x[:, live], s[:, live], f[live] = point[:, ok], sigma[:, ok], nf[ok]
+    return x[0], x[1], f
 
 
 def _min_eigenvalue(hess):
@@ -523,55 +387,44 @@ def _descend(lam: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, matrix: Payo
     -grad F, where mu = 0 when the Hessian is positive definite and otherwise
     shifts its smallest eigenvalue to |lambda_min| > 0.  The step is halved
     until F falls, down to 1/1024, except that an unshifted step below
-    ``DESCENT_LOCAL_STEP`` is taken whole.  Iterates are clipped into
-    [CLAMP_EPS, 1 - CLAMP_EPS]^2.  An element stops once an unshifted step
-    is below ``DESCENT_STEP_TOL`` or no halving lowers F.  It is a minimum
-    only off the box's edge, with grad F below its bound (``DESCENT_GRAD_TOL``)
-    and a positive definite Hessian, so clip stalls and saddles fail.  Returns
-    arrays (alpha, gamma, objective, is_min, clipped), where ``clipped``
-    counts each element's clipped trial points.
+    ``DESCENT_LOCAL_STEP`` is taken whole (:func:`_line_search`).  Iterates
+    are clipped into [CLAMP_EPS, 1 - CLAMP_EPS]^2.  An element stops once an
+    unshifted step is below ``DESCENT_STEP_TOL`` or no halving lowers F.  It
+    is a minimum only off the box's edge, with grad F below its bound
+    (``DESCENT_GRAD_TOL``) and a positive definite Hessian, so clip stalls
+    and saddles fail.  Returns arrays (alpha, gamma, objective, is_min,
+    clipped), where ``clipped`` counts each element's clipped trial points.
     """
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    a, g = np.clip(alpha, lo, hi), np.clip(gamma, lo, hi)
-    f, grad, hess = _objective_derivatives(lam, a, g, matrix)
-    grad, hess = np.array(grad), np.array(hess)
-    clipped = np.zeros(a.shape, dtype=np.int64)
-    live = np.arange(a.size)
+    x = np.clip((alpha, gamma), lo, hi)
+    f, grad, hess = _objective_derivatives(lam, x[0], x[1], matrix)
+    clipped = np.zeros(f.shape, dtype=np.int64)
+    live = np.arange(f.size)
     for _ in range(DESCENT_MAX_ITER):
-        (g_a, g_g), (h_aa, h_ag, h_gg) = grad[:, live], hess[:, live]
-        e_min = _min_eigenvalue((h_aa, h_ag, h_gg))
+        grad_l, hess_l = grad[:, live], hess[:, live]
+        e_min = _min_eigenvalue(hess_l)
         unshifted = e_min > 0.0
         mu = np.where(unshifted, 0.0, -2.0 * e_min)
-        h_aa, h_gg = h_aa + mu, h_gg + mu
+        diag = hess_l[2::-2] + mu  # (h_gg, h_aa), shifted
+        (h_gg, h_aa), h_ag = diag, hess_l[1]
         det = h_aa * h_gg - h_ag * h_ag
-        step_a = (-g_a * h_gg + g_g * h_ag) / det
-        step_g = (-g_g * h_aa + g_a * h_ag) / det
-        size = np.maximum(np.abs(step_a), np.abs(step_g))
+        step = (-grad_l * diag + grad_l[::-1] * h_ag) / det
+        size = np.abs(step).max(0)
         keep = (det > 0.0) & ~(unshifted & (size <= DESCENT_STEP_TOL))
         local = (unshifted & (size <= DESCENT_LOCAL_STEP))[keep]
-        live, step_a, step_g = live[keep], step_a[keep], step_g[keep]
+        live, step = live[keep], step[:, keep]
         if not live.size:
             break
-        pending, t = np.arange(live.size), 1.0
-        while t >= 1.0 / 1024.0 and pending.size:
-            at = live[pending]
-            na = a[at] + t * step_a[pending]
-            ng = g[at] + t * step_g[pending]
-            inside = (lo <= na) & (na <= hi) & (lo <= ng) & (ng <= hi)
-            clipped[at[~inside]] += 1
-            na, ng = np.clip(na, lo, hi), np.clip(ng, lo, hi)
-            # a short unshifted step inside the box is taken without pricing it
-            better = local[pending] & inside
-            priced = ~better
-            sa, sg = _sigma_vec(lam[at[priced]], na[priced], ng[priced], matrix)
-            better[priced] = (sa - na[priced]) ** 2 + (sg - ng[priced]) ** 2 < f[at[priced]]
-            a[at[better]], g[at[better]] = na[better], ng[better]
-            pending = pending[~better]
-            t *= 0.5
-        live = np.delete(live, pending)
-        f[live], grad[:, live], hess[:, live] = _objective_derivatives(
-            lam[live], a[live], g[live], matrix
+        ok, point, sigma, _, n_clipped = _line_search(
+            lam[live], x[:, live], f[live], step, 10, matrix, local
         )
+        clipped[live] += n_clipped
+        live, point = live[ok], point[:, ok]
+        x[:, live] = point
+        f[live], grad[:, live], hess[:, live] = _objective_derivatives(
+            lam[live], point[0], point[1], matrix, sigma[:, ok]
+        )
+    a, g = x
     small = np.abs(grad).max(0) <= DESCENT_GRAD_TOL * np.sqrt(np.maximum(1.0, hess[::2].max(0)))
     inside = (lo < a) & (a < hi) & (lo < g) & (g < hi)
     return a, g, f, small & inside & (_min_eigenvalue(hess) > 0.0), clipped
@@ -622,15 +475,14 @@ def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix) -> list[tuple[fl
     """
     m = SEED_GRID_SIZE
     a, g, *_ = priced = _seed_mesh(m, matrix)
-    f = _mesh_objective(lam, priced)
-    f_sq = np.where(np.isfinite(f), f, np.inf).reshape(m, m)
-    pad = np.pad(f_sq, 1, constant_values=np.inf)
-    is_min = (
-        (f_sq <= pad[:-2, 1:-1])
-        & (f_sq <= pad[2:, 1:-1])
-        & (f_sq <= pad[1:-1, :-2])
-        & (f_sq <= pad[1:-1, 2:])
+    pad = np.full((m + 2, m + 2), np.inf)  # the mesh bordered with inf
+    f_sq = pad[1:-1, 1:-1]
+    # F is a sum of squares, so fmin sends NaN to inf and keeps every other value
+    np.fmin(_mesh_objective(lam, priced).reshape(m, m), np.inf, out=f_sq)
+    lowest = np.minimum(
+        np.minimum(pad[:-2, 1:-1], pad[2:, 1:-1]), np.minimum(pad[1:-1, :-2], pad[1:-1, 2:])
     )
+    is_min = f_sq <= lowest
     nodes = np.flatnonzero(is_min)
     f_min = f_sq[is_min]
     order = np.argsort(f_min, kind="stable")[:40]
@@ -780,7 +632,7 @@ def _arc_frame(z, matrix: PayoffMatrix):
     a, g = (min(max(logit_response(1.0, v, 0.0), CLAMP_EPS), 1.0 - CLAMP_EPS) for v in z)
     u = _conditional_utilities(a, g, matrix)
     gap_a, gap_g = u[1] - u[0], u[3] - u[2]
-    ((ga_a, ga_g), _), ((gg_a, gg_g), _) = _gap_derivatives(a, g, matrix, hessians=False)
+    (ga_a, gg_a), (ga_g, gg_g) = _gap_gradients(a, g, matrix)
     wa, wg = a * (1.0 - a), g * (1.0 - g)
     h_x = gap_g + wa * (x * gg_a - y * ga_a)
     h_y = -gap_a + wg * (x * gg_g - y * ga_g)
@@ -825,9 +677,10 @@ def _trace_arc(matrix: PayoffMatrix):
 
     A predictor step goes ``ARC_STEP * max(1, |x|, |y|)`` along the tangent and is
     halved, at most 40 times, until projecting it onto H = 0 moves it by at most
-    half its length and leaves lambda in [0, 1 + 2 lambda] (past a pole of lambda,
-    an interior Nash point, lambda is negative).  Each fold, where lambda stops or
-    starts growing, is refined and joins the nodes.  The trace also ends where no
+    half its length and leaves lambda in (0, 1 + 2 lambda] (past a pole of lambda,
+    an interior Nash point, lambda is negative, and where both gaps vanish it
+    reads 0).  Each fold, where lambda stops or starts growing, is refined and
+    joins the nodes.  The trace also ends where no
     step is accepted, grad H vanishes or at 10,000 nodes; a last node at infinite
     lambda repeats the last point.  Returns read-only arrays: the logit points
     (n, 2), their lambdas and the indices of the fold nodes.  The payoff matrix is
@@ -842,7 +695,7 @@ def _trace_arc(matrix: PayoffMatrix):
         for _ in range(40):
             guess = (x - length * gy / norm, y + length * gx / norm)
             step = _project(guess, matrix)
-            if 0.0 <= step[1][2] <= 1 + 2 * lam and 2 * math.dist(step[0], guess) <= length:
+            if 0.0 < step[1][2] <= 1 + 2 * lam and 2 * math.dist(step[0], guess) <= length:
                 break
             length *= 0.5
         else:

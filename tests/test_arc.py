@@ -328,6 +328,11 @@ def test_every_crossing_of_h_on_a_logit_mesh_lies_on_the_traced_arc(matrix):
     gaps=st.lists(st.floats(0.1, 4.0), min_size=3, max_size=3),
 )
 @example(sucker=0.0, gaps=[1.0, 4.0, 5.0])
+# P - S = T - R: past lambda 1e8 the arc runs into points where both gaps vanish
+# and lambda reads -0; the trace stops there instead of bisecting a "fold" to -1e14
+@example(
+    sucker=1.6557120039927369, gaps=[1.6557120039927369, 2.121363557769396, 1.6557120039927369]
+)
 def test_prisoners_dilemmas_get_a_complete_exact_main_branch(sucker, gaps):
     # any T > R > P > S: the trace reaches past the grid, and every grid
     # rationality gets a main-branch point that is an exact root the sweep reports

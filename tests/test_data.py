@@ -72,6 +72,19 @@ def test_bad_number_raises_with_location(tmp_path):
     assert info.value.column == COLUMNS[2]
 
 
+def test_error_names_the_line_after_blank_lines(tmp_path):
+    # blank lines are skipped but still counted: the bad cell is on line 3
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(COLUMNS) + "\n\nExp_1,20%,0.3,0.1,80%,0.3,1.8\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"row 3, column 'gamma after socialization'") as info:
+        load_experiments(path)
+    assert info.value.row == 3
+    path.write_text("\n \n" + ",".join(COLUMNS[:3]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_experiments(path)
+    assert info.value.row == 3
+
+
 def test_out_of_range_fraction_raises(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(

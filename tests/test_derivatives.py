@@ -3,8 +3,10 @@
 The solver's Newton polish and its Newton descent on the objective use
 closed-form first and second derivatives of sigma and of the objective.
 Here they are checked against central differences of the compositional
-payoff route, and the descent's results against a test-local copy of the
-derivative-free Nelder-Mead search it replaced.
+payoff route, the stacked kernel and its one-call line searches bit for bit
+against the per-substitution kernel and halving loops they replaced
+(``scalar_route``), and the descent's results against a test-local copy of
+the derivative-free Nelder-Mead search it replaced.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import scalar_route
 from scalar_route import _dedupe, clamped, sigma_scalar
 from scipy.optimize import minimize
 
@@ -20,11 +23,16 @@ from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     CLAMP_EPS,
     SolverConfig,
+    _arc_frame,
+    _degenerate_mask,
     _descend,
+    _gap_gradients,
+    _newton_polish,
     _objective_derivatives,
     _seeds,
     _sigma_derivatives,
     _sigma_vec,
+    conditional_payoffs,
     conditional_payoffs_compositional,
     logit_response,
     qre_objective,
@@ -121,6 +129,105 @@ def test_jacobian_only_route_matches_full_derivatives_bitwise(matrix, lam, alpha
     # bit patterns, so that -0.0 against 0.0 or a NaN would count as a difference
     for want, got in ((sigma, got_sigma), (rows, got_rows)):
         assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+@st.composite
+def _pd_matrices(draw):
+    """Random prisoner's dilemmas: S < P < R < T with gaps in [0.1, 4]."""
+    sucker = draw(st.floats(-2.0, 4.0))
+    gaps = [draw(st.floats(0.1, 4.0)) for _ in range(3)]
+    punish, reward, tempt = np.cumsum([sucker, *gaps])[1:].tolist()
+    return PayoffMatrix(reward, sucker, tempt, punish)
+
+
+_MATRICES = st.one_of(
+    st.just(DEFAULT_MATRIX), st.just(PayoffMatrix(temptation_dc=7.0)), _pd_matrices()
+)
+
+
+def _same_bits(got, want, corner=False):
+    """Arrays equal byte for byte, NaN payloads and -0.0 against 0.0 included.
+
+    At a ``corner`` point, where a substituted chain is degenerate and 0/0
+    makes NaNs, a NaN only has to meet a NaN: numpy does not fix which
+    operand's NaN an operation passes on, and its loops for broadcast and for
+    contiguous operands differ there.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if np.any(corner):
+        got, want = (np.where(corner & np.isnan(v), np.nan, v) for v in (got, want))
+    assert got.tobytes() == want.tobytes()
+
+
+def _points(rng, size):
+    """Arrays (lam, alpha, gamma).
+
+    lam is uniform in [0, 1e5] or log-uniform in [1e-2, 1e5], and one in
+    seven is 0, 1e5 or 1e308.  A point is uniform in the box, a node of the
+    seed mesh (edges and corners included) or within 1e-2 of an edge.
+    """
+    lam = np.where(
+        rng.random(size) < 0.5, rng.uniform(0.0, 1e5, size), 10.0 ** rng.uniform(-2, 5, size)
+    )
+    lam = np.where(rng.random(size) < 0.15, rng.choice([0.0, 1e5, 1e308], size), lam)
+    uniform = rng.uniform(0.0, 1.0, (2, size))
+    mesh = rng.integers(0, 81, (2, size)) / 80.0
+    offset = rng.choice([-1.0, 1.0], (2, size)) * 10.0 ** rng.uniform(-12, -2, (2, size))
+    near = rng.choice([0.0, 1.0], (2, size)) + offset
+    kind = rng.integers(0, 3, size)
+    x = np.clip(np.where(kind == 0, uniform, np.where(kind == 1, mesh, near)), 0.0, 1.0)
+    return lam, x[0].copy(), x[1].copy()
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix=_MATRICES, size=st.sampled_from([1, 40, 1000]), seed=st.integers(0, 2**32 - 1))
+@example(matrix=DEFAULT_MATRIX, size=1500, seed=6)  # NaNs of other signs at corners
+def test_stacked_kernel_matches_the_per_substitution_oracle_bitwise(matrix, size, seed):
+    # every element keeps the replaced kernel's float operations in their order,
+    # so sigma, the derivatives, both line searches and the clipped-trial counts
+    # agree to the bit; 1,000 points span two KERNEL_BLOCKs
+    lam, alpha, gamma = _points(np.random.default_rng(seed), size)
+    corner = _degenerate_mask(alpha, gamma)
+    with np.errstate(all="ignore"):
+        sigma = _sigma_vec(lam, alpha, gamma, matrix)
+        _same_bits(sigma, scalar_route.sigma_vec(lam, alpha, gamma, matrix), corner)
+        want = scalar_route.objective_derivatives(lam, alpha, gamma, matrix)
+        for got in (
+            _objective_derivatives(lam, alpha, gamma, matrix),
+            _objective_derivatives(lam, alpha, gamma, matrix, sigma),
+        ):
+            for part, oracle in zip(got, want):
+                _same_bits(part, oracle, corner)
+    # the polish pulls corners off and the descent clips them: bit for bit throughout
+    for got, oracle in zip(
+        _newton_polish(lam, alpha, gamma, matrix),
+        scalar_route.polish_by_halving(lam, alpha, gamma, matrix),
+    ):
+        _same_bits(got, oracle)
+    for got, oracle in zip(
+        _descend(lam, alpha, gamma, matrix),
+        scalar_route.descend_by_halving(lam, alpha, gamma, matrix),
+    ):
+        _same_bits(got, oracle)
+    # the float route of the gap gradients, on the solver's box like the arc
+    for a, g in np.clip((alpha[:5], gamma[:5]), CLAMP_EPS, 1.0 - CLAMP_EPS).T.tolist():
+        (ga, _), (gg, _) = scalar_route.gap_derivatives(a, g, matrix, hessians=False)
+        assert _gap_gradients(a, g, matrix) == [(ga[0], gg[0]), (ga[1], gg[1])]
+
+
+@pytest.mark.parametrize(
+    "matrix", [DEFAULT_MATRIX, PayoffMatrix(temptation_dc=7)], ids=["default", "int7"]
+)
+def test_float_callers_stay_on_python_floats(matrix):
+    # the arc is traced on Python floats: numpy scalars would make a frame
+    # several times slower
+    h, grad, lam, dlam, point = _arc_frame((0.3, -1.2), matrix)
+    assert all(type(v) is float for v in (h, *grad, lam, dlam, *point))
+    assert all(type(v) is float for g in _gap_gradients(0.3, 0.6, matrix) for v in g)
+    payoffs = conditional_payoffs(0.3, 0.6, matrix)
+    assert all(type(v) is float for v in vars(payoffs).values())
+    assert type(qre_objective(2.0, 0.3, 0.6, matrix)) is float
 
 
 # --- the Nelder-Mead route the descent replaced, kept as the reference -----
