@@ -4,7 +4,8 @@ Substituting a pure value, 0 or 1, for alpha or for gamma in the asymmetric
 stationary state gives four states, each a quotient of quadratics in (alpha,
 gamma); the payoff is bilinear in them.  So the two payoff gaps, the logit
 response sigma and the squared residual F have first and second derivatives
-in closed form.
+in closed form.  The Gauss-Newton model of F's Hessian, on which the arc's
+crossings are polished, leaves out the second derivatives of sigma.
 
 On arrays the four substitutions, their two parts, the gradient components
 and the pair (sigma_alpha, sigma_gamma) go through as stacks, because on the
@@ -129,15 +130,15 @@ def _gap_gradients(alpha: float, gamma: float, matrix: PayoffMatrix):
     return [(u[1] - u[0], u[3] - u[2]) for u in zip(*states)]
 
 
-def _substituted_states(a: np.ndarray, g: np.ndarray, hessians: bool):
+def _substituted_states(a: np.ndarray, g: np.ndarray):
     """The substituted states p = N/D with their derivatives, over flat arrays of points.
 
     N and D are the quadratics of ``_PART_COEFFS``, priced for all four
     substitutions in one pass.  Differentiating p*D = N once and twice gives
     D*p_i = N_i - p*D_i and D*p_ij = N_ij - p_i*D_j - p_j*D_i - p*D_ij.
     Returns p (substitution, part, point), p_d (a or g, substitution, part,
-    point) and, with ``hessians``, p_dd (aa or gg, ...) and p_ag like p.  The
-    quadratics are freed on return, before the payoff's stack is built.
+    point), p_dd (aa or gg, ...) and p_ag like p.  The quadratics are freed on
+    return, before the payoff's stack is built.
     """
     c0, c1, c2, c3, c4, c5 = _VALUE_COEFFS
     value = c0 + a * (c1 + c3 * a + c4 * g) + g * (c2 + c5 * g)
@@ -146,39 +147,34 @@ def _substituted_states(a: np.ndarray, g: np.ndarray, hessians: bool):
     num, den, num_d, den_d = value[:, :2], value[:, 2:], grad[:, :, :2], grad[:, :, 2:]
     p = num / den
     p_d = (num_d - p * den_d) / den
-    if not hessians:
-        return p, p_d
     hess_d, hess_ag = _HESS_DIAG, _HESS_AG
     p_dd = (hess_d[:, :, :2] - 2.0 * p_d * den_d - p * hess_d[:, :, 2:]) / den
     p_ag = (hess_ag[:, :2] - p_d[0] * den_d[1] - p_d[1] * den_d[0] - p * hess_ag[:, 2:]) / den
     return p, p_d, p_dd, p_ag
 
 
-def _gap_derivatives(alpha, gamma, matrix: PayoffMatrix, hessians: bool):
+def _gap_derivatives(alpha, gamma, matrix: PayoffMatrix):
     """Gradients and Hessians in (alpha, gamma) of the two payoff gaps, elementwise over arrays.
 
     The gaps are u_alpha1 - u_alpha0 and u_gamma1 - u_gamma0.  Returns one
-    (2 or 5, 2, ...) array: entry [j][i] is derivative j of gap i, for j in
-    (a, g), followed by (aa, ag, gg) with ``hessians``.  The substituted
-    states come from :func:`_substituted_states`, all four at once, and go
-    through the payoff as one stack.  The payoff is bilinear,
+    (5, 2, ...) array: entry [j][i] is derivative j of gap i, for j in (a, g,
+    aa, ag, gg).  The substituted states come from :func:`_substituted_states`,
+    all four at once, and go through the payoff as one stack.  The payoff is bilinear,
     u = P + (S-P)p1 + (T-P)p2 + k*p1*p2 with k = R - S - T + P, so
     u_i = u_1*p1_i + u_2*p2_i and u_ij = u_1*p1_ij + u_2*p2_ij +
     k*(p1_i*p2_j + p1_j*p2_i), where u_1 = S - P + k*p2 and u_2 = T - P + k*p1.
     """
     shape = np.shape(alpha)
-    p, p_d, *second = _substituted_states(np.reshape(alpha, -1), np.reshape(gamma, -1), hessians)
+    p, p_d, p_dd, p_ag = _substituted_states(np.reshape(alpha, -1), np.reshape(gamma, -1))
     m = matrix
     k = m.reward_cc - m.sucker_cd - m.temptation_dc + m.punishment_dd
     p1, p2, p1_d, p2_d = p[:, 0], p[:, 1], p_d[:, :, 0], p_d[:, :, 1]
     u_1 = m.sucker_cd - m.punishment_dd + k * p2
     u_2 = m.temptation_dc - m.punishment_dd + k * p1
-    derivs = u_1 * p1_d + u_2 * p2_d
-    if hessians:
-        p_dd, p_ag = second
-        u_dd = u_1 * p_dd[:, :, 0] + u_2 * p_dd[:, :, 1] + 2.0 * k * p1_d * p2_d
-        u_ag = u_1 * p_ag[:, 0] + u_2 * p_ag[:, 1] + k * (p1_d[0] * p2_d[1] + p1_d[1] * p2_d[0])
-        derivs = np.array((derivs[0], derivs[1], u_dd[0], u_ag, u_dd[1]))
+    u_d = u_1 * p1_d + u_2 * p2_d
+    u_dd = u_1 * p_dd[:, :, 0] + u_2 * p_dd[:, :, 1] + 2.0 * k * p1_d * p2_d
+    u_ag = u_1 * p_ag[:, 0] + u_2 * p_ag[:, 1] + k * (p1_d[0] * p2_d[1] + p1_d[1] * p2_d[0])
+    derivs = np.array((u_d[0], u_d[1], u_dd[0], u_ag, u_dd[1]))
     return (derivs[:, 1::2] - derivs[:, ::2]).reshape(derivs.shape[:1] + (2,) + shape)
 
 
@@ -206,9 +202,7 @@ def _sigma_vec(lam, alpha, gamma, matrix: PayoffMatrix):
     return _logistic(lam, u[1::2] - u[::2])
 
 
-def _sigma_derivatives(
-    lam, alpha, gamma, matrix: PayoffMatrix, sigma=None, hessians: bool = True
-):
+def _sigma_derivatives(lam, alpha, gamma, matrix: PayoffMatrix, sigma=None):
     """sigma with its Jacobian rows and the Hessian (aa, ag, gg) of each component.
 
     With s = expit(lam*gap) and w = s*(1 - s): grad s = lam*w*grad(gap) and
@@ -216,26 +210,27 @@ def _sigma_derivatives(
     components go through as one stack: returns arrays sigma (2, ...), rows
     (2, 2, ...) with rows[i][j] = d sigma_i / d x_j and Hessians (2, 3, ...).  A
     caller that has priced the point passes its ``sigma`` (from
-    :func:`_sigma_vec`) in; one that needs only the Jacobian turns ``hessians``
-    off and gets None in their place.
+    :func:`_sigma_vec`) in.
     """
     if sigma is None:
         sigma = _sigma_vec(lam, alpha, gamma, matrix)
-    gap = _gap_derivatives(alpha, gamma, matrix, hessians)
+    gap = _gap_derivatives(alpha, gamma, matrix)
     w = lam * sigma * (1.0 - sigma)
     rows = (w * gap[:2]).swapaxes(0, 1)
-    if not hessians:
-        return sigma, rows, None
     v = lam * w * (1.0 - 2.0 * sigma)
     hess = w * gap[2:] + v * gap[[0, 0, 1]] * gap[[0, 1, 1]]
     return sigma, rows, hess.swapaxes(0, 1)
 
 
-def _objective_derivatives(lam, alpha, gamma, matrix: PayoffMatrix, sigma=None):
+def _objective_derivatives(
+    lam, alpha, gamma, matrix: PayoffMatrix, sigma=None, gauss_newton: bool = False
+):
     """F = |sigma(x) - x|^2 with its gradient and Hessian (aa, ag, gg).
 
     With r = sigma(x) - x and J = J_sigma - I: grad F = 2 J^T r and
-    hess F = 2 J^T J + 2 sum_i r_i hess(sigma_i).  ``sigma``, if given, is
+    hess F = 2 J^T J + 2 sum_i r_i hess(sigma_i).  The ``gauss_newton`` model
+    leaves the r_i terms out: at a root the two agree, and a Newton step on it
+    is the Newton step -J^-1 r on sigma(x) - x.  ``sigma``, if given, is
     :func:`_sigma_vec` at the point.  Returns F and the arrays grad (2, ...)
     and hess (3, ...).  A long flat array is priced ``KERNEL_BLOCK`` points at a time.
     """
@@ -246,7 +241,7 @@ def _objective_derivatives(lam, alpha, gamma, matrix: PayoffMatrix, sigma=None):
             at = slice(lo, lo + KERNEL_BLOCK)
             part = None if sigma is None else sigma[:, at]
             f[at], grad[:, at], hess[:, at] = _objective_derivatives(
-                lam[at], alpha[at], gamma[at], matrix, part
+                lam[at], alpha[at], gamma[at], matrix, part, gauss_newton
             )
         return f, grad, hess
     sigma, rows, hess_s = _sigma_derivatives(lam, alpha, gamma, matrix, sigma)
@@ -256,4 +251,7 @@ def _objective_derivatives(lam, alpha, gamma, matrix: PayoffMatrix, sigma=None):
     jac[1, 1] -= 1.0
     grad = 2.0 * (jac[0] * ra + jac[1] * rg)
     pairs = jac[:, [0, 0, 1]] * jac[:, [0, 1, 1]]
-    return ra * ra + rg * rg, grad, 2.0 * (pairs[0] + pairs[1] + ra * hess_s[0] + rg * hess_s[1])
+    hess = pairs[0] + pairs[1]
+    if not gauss_newton:
+        hess = hess + ra * hess_s[0] + rg * hess_s[1]
+    return ra * ra + rg * rg, grad, 2.0 * hess

@@ -28,6 +28,7 @@ from .data import (
 from .game import MarkovStrategy
 from .nash import trace_quadratic_curve, trace_stationarity_curve
 from .qre import (
+    BRANCH_LABELS,
     QrePoint,
     SolverConfig,
     _check_finite,
@@ -165,9 +166,6 @@ def _point_rows(points: list[QrePoint]) -> list[str]:
 #: ``start_count`` is :attr:`QrePoint.start_count`: the seeds whose descent
 #: merged into the point, 0 for a root that only the arc's crossing gives.
 SWEEP_HEADER = "lambda,alpha,gamma,objective,branch,accepted,start_count"
-
-#: The labels of :func:`pdqre.qre.label_branch`, the sweep CSV's ``branch`` cells.
-SWEEP_BRANCHES = ("smooth", "defect", "near_nash", "other")
 
 
 def _cmd_qre_sweep(args: argparse.Namespace) -> int:
@@ -334,7 +332,7 @@ def _sweep_row(cells: list[str], line: int) -> QrePoint:
         raise ParseError(f"expected 7 cells, got {len(cells)}", line)
     lam, alpha, gamma, objective, branch, accepted, count = cells
     for column, cell, ok, want in (
-        ("branch", branch, branch in SWEEP_BRANCHES, f"one of {SWEEP_BRANCHES}"),
+        ("branch", branch, branch in BRANCH_LABELS, f"one of {BRANCH_LABELS}"),
         ("accepted", accepted, accepted in ("true", "false"), "true or false"),
         ("start_count", count, count.isascii() and count.isdigit(), "an integer >= 0"),
     ):

@@ -185,14 +185,14 @@ def save_experiments(records: Sequence[ExperimentRecord], path: str | Path) -> N
             by_id[rec.experiment_id] = {}
             order.append(rec.experiment_id)
         by_id[rec.experiment_id][rec.phase] = rec
+    for exp_id in order:  # before the file is opened, so a failed save leaves it as it was
+        if set(by_id[exp_id]) != set(PHASES):
+            raise ValueError(f"experiment {exp_id!r} is missing a phase")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(COLUMNS)
         for exp_id in order:
-            phases = by_id[exp_id]
-            if set(phases) != set(PHASES):
-                raise ValueError(f"experiment {exp_id!r} is missing a phase")
-            b, a = phases["before"], phases["after"]
+            b, a = by_id[exp_id]["before"], by_id[exp_id]["after"]
             writer.writerow(
                 [
                     exp_id,

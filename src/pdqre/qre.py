@@ -13,7 +13,9 @@ and the payoff is bilinear in them (``pdqre._kernel``).
 In logit coordinates (x, y) the fixed points of every rationality lie on one
 curve, H = x*gap_gamma - y*gap_alpha = 0, with lambda = x/gap_alpha on it and
 no lambda inside H.  Its arc from (1/2, 1/2), lambda = 0, is traced once per
-payoff matrix, and every solve polishes the arc's crossings of its rationality.
+payoff matrix, and every solve polishes the arc's crossings of its rationality
+into roots by the same Newton descent as its seeds, on the Gauss-Newton model
+of the objective's Hessian.
 
 ``solve_qre`` reports two kinds of points.  Accepted points are exact fixed
 points (objective below ``accept_tol``).  Candidate points are strict local
@@ -36,7 +38,7 @@ import numpy as np
 from .game import DEFAULT_MATRIX, DEGENERACY_THRESHOLD, DegenerateChain, MarkovStrategy
 from .game import PayoffMatrix, expected_payoff, stationary_state
 from ._kernel import KERNEL_BLOCK, _conditional_dens, _conditional_utilities, _gap_gradients
-from ._kernel import _logistic, _objective_derivatives, _sigma_derivatives, _sigma_vec
+from ._kernel import _logistic, _objective_derivatives, _sigma_vec
 from .nash import curve_residual
 
 __all__ = [
@@ -64,10 +66,10 @@ SEED_GRID_SIZE = 81
 #: block stay in a 2 MB L2 cache (8K to 32K were equally fast, 2K or 64K+ slower).
 MESH_BLOCK = 1 << 14
 
-#: Newton steps per polish, and per projection onto the arc (``_project``).
+#: Newton steps per projection onto the arc (``_project``).
 NEWTON_MAX_ITER = 14
 
-#: Newton steps per descent on the objective.
+#: Newton steps per descent on the objective, from a seed or from a crossing of the arc.
 DESCENT_MAX_ITER = 50
 
 #: An unshifted descent step below this (max-norm) is taken whole: that close
@@ -80,6 +82,9 @@ DESCENT_LOCAL_STEP = 1e-6
 #: may reach ``DESCENT_GRAD_TOL`` (max-norm) times max(1, sqrt(max diag hess F)) ~ |J|.
 DESCENT_STEP_TOL = 1e-12
 DESCENT_GRAD_TOL = 1e-10
+
+#: The labels of :func:`label_branch`, the sweep CSV's ``branch`` cells.
+BRANCH_LABELS = ("smooth", "defect", "near_nash", "other")
 
 #: Branch labels: every point below this rationality is "smooth"; above it,
 #: a point inside the ``DEFECT_THRESHOLD`` box is "defect" and one within
@@ -305,8 +310,8 @@ def _trial_points(lam, x, f, step, t, local, matrix: PayoffMatrix):
     return point, sigma, nf, inside, (local & inside) | (nf < f)
 
 
-def _line_search(lam, x, f, step, halvings: int, matrix: PayoffMatrix, local=False):
-    """Halve each element's Newton step until its trial point is accepted, down to 2**-halvings.
+def _line_search(lam, x, f, step, local, matrix: PayoffMatrix):
+    """Halve each element's Newton step until its trial point is accepted, down to 1/1024.
 
     A trial is accepted as :func:`_trial_points` accepts it.  The whole steps
     are priced in one sigma call and every halving of the steps that failed in
@@ -320,12 +325,13 @@ def _line_search(lam, x, f, step, halvings: int, matrix: PayoffMatrix, local=Fal
     point, sigma, nf, inside, ok = _trial_points(lam, x, f, step, 1.0, local, matrix)
     clipped = (~inside).astype(np.int64)
     failed = np.flatnonzero(~ok)
+    halvings = len(_HALVINGS)
     per_call = 3 * KERNEL_BLOCK // halvings  # sigma needs a third of the kernel's memory
     for lo in range(0, failed.size, per_call):
         retry = failed[lo : lo + per_call]
         h_point, h_sigma, h_nf, h_inside, h_ok = _trial_points(
-            lam[retry], x[:, None, retry], f[retry], step[:, None, retry], _HALVINGS[:halvings],
-            local[retry] if np.ndim(local) else local, matrix,
+            lam[retry], x[:, None, retry], f[retry], step[:, None, retry], _HALVINGS,
+            local[retry], matrix,
         )
         first = np.where(h_ok.any(0), h_ok.argmax(0), halvings)
         clipped[retry] += (~h_inside & (np.arange(halvings)[:, None] <= first)).sum(0)
@@ -336,68 +342,40 @@ def _line_search(lam, x, f, step, halvings: int, matrix: PayoffMatrix, local=Fal
     return ok, point, sigma, nf, clipped
 
 
-# Python floats overflow to inf and give NaN for inf - inf without a word; the
-# array solver stays as quiet at huge rationalities, where lam*w overflows.  It
-# also divides before it drops the elements whose determinant rules a step out.
-@np.errstate(all="ignore")
-def _newton_polish(lam: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, matrix: PayoffMatrix):
-    """Polish roots of sigma(x) - x from arrays of starts; quadratic near exact fixed points.
-
-    Every element iterates on its own: a degenerate start is pulled off its
-    corner, and each Newton step is halved until the objective falls, down
-    to 1/16, with trial points clipped into the box (:func:`_line_search`).
-    An element stops once its objective is below 1e-28, its Jacobian is
-    singular or no halving helps.  Returns arrays (alpha, gamma, objective).
-    """
-    x = np.array(_off_corners(alpha, gamma)[:2])
-    s = _sigma_vec(lam, x[0], x[1], matrix)
-    r = s - x
-    f = r[0] * r[0] + r[1] * r[1]
-    live = np.arange(f.size)
-    for _ in range(NEWTON_MAX_ITER):
-        live = live[~(f[live] < 1e-28)]
-        if not live.size:
-            break
-        xl, sl = x[:, live], s[:, live]
-        _, (row_a, row_g), _ = _sigma_derivatives(lam[live], *xl, matrix, sl, hessians=False)
-        j00, j01 = row_a[0] - 1.0, row_a[1]
-        j10, j11 = row_g[0], row_g[1] - 1.0
-        det = j00 * j11 - j01 * j10
-        ra, rg = sl - xl
-        step = np.array((-ra * j11 + rg * j01, -rg * j00 + ra * j10)) / det
-        keep = ~(np.abs(det) < 1e-14)
-        live, step = live[keep], step[:, keep]
-        ok, point, sigma, nf, _ = _line_search(lam[live], x[:, live], f[live], step, 4, matrix)
-        live = live[ok]
-        x[:, live], s[:, live], f[live] = point[:, ok], sigma[:, ok], nf[ok]
-    return x[0], x[1], f
-
-
 def _min_eigenvalue(hess):
     """Smallest eigenvalue of symmetric 2x2 matrices (aa, ag, gg), elementwise."""
     h_aa, h_ag, h_gg = hess
     return 0.5 * (h_aa + h_gg) - np.hypot(0.5 * (h_aa - h_gg), h_ag)
 
 
+# Python floats overflow to inf and give NaN for inf - inf without a word; the
+# array solver stays as quiet at huge rationalities, where lam*w overflows.  It
+# also divides before it drops the elements whose determinant rules a step out.
 @np.errstate(all="ignore")
-def _descend(lam: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, matrix: PayoffMatrix):
+def _descend(
+    lam: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, matrix: PayoffMatrix,
+    gauss_newton: bool = False,
+):
     """Newton descent on the objective F from arrays of seeds.
 
     Every element iterates on its own.  Each step solves (hess F + mu*I) s =
     -grad F, where mu = 0 when the Hessian is positive definite and otherwise
-    shifts its smallest eigenvalue to |lambda_min| > 0.  The step is halved
-    until F falls, down to 1/1024, except that an unshifted step below
-    ``DESCENT_LOCAL_STEP`` is taken whole (:func:`_line_search`).  Iterates
-    are clipped into [CLAMP_EPS, 1 - CLAMP_EPS]^2.  An element stops once an
-    unshifted step is below ``DESCENT_STEP_TOL`` or no halving lowers F.  It
-    is a minimum only off the box's edge, with grad F below its bound
-    (``DESCENT_GRAD_TOL``) and a positive definite Hessian, so clip stalls
-    and saddles fail.  Returns arrays (alpha, gamma, objective, is_min,
-    clipped), where ``clipped`` counts each element's clipped trial points.
+    shifts its smallest eigenvalue to |lambda_min| > 0.  With ``gauss_newton``
+    the Hessian is the model 2 J^T J of :func:`_objective_derivatives`, which
+    makes each step the Newton step on sigma(x) - x: that is how the arc's
+    crossings are polished into roots.  The step is halved until F falls, down
+    to 1/1024, except that an unshifted step below ``DESCENT_LOCAL_STEP`` is
+    taken whole (:func:`_line_search`).  Iterates are clipped into
+    [CLAMP_EPS, 1 - CLAMP_EPS]^2.  An element stops once an unshifted step is
+    below ``DESCENT_STEP_TOL`` or no halving lowers F.  It is a minimum only
+    off the box's edge, with grad F below its bound (``DESCENT_GRAD_TOL``) and
+    a positive definite Hessian, so clip stalls and saddles fail.  Returns
+    arrays (alpha, gamma, objective, is_min, clipped), where ``clipped``
+    counts each element's clipped trial points.
     """
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
     x = np.clip((alpha, gamma), lo, hi)
-    f, grad, hess = _objective_derivatives(lam, x[0], x[1], matrix)
+    f, grad, hess = _objective_derivatives(lam, x[0], x[1], matrix, gauss_newton=gauss_newton)
     clipped = np.zeros(f.shape, dtype=np.int64)
     live = np.arange(f.size)
     for _ in range(DESCENT_MAX_ITER):
@@ -416,13 +394,13 @@ def _descend(lam: np.ndarray, alpha: np.ndarray, gamma: np.ndarray, matrix: Payo
         if not live.size:
             break
         ok, point, sigma, _, n_clipped = _line_search(
-            lam[live], x[:, live], f[live], step, 10, matrix, local
+            lam[live], x[:, live], f[live], step, local, matrix
         )
         clipped[live] += n_clipped
         live, point = live[ok], point[:, ok]
         x[:, live] = point
         f[live], grad[:, live], hess[:, live] = _objective_derivatives(
-            lam[live], point[0], point[1], matrix, sigma[:, ok]
+            lam[live], point[0], point[1], matrix, sigma[:, ok], gauss_newton
         )
     a, g = x
     small = np.abs(grad).max(0) <= DESCENT_GRAD_TOL * np.sqrt(np.maximum(1.0, hess[::2].max(0)))
@@ -584,15 +562,16 @@ def solve_qre(
     """All distinct QRE solutions at one rationality.
 
     The accepted points are the arc's crossings of this rationality (H = 0)
-    that polish to exact roots, the roots a Newton descent on the objective
-    reaches from the seeds of :func:`_seeds`, as the descent ends them, and
-    the edge seeds that are roots.
-    The descents also find candidate near-solutions (strict local minima of
-    the objective).  Results within ``merge_tol`` (max-norm) merge; a point's
-    ``start_count`` is the number of seeds whose descent merged into it.
-    Clipped descent steps go to ``diagnostics["clamped_evals"]``.  Accepted
-    points come first; raises :class:`NoSolution` when none reaches
-    ``accept_tol``.  :func:`sweep_lambda` runs the same solve.
+    that a Gauss-Newton descent polishes to exact roots, the roots a Newton
+    descent on the objective reaches from the seeds of :func:`_seeds`, as the
+    descent ends them, and the edge seeds that are roots.
+    The seeds' descents also find candidate near-solutions (strict local
+    minima of the objective).  Results within ``merge_tol`` (max-norm) merge; a
+    point's ``start_count`` is the number of seeds whose descent merged into it.
+    The clipped steps of the seeds' descents go to
+    ``diagnostics["clamped_evals"]``.  Accepted points come first; raises
+    :class:`NoSolution` when none reaches ``accept_tol``.  :func:`sweep_lambda`
+    runs the same solve.
     """
     cfg = config or SolverConfig()
     _check_rationality(lam)
@@ -611,14 +590,15 @@ def label_branch(
     point: QrePoint, config: SolverConfig, matrix: PayoffMatrix = DEFAULT_MATRIX
 ) -> str:
     """Assign the sweep branch label for one solution."""
+    smooth, defect, near_nash, other = BRANCH_LABELS
     if point.lam < SMOOTH_LAMBDA_MAX:
-        return "smooth"
+        return smooth
     if max(point.alpha, point.gamma) < DEFECT_THRESHOLD:
-        return "defect"
+        return defect
     resid = curve_residual(config.curve_choice)(point.alpha, point.gamma, matrix)
     if abs(resid) < NEARNASH_THRESHOLD:
-        return "near_nash"
-    return "other"
+        return near_nash
+    return other
 
 
 def _arc_frame(z, matrix: PayoffMatrix):
@@ -714,8 +694,10 @@ def _trace_arc(matrix: PayoffMatrix):
 def _crossings(lams: list[float], matrix: PayoffMatrix):
     """Every crossing of the arc with each level of ``lams``, polished there.
 
-    Returns arrays (level index, alpha, gamma, objective), by level and then
-    along the arc, and per level the number of folds before its first crossing.
+    A crossing is placed on the arc's polyline and polished by :func:`_descend`
+    on the Gauss-Newton model, whose clipped trials are not counted.  Returns
+    arrays (level index, alpha, gamma, objective), by level and then along the
+    arc, and per level the number of folds before its first crossing.
     """
     z, arc_lams, folds = _trace_arc(matrix)
     levels = np.array(lams, dtype=float)
@@ -727,7 +709,8 @@ def _crossings(lams: list[float], matrix: PayoffMatrix):
     before, after = np.isin(seg + 1, folds), np.isin(seg, folds)
     w = np.where(before, 1.0 - np.sqrt(1.0 - w), np.where(after, np.sqrt(w), w))
     x, y = (z[seg] + w[:, None] * (z[seg + 1] - z[seg])).T
-    alpha, gamma, f = _newton_polish(levels[level], _logistic(1.0, x), _logistic(1.0, y), matrix)
+    start = _logistic(1.0, x), _logistic(1.0, y)
+    alpha, gamma, f = _descend(levels[level], *start, matrix, gauss_newton=True)[:3]
     first = np.flatnonzero(np.diff(level, prepend=-1))
     return level, alpha, gamma, f, np.searchsorted(folds, seg[first] + 1)
 

@@ -6,13 +6,16 @@ the solver's own; the loop over seeds, the scalar sigma and the scalar
 corner clamp live here.
 
 The derivative kernel that the stacked one replaced is kept here too, as the
-bitwise oracle of ``qre._sigma_vec``, ``qre._objective_derivatives``,
-``qre._newton_polish`` and ``qre._descend``: it prices the four pure-parameter
-substitutions, and the two sigma components, one at a time
-(``conditional_utilities``, ``gap_derivatives``, ``sigma_derivatives``,
-``objective_derivatives``), and its line searches (``polish_by_halving``,
-``descend_by_halving``) price one halving of the pending steps per call.
-The scalar solve differentiates through this kernel.
+bitwise oracle of ``qre._sigma_vec``, ``qre._objective_derivatives`` and
+``qre._descend``: it prices the four pure-parameter substitutions, and the
+two sigma components, one at a time (``conditional_utilities``,
+``gap_derivatives``, ``sigma_derivatives``, ``objective_derivatives``), and
+its line search (``descend_by_halving``) prices one halving of the pending
+steps per call.  The scalar solve differentiates through this kernel.
+
+``polish_by_halving`` is the Newton polish of the arc's crossings that the
+Gauss-Newton form of ``qre._descend`` replaced, kept as the reference of that
+route.
 
 ``seeds_via_objective_grid`` is the seed scan that the memoized seed mesh
 replaced: it prices the whole mesh through ``objective_grid`` at every call.
@@ -35,7 +38,6 @@ from pdqre.qre import (
     DESCENT_LOCAL_STEP,
     DESCENT_MAX_ITER,
     DESCENT_STEP_TOL,
-    NEWTON_MAX_ITER,
     QrePoint,
     _conditional_dens,
     _logistic,
@@ -44,6 +46,10 @@ from pdqre.qre import (
     _seeds,
     objective_grid,
 )
+
+#: Newton steps per polish of the replaced polishes (``polish_by_halving`` and
+#: the scalar solve's ``newton_polish``).
+POLISH_MAX_ITER = 14
 
 # --- the per-substitution derivative kernel and its halving line searches ---
 
@@ -150,31 +156,34 @@ def sigma_derivatives(lam, alpha, gamma, matrix, sigma=None, hessians=True):
     return sigma, rows, hess if hessians else None
 
 
-def objective_derivatives(lam, alpha, gamma, matrix, sigma=None):
-    """F with its gradient and Hessian (aa, ag, gg) as tuples."""
+def objective_derivatives(lam, alpha, gamma, matrix, sigma=None, gauss_newton=False):
+    """F with its gradient and Hessian (aa, ag, gg) as tuples; the ``gauss_newton``
+    Hessian leaves out the terms r_i hess(sigma_i)."""
     (sa, sg), (row_a, row_g), (ha, hg) = sigma_derivatives(lam, alpha, gamma, matrix, sigma)
     ra, rg = sa - alpha, sg - gamma
     j00, j01 = row_a[0] - 1.0, row_a[1]
     j10, j11 = row_g[0], row_g[1] - 1.0
     grad = (2.0 * (j00 * ra + j10 * rg), 2.0 * (j01 * ra + j11 * rg))
-    hess = (
-        2.0 * (j00 * j00 + j10 * j10 + ra * ha[0] + rg * hg[0]),
-        2.0 * (j00 * j01 + j10 * j11 + ra * ha[1] + rg * hg[1]),
-        2.0 * (j01 * j01 + j11 * j11 + ra * ha[2] + rg * hg[2]),
-    )
-    return ra * ra + rg * rg, grad, hess
+    hess = [j00 * j00 + j10 * j10, j00 * j01 + j10 * j11, j01 * j01 + j11 * j11]
+    if not gauss_newton:
+        hess = [h + ra * h_a + rg * h_g for h, h_a, h_g in zip(hess, ha, hg)]
+    return ra * ra + rg * rg, grad, tuple(2.0 * h for h in hess)
 
 
 @np.errstate(all="ignore")
 def polish_by_halving(lam, alpha, gamma, matrix):
-    """``qre._newton_polish`` with one sigma call per halving of the pending steps."""
+    """The Newton polish of the arc's crossings that the Gauss-Newton descent
+    replaced, with one sigma call per halving of the pending steps: Newton on
+    sigma(x) - x from starts pulled off the corners, each step halved until F
+    falls, down to 1/16, and an element stopped below F = 1e-28, at a singular
+    Jacobian or when no halving helps."""
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
     a, g, _ = _off_corners(alpha, gamma)
     sa, sg = sigma_vec(lam, a, g, matrix)
     ra, rg = sa - a, sg - g
     f = ra * ra + rg * rg
     live = np.arange(a.size)
-    for _ in range(NEWTON_MAX_ITER):
+    for _ in range(POLISH_MAX_ITER):
         live = live[~(f[live] < 1e-28)]
         if not live.size:
             break
@@ -207,12 +216,12 @@ def polish_by_halving(lam, alpha, gamma, matrix):
 
 
 @np.errstate(all="ignore")
-def descend_by_halving(lam, alpha, gamma, matrix):
+def descend_by_halving(lam, alpha, gamma, matrix, gauss_newton=False):
     """``qre._descend`` with one sigma call per halving of the pending steps,
     and sigma priced again at each accepted point."""
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
     a, g = np.clip(alpha, lo, hi), np.clip(gamma, lo, hi)
-    f, grad, hess = objective_derivatives(lam, a, g, matrix)
+    f, grad, hess = objective_derivatives(lam, a, g, matrix, gauss_newton=gauss_newton)
     grad, hess = np.array(grad), np.array(hess)
     clipped = np.zeros(a.shape, dtype=np.int64)
     live = np.arange(a.size)
@@ -248,7 +257,7 @@ def descend_by_halving(lam, alpha, gamma, matrix):
             t *= 0.5
         live = np.delete(live, pending)
         f[live], grad[:, live], hess[:, live] = objective_derivatives(
-            lam[live], a[live], g[live], matrix
+            lam[live], a[live], g[live], matrix, gauss_newton=gauss_newton
         )
     small = np.abs(grad).max(0) <= DESCENT_GRAD_TOL * np.sqrt(np.maximum(1.0, hess[::2].max(0)))
     inside = (lo < a) & (a < hi) & (lo < g) & (g < hi)
@@ -348,7 +357,7 @@ def newton_polish(lam, x0, matrix):
     sigma = sigma_scalar(lam, a, g, matrix)
     ra, rg = sigma[0] - a, sigma[1] - g
     f_cur = ra * ra + rg * rg
-    for _ in range(NEWTON_MAX_ITER):
+    for _ in range(POLISH_MAX_ITER):
         if f_cur < 1e-28:
             break
         _, (row_a, row_g), _ = sigma_derivatives(lam, a, g, matrix, sigma, hessians=False)

@@ -9,6 +9,7 @@ objective, the descents from the objective mesh and the curve residual.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pdqre.qre
+import scalar_route
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     CLAMP_EPS,
@@ -23,6 +25,8 @@ from pdqre.qre import (
     _conditional_utilities,
     _crossings,
     _logistic,
+    _min_eigenvalue,
+    _objective_derivatives,
     _trace_arc,
     find_intersections,
     qre_objective,
@@ -273,18 +277,82 @@ def test_descents_find_the_roots_off_the_first_crossing(monkeypatch):
 )
 def test_each_crossing_is_polished_once_and_nothing_else(monkeypatch, matrix):
     # a descent that ends on a root is accepted as it ends: the only elements
-    # the Newton polish sees are the arc's crossings
+    # the Gauss-Newton descent sees are the arc's crossings
     grid = [5.5, 7.09, 9.6, 9.62, 20.0, 100.0]
     n_crossings = len(_crossings(grid, matrix)[0])
-    polish, polished = pdqre.qre._newton_polish, []
+    descend, polished = pdqre.qre._descend, []
 
-    def spy(lam, alpha, gamma, matrix):
-        polished.append(lam.size)
-        return polish(lam, alpha, gamma, matrix)
+    def spy(lam, alpha, gamma, matrix, gauss_newton=False):
+        if gauss_newton:
+            polished.append(lam.size)
+        return descend(lam, alpha, gamma, matrix, gauss_newton)
 
-    monkeypatch.setattr(pdqre.qre, "_newton_polish", spy)
+    monkeypatch.setattr(pdqre.qre, "_descend", spy)
     sweep_lambda(grid, matrix=matrix)
     assert sum(polished) == n_crossings
+
+
+def _prisoners_dilemma(sucker, gaps):
+    """The game S < P < R < T whose successive payoffs are ``gaps`` apart."""
+    punishment = sucker + gaps[0]
+    reward = punishment + gaps[1]
+    return PayoffMatrix(reward, sucker, reward + gaps[2], punishment)
+
+
+_GAPS = st.lists(st.floats(0.1, 4.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    matrix=st.one_of(
+        st.just(DEFAULT_MATRIX),
+        st.just(PayoffMatrix(temptation_dc=7.0)),
+        st.builds(_prisoners_dilemma, st.floats(-2.0, 4.0), _GAPS),
+    )
+)
+# at lambda 1e5 the two points are 1.1e-12 and 2.3e-11 apart, within the bound below
+@example(matrix=_prisoners_dilemma(0.0, [3.0, 3.0, 3.0]))
+@example(matrix=_prisoners_dilemma(0.0, [0.1, 3.0372681932816463, 0.1]))
+# at lambda 1e5 the descent reaches the root (0.7788, 0.9911) from a crossing
+# at (0.0090, 0.2226) where the polish stopped at F = 0.32
+@example(
+    matrix=PayoffMatrix(
+        3.726210207026635, -0.06052347101415201, 4.5291749212006085, 0.7474026518358776
+    )
+)
+def test_gauss_newton_polish_keeps_what_the_newton_polish_accepted(matrix):
+    # at a root hess F = 2 J^T J, so the Gauss-Newton step is the Newton step on
+    # sigma(x) - x.  The replaced polish pulled its starts off the corners where
+    # the descent clips them into the box, so only starts off the edge compare:
+    # every crossing the polish accepted is accepted at the same root, and one
+    # that only the descent accepts, having more steps and halvings, is a root
+    levels = [0.25 * k for k in range(41)] + [20.0, 50.0, 100.0, 250.0, 1000.0, 1e5]
+    descend, starts = pdqre.qre._descend, []
+
+    def spy(lam, alpha, gamma, matrix, gauss_newton=False):
+        starts.append((lam, alpha, gamma))
+        return descend(lam, alpha, gamma, matrix, gauss_newton)
+
+    with mock.patch.object(pdqre.qre, "_descend", spy):
+        _, alpha, gamma, objective, _ = _crossings(levels, matrix)
+    ((lam, start_a, start_g),) = starts
+    want_a, want_g, want_f = scalar_route.polish_by_halving(lam, start_a, start_g, matrix)
+    tol = SolverConfig().accept_tol
+    off_edge = np.minimum(np.minimum(start_a, start_g), 1.0 - np.maximum(start_a, start_g)) >= 1e-7
+    accepted, want_accepted = off_edge & (objective < tol), off_edge & (want_f < tol)
+    assert (accepted >= want_accepted).all()
+    for k in np.flatnonzero(accepted & ~want_accepted):
+        assert qre_objective(lam[k], alpha[k], gamma[k], matrix) < tol
+    # a point with residual r lies within |r| / sigma_min(J) of its root, to first
+    # order, and sigma's rounding adds about lam * max|payoff| * 2**-52 to each r
+    at = np.flatnonzero(want_accepted)
+    hess = _objective_derivatives(lam[at], alpha[at], gamma[at], matrix, gauss_newton=True)[2]
+    sigma_min = np.sqrt(_min_eigenvalue(hess) / 2.0)
+    rounding = lam[at] * max(map(abs, vars(matrix).values())) * 2.0**-52
+    r_sum = np.sqrt(objective[at]) + np.sqrt(want_f[at]) + 2.0 * rounding
+    bound = 1e-12 + r_sum / sigma_min
+    apart = np.maximum(np.abs(alpha - want_a), np.abs(gamma - want_g))[at]
+    assert at.size and (apart <= bound).all()
 
 
 @pytest.mark.parametrize(
@@ -336,9 +404,7 @@ def test_every_crossing_of_h_on_a_logit_mesh_lies_on_the_traced_arc(matrix):
 def test_prisoners_dilemmas_get_a_complete_exact_main_branch(sucker, gaps):
     # any T > R > P > S: the trace reaches past the grid, and every grid
     # rationality gets a main-branch point that is an exact root the sweep reports
-    punishment = sucker + gaps[0]
-    reward = punishment + gaps[1]
-    matrix = PayoffMatrix(reward, sucker, reward + gaps[2], punishment)
+    matrix = _prisoners_dilemma(sucker, gaps)
     grid = [0.25 * k for k in range(41)]
     sweep = sweep_lambda(grid, matrix=matrix)
     assert [p.lam for p in sweep.main_branch] == grid

@@ -452,6 +452,7 @@ def test_classify_past_the_fold_follows_the_main_branch(tmp_path, capsys):
         (0, "inf", "lambda"),
         (1, "nan", "alpha"),
         (1, "-0.1", "alpha"),
+        (1, "half", "alpha"),
         (2, "7", "gamma"),
         (3, "nan", "objective"),
         (3, "-1", "objective"),

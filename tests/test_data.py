@@ -121,6 +121,36 @@ def test_save_requires_both_phases(tmp_path):
     rec = ExperimentRecord("Exp_1", "before", 0.2, 0.1, 0.3)
     with pytest.raises(ValueError):
         save_experiments([rec], tmp_path / "bad.csv")
+    # every id is checked before the file is opened: the last experiment's
+    # missing phase neither creates the file nor truncates an existing one
+    records = load_experiments()
+    assert (records[-1].experiment_id, records[-1].phase) == ("Exp_14", "after")
+    with pytest.raises(ValueError, match="Exp_14"):
+        save_experiments(records[:-1], tmp_path / "new.csv")
+    assert not (tmp_path / "new.csv").exists()
+    kept = tmp_path / "kept.csv"
+    save_experiments(records, kept)
+    before = kept.read_bytes()
+    with pytest.raises(ValueError, match="Exp_14"):
+        save_experiments(records[:-1], kept)
+    assert kept.read_bytes() == before
+
+
+@pytest.mark.parametrize("text", ["", "\n \n,,\n"], ids=["empty", "blank"])
+def test_empty_table_raises(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match="empty table") as info:
+        load_experiments(path)
+    assert info.value.row == 1
+
+
+def test_blank_experiment_id_raises(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(COLUMNS) + "\n  ,25%,0.1,0.2,75%,0.3,0.4\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="missing experiment id") as info:
+        load_experiments(path)
+    assert (info.value.row, info.value.column) == (2, COLUMNS[0])
 
 
 def test_aggregate_known_means():
@@ -137,6 +167,13 @@ def test_aggregate_known_means():
 def test_aggregate_requires_records():
     with pytest.raises(ValueError):
         aggregate([])
+
+
+def test_aggregate_of_one_phase_has_only_that_phase():
+    after = [r for r in load_experiments() if r.phase == "after"]
+    agg = aggregate(after)
+    assert list(agg) == ["after"] and agg["after"].count == 14
+    assert agg["after"].alpha == pytest.approx(6.06 / 14.0, abs=1e-9)
 
 
 def _synthetic_sweep(alphas, gammas):

@@ -1,10 +1,11 @@
 """Oracles for the closed-form derivative paths of the QRE solver.
 
-The solver's Newton polish and its Newton descent on the objective use
-closed-form first and second derivatives of sigma and of the objective.
+The solver's Newton descent on the objective, and its Gauss-Newton form that
+polishes the arc's crossings, use closed-form first and second derivatives
+of sigma and of the objective.
 Here they are checked against central differences of the compositional
-payoff route, the stacked kernel and its one-call line searches bit for bit
-against the per-substitution kernel and halving loops they replaced
+payoff route, the stacked kernel and its one-call line search bit for bit
+against the per-substitution kernel and halving loop they replaced
 (``scalar_route``), and the descent's results against a test-local copy of
 the derivative-free Nelder-Mead search it replaced.
 """
@@ -19,6 +20,7 @@ import scalar_route
 from scalar_route import _dedupe, clamped, sigma_scalar
 from scipy.optimize import minimize
 
+from pdqre._kernel import _sigma_derivatives
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     CLAMP_EPS,
@@ -27,10 +29,8 @@ from pdqre.qre import (
     _degenerate_mask,
     _descend,
     _gap_gradients,
-    _newton_polish,
     _objective_derivatives,
     _seeds,
-    _sigma_derivatives,
     _sigma_vec,
     conditional_payoffs,
     conditional_payoffs_compositional,
@@ -109,28 +109,6 @@ def test_closed_form_derivatives_match_central_differences(matrix, lam, alpha, g
     assert hess_err <= 1e-3
 
 
-@pytest.mark.parametrize(
-    "matrix", [DEFAULT_MATRIX, PayoffMatrix(temptation_dc=7.0)], ids=["default", "t7"]
-)
-@settings(max_examples=150, deadline=None)
-@given(
-    lam=st.floats(0.0, 100.0),
-    alpha=st.floats(0.001, 0.999),
-    gamma=st.floats(0.001, 0.999),
-)
-def test_jacobian_only_route_matches_full_derivatives_bitwise(matrix, lam, alpha, gamma):
-    # Newton polish asks for the Jacobian alone and passes in the sigma it priced
-    sigma, rows, hessians = _sigma_derivatives(lam, alpha, gamma, matrix)
-    priced = _sigma_vec(lam, alpha, gamma, matrix)
-    got_sigma, got_rows, got_hessians = _sigma_derivatives(
-        lam, alpha, gamma, matrix, priced, hessians=False
-    )
-    assert got_hessians is None and len(hessians) == 2
-    # bit patterns, so that -0.0 against 0.0 or a NaN would count as a difference
-    for want, got in ((sigma, got_sigma), (rows, got_rows)):
-        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
-
-
 @st.composite
 def _pd_matrices(draw):
     """Random prisoner's dilemmas: S < P < R < T with gaps in [0.1, 4]."""
@@ -199,17 +177,14 @@ def test_stacked_kernel_matches_the_per_substitution_oracle_bitwise(matrix, size
         ):
             for part, oracle in zip(got, want):
                 _same_bits(part, oracle, corner)
-    # the polish pulls corners off and the descent clips them: bit for bit throughout
-    for got, oracle in zip(
-        _newton_polish(lam, alpha, gamma, matrix),
-        scalar_route.polish_by_halving(lam, alpha, gamma, matrix),
-    ):
-        _same_bits(got, oracle)
-    for got, oracle in zip(
-        _descend(lam, alpha, gamma, matrix),
-        scalar_route.descend_by_halving(lam, alpha, gamma, matrix),
-    ):
-        _same_bits(got, oracle)
+    # the descent clips corners into the box: bit for bit throughout, on the
+    # objective's Hessian and on the Gauss-Newton model that polishes crossings
+    for gauss_newton in (False, True):
+        for got, oracle in zip(
+            _descend(lam, alpha, gamma, matrix, gauss_newton),
+            scalar_route.descend_by_halving(lam, alpha, gamma, matrix, gauss_newton),
+        ):
+            _same_bits(got, oracle)
     # the float route of the gap gradients, on the solver's box like the arc
     for a, g in np.clip((alpha[:5], gamma[:5]), CLAMP_EPS, 1.0 - CLAMP_EPS).T.tolist():
         (ga, _), (gg, _) = scalar_route.gap_derivatives(a, g, matrix, hessians=False)

@@ -137,6 +137,16 @@ def test_iterative_start_independence():
     assert a.p2 == pytest.approx(b.p2, abs=1e-10)
 
 
+def test_iterative_returns_its_last_state_at_max_iter():
+    # three rounds do not settle this chain: the oracle returns where it stopped
+    s1, s2 = MarkovStrategy(0.4, 0.9), MarkovStrategy(0.2, 0.3)
+    state = StationaryState(0.5, 0.5)
+    for _ in range(3):
+        state = dynamics_step(s1, s2, state)
+    assert stationary_state_iterative(s1, s2, max_iter=3) == state
+    assert state.p1 != pytest.approx(stationary_state(s1, s2).p1, abs=1e-3)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     a1=st.floats(0.01, 0.99),

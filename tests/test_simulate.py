@@ -353,6 +353,12 @@ def test_pooled_estimator_recovers_parameters():
     assert est.alpha_count + est.gamma_count == cfg.rounds - 1
 
 
+def test_pooled_estimator_needs_two_rounds():
+    logs = simulate_group([ALWAYS_C, ALWAYS_D], SimulationConfig(rounds=1, seed=1))
+    with pytest.raises(ValueError, match="at least 2 rounds"):
+        estimate_markov_pooled(logs[0])
+
+
 def test_export_log_golden(tmp_path):
     cfg = SimulationConfig(rounds=3, seed=7, initial_coop_prob=(1.0, 0.0))
     log = simulate(ALWAYS_C, ALWAYS_D, cfg)
