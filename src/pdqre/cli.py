@@ -125,6 +125,10 @@ def _float_grid(lo: float, hi: float, step: float, what: str) -> list[float]:
     if values[-1] > hi + 1e-12:
         values.pop()  # n >= 1 here: the first point, lo, never passes hi
     values[-1] = min(values[-1], hi)  # rounding can carry the last point past hi
+    if len(set(values)) < len(values):  # lo + k * step rounds to the same double twice
+        raise ValueError(
+            f"{what} step {step} is below the float spacing of [{lo}, {hi}]: grid points repeat"
+        )
     return values
 
 

@@ -441,7 +441,7 @@ def _seed_mesh(mesh: int, matrix: PayoffMatrix):
     return priced
 
 
-def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix) -> list[tuple[float, float]]:
+def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix):
     """Search seeds of one solve: the local minima of the objective mesh.
 
     Fixed points, attracting or repelling, and candidate basins are all
@@ -449,7 +449,8 @@ def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix) -> list[tuple[fl
     mesh of :func:`_seed_mesh`, priced once per (mesh size, matrix), that are
     no higher than their four neighbours seed the search: the lowest 40, none
     far above the candidate ceiling.  Degenerate corner nodes are pulled off
-    the corner.  Per rationality only the two logistic responses are new.
+    the corner.  Returns arrays (alpha, gamma, F), F the mesh's objective at
+    each seed.  Per rationality only the two logistic responses are new.
     """
     m = SEED_GRID_SIZE
     a, g, *_ = priced = _seed_mesh(m, matrix)
@@ -466,7 +467,7 @@ def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix) -> list[tuple[fl
     order = np.argsort(f_min, kind="stable")[:40]
     # Nodes far above the candidate ceiling cannot sit in a reportable basin.
     order = order[f_min[order] <= max(0.5, 10.0 * cfg.candidate_ceiling)]
-    return list(zip(a[nodes[order]].tolist(), g[nodes[order]].tolist()))
+    return a[nodes[order]], g[nodes[order]], f_min[order]
 
 
 def _collect(lam: float, cfg: SolverConfig, crossings: list, descents: list):
@@ -513,7 +514,7 @@ def _solve(lams: list[float], cfg: SolverConfig, matrix: PayoffMatrix):
     stack, n_pairs = [], 0
     for k, lam in enumerate(lams):
         stack.append((lam, _seeds(lam, cfg, matrix)))
-        n_pairs += len(stack[-1][1])
+        n_pairs += len(stack[-1][1][0])
         if n_pairs >= SEED_GRID_SIZE**2 or k == len(lams) - 1:
             yield from _solve_stack(stack, cfg, matrix)
             stack, n_pairs = [], 0
@@ -529,16 +530,14 @@ def _solve_stack(stack, cfg: SolverConfig, matrix: PayoffMatrix):
     candidate.  A root among the seeds on the box's edge, outside the clip of
     the descent, is accepted as it stands.  Folds passed precede the first crossing.
     """
-    owner = np.repeat(np.arange(len(stack)), [len(seeds) for _, seeds in stack])
+    owner = np.repeat(np.arange(len(stack)), [len(seeds[0]) for _, seeds in stack])
     lam = np.array([lam for lam, _ in stack], dtype=float)[owner]
-    seed_a, seed_g = np.array([s for _, seeds in stack for s in seeds]).reshape(-1, 2).T
+    seed_a, seed_g, seed_f = (np.concatenate(v) for v in zip(*(seeds for _, seeds in stack)))
     da, dg, df, is_min, clipped = _descend(lam, seed_a, seed_g, matrix)
     low = is_min & (df < cfg.accept_tol)
-    sa, sg = _sigma_vec(lam, seed_a, seed_g, matrix)
-    sf = (sa - seed_a) ** 2 + (sg - seed_g) ** 2
     edge = (np.minimum(seed_a, seed_g) < CLAMP_EPS) | (np.maximum(seed_a, seed_g) > 1.0 - CLAMP_EPS)
-    root = edge & (sf < cfg.accept_tol)
-    da[root], dg[root], df[root] = seed_a[root], seed_g[root], sf[root]
+    root = edge & (seed_f < cfg.accept_tol)
+    da[root], dg[root], df[root] = seed_a[root], seed_g[root], seed_f[root]
     is_min[root] = low[root] = True
     level, *crossed, passed = _crossings([lam for lam, _ in stack], matrix)
     found = [([], []) for _ in stack]  # (crossings, descents) per rationality

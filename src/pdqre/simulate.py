@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rows import distinct_g12, flags, fuse, labelled_blocks, write_blocks
+from ._rows import labelled_blocks, write_blocks
 from .game import DEFAULT_MATRIX, MarkovStrategy, PayoffMatrix
 
 __all__ = [
@@ -72,29 +72,34 @@ class SimulationConfig:
 
 @dataclass
 class GameLog:
-    """Per-round choices and payoffs of one fixed pair (True = cooperate)."""
+    """Per-round choices of one fixed pair (True = cooperate) and the matrix that prices them."""
 
     choices1: np.ndarray
     choices2: np.ndarray
-    payoffs1: np.ndarray
-    payoffs2: np.ndarray
     strategy1: MarkovStrategy
     strategy2: MarkovStrategy
     config: SimulationConfig
+    matrix: PayoffMatrix = DEFAULT_MATRIX
     generator: str = GENERATOR_NAME
 
     def __post_init__(self):
-        arrays = (self.choices1, self.choices2, self.payoffs1, self.payoffs2)
-        lengths = [len(a) for a in arrays]
+        lengths = [len(self.choices1), len(self.choices2)]
         if any(n != self.config.rounds for n in lengths):
             raise ValueError(
-                f"a log of {self.config.rounds} rounds needs arrays of that length, "
-                f"got choices {lengths[:2]} and payoffs {lengths[2:]}"
+                f"a log of {self.config.rounds} rounds needs choices of that length, got {lengths}"
             )
 
     @property
     def rounds(self) -> int:
         return len(self.choices1)
+
+    @property
+    def payoffs1(self) -> np.ndarray:
+        return self.matrix.payoff(self.choices1, self.choices2)
+
+    @property
+    def payoffs2(self) -> np.ndarray:
+        return self.matrix.payoff(self.choices2, self.choices1)
 
     def cooperation_rate(self, player: int = 1, burn_in: int = 0) -> float:
         choices = _player_column(player, self.choices1, self.choices2)
@@ -102,9 +107,10 @@ class GameLog:
         return float(np.mean(choices[burn_in:]))
 
     def mean_payoff(self, player: int = 1, burn_in: int = 0) -> float:
-        payoffs = _player_column(player, self.payoffs1, self.payoffs2)
-        _check_burn_in(burn_in, len(payoffs))
-        return float(np.mean(payoffs[burn_in:]))
+        own = _player_column(player, self.choices1, self.choices2)
+        other = _player_column(player, self.choices2, self.choices1)
+        _check_burn_in(burn_in, len(own))
+        return float(np.mean(self.matrix.payoff(own[burn_in:], other[burn_in:])))
 
 
 @dataclass
@@ -195,9 +201,7 @@ def simulate(
     after_c = u < np.array([[s1.gamma], [s2.gamma]])
     after_d[:, 0] = after_c[:, 0] = u[:, 0] < np.asarray(config.initial_coop_prob)
     arr1, arr2 = _reply_chains(after_d, after_c)
-    pay1 = matrix.payoff(arr1, arr2)
-    pay2 = matrix.payoff(arr2, arr1)
-    return GameLog(arr1, arr2, pay1, pay2, s1, s2, config)
+    return GameLog(arr1, arr2, s1, s2, config, matrix=matrix)
 
 
 def simulate_group(
@@ -292,6 +296,12 @@ def export_log(log: GameLog, path) -> None:
         f"# strategy2={log.strategy2.alpha:.12g},{log.strategy2.gamma:.12g}\n"
         "round,choice1,choice2,payoff1,payoff2\n"
     )
-    choices = [flags(log.choices1, "D", "C"), flags(log.choices2, "D", "C")]
-    column = fuse(choices + [distinct_g12(log.payoffs1), distinct_g12(log.payoffs2)])
-    write_blocks(path, head, labelled_blocks("%d,{}\n", column, np.arange(1, log.rounds + 1)))
+    # one label per choice pair, code 2 * c1 + c2, priced as simulate prices a round
+    c1, c2 = np.array([False, False, True, True]), np.array([False, True, False, True])
+    p1, p2 = log.matrix.payoff(c1, c2).tolist(), log.matrix.payoff(c2, c1).tolist()
+    labels = np.array(
+        [f"{a},{b},{x:.12g},{y:.12g}" for a, b, x, y in zip("DDCC", "DCDC", p1, p2)], dtype=object
+    )
+    codes = 2 * log.choices1.view(np.uint8) + log.choices2.view(np.uint8)
+    rows = np.arange(1, log.rounds + 1)
+    write_blocks(path, head, labelled_blocks("%d,{}\n", (labels, codes), rows))

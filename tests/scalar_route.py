@@ -330,6 +330,12 @@ def clamped(alpha, gamma):
     )
 
 
+def seed_points(lam, cfg, matrix):
+    """The seeds of ``_seeds`` as a list of (alpha, gamma) Python floats."""
+    a, g, _ = _seeds(lam, cfg, matrix)
+    return list(zip(a.tolist(), g.tolist()))
+
+
 def seeds_via_objective_grid(lam, cfg, matrix):
     """The seeds of ``_seeds``: the mesh of ``objective_grid``, its nodes no
     higher than their four neighbours, the lowest 40 under the ceiling, each
@@ -437,7 +443,7 @@ def solve_scalar(lam, cfg, matrix):
     """(points, clamped_evals) of one rationality, accepted points first."""
     diag = {"clamped_evals": 0}
     exact, cands, reached = [], [], []
-    for i, seed in enumerate(_seeds(lam, cfg, matrix)):
+    for i, seed in enumerate(seed_points(lam, cfg, matrix)):
         na, ng, nf = newton_polish(lam, seed, matrix)
         if nf < cfg.accept_tol:
             exact.append((na, ng, nf))

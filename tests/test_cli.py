@@ -221,6 +221,15 @@ def test_nash_curve_writes_no_signed_zero(tmp_path, capsys, grid):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "grid", [(1.0, 1.0000000000000004, 1e-16), (1e10, 1e10 + 1e-4, 1e-6)], ids=["one", "1e10"]
+)
+def test_grid_rejects_a_step_below_the_float_spacing(grid):
+    # lo + k * step rounds to the same double twice: the grid would repeat rows
+    with pytest.raises(ValueError, match=f"step {grid[2]} is below the float spacing"):
+        _float_grid(*grid, "lambda")
+
+
 def test_grid_guard_boundary(monkeypatch):
     monkeypatch.setattr(cli, "MAX_GRID_POINTS", 11)
     assert len(_float_grid(0.0, 1.0, 0.1, "lambda")) == 11
@@ -694,7 +703,9 @@ def _in_domain(args):
         given.get(lo, 0.0) <= given.get(hi, math.inf)
         for lo, hi in (("gamma_min", "gamma_max"), ("lambda_min", "lambda_max"))
     )
-    return flags and ordered and given.get("burn_in", 0) < given.get("rounds", 1)
+    grid = _grid(args)
+    distinct = grid is None or not (flags and ordered) or not _repeats(grid)
+    return flags and ordered and distinct and given.get("burn_in", 0) < given.get("rounds", 1)
 
 
 #: argparse reads a token that starts with "-" as an option unless it is a plain
@@ -735,6 +746,15 @@ def _many_points(grid):
     return built and (hi - lo) / step > 20.5
 
 
+def _repeats(grid):
+    """Whether two points of the grid lo + k * step, k = 0 .. round((hi - lo) / step), its
+    last point dropped when past hi + 1e-12 or else clamped to hi, are the same double."""
+    lo, hi, step = grid
+    points = [lo + k * step for k in range(round((hi - lo) / step) + 1)]
+    points = [min(x, hi) for x in points if x <= hi + 1e-12]
+    return len(set(points)) < len(points)
+
+
 def _expected_config(args):
     if args.subcommand == "simulate":  # the resolved pair, not the flags
         alpha2 = args.alpha1 if args.alpha2 is None else args.alpha2
@@ -772,6 +792,8 @@ def _bounded_columns(args):
 @example(["qre-sweep", "--lambda-min=7.4", "--lambda-max=7.6", "--lambda-step=0.01"])
 @example(["qre-sweep", "--lambda-min=3", "--lambda-max=6", "--lambda-step=0.5",
           "--intersection-tol=inf"])
+@example(["qre-sweep", "--lambda-min=1", "--lambda-max=1.0000000000000004",
+          "--lambda-step=1e-16"])
 @given(_ARGVS)
 def test_cli_boundary(argv):
     # each example ends in one of three ways: outputs with their manifests, one

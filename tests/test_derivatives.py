@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scalar_route
-from scalar_route import _dedupe, clamped, sigma_scalar
+from scalar_route import _dedupe, clamped, seed_points, sigma_scalar
 from scipy.optimize import minimize
 
 from pdqre._kernel import _sigma_derivatives
@@ -30,7 +30,6 @@ from pdqre.qre import (
     _descend,
     _gap_gradients,
     _objective_derivatives,
-    _seeds,
     _sigma_vec,
     conditional_payoffs,
     conditional_payoffs_compositional,
@@ -290,7 +289,7 @@ def _nelder_mead_route(lam, matrix=DEFAULT_MATRIX):
     """Accepted points and candidates of a solve whose local search is Nelder-Mead."""
     cfg = SolverConfig()
     exact, cands = [], []
-    for seed in _seeds(lam, cfg, matrix):
+    for seed in seed_points(lam, cfg, matrix):
         na, ng, nf = _fd_newton_polish(lam, seed, matrix)
         if nf < cfg.accept_tol:
             exact.append((na, ng, nf))

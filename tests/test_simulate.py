@@ -88,10 +88,9 @@ def test_players_draw_from_independent_streams():
 def _manual_log(choices1, choices2):
     c1 = np.asarray(choices1, dtype=bool)
     c2 = np.asarray(choices2, dtype=bool)
-    zeros = np.zeros(len(c1))
     cfg = SimulationConfig(rounds=len(c1), seed=0)
     s = MarkovStrategy(0.5, 0.5)
-    return GameLog(c1, c2, zeros, zeros, s, s, cfg)
+    return GameLog(c1, c2, s, s, cfg)
 
 
 def test_estimator_worked_example():
@@ -106,10 +105,10 @@ def test_estimator_worked_example():
     assert est2.alpha == pytest.approx(1.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("short", ["choices1", "choices2", "payoffs1", "payoffs2", "all"])
+@pytest.mark.parametrize("short", ["choices1", "choices2", "all"])
 def test_pair_log_rejects_arrays_of_another_length_than_its_rounds(short):
-    names = ("choices1", "choices2", "payoffs1", "payoffs2")
-    arrays = {n: np.zeros(5, dtype=bool if n.startswith("choices") else float) for n in names}
+    names = ("choices1", "choices2")
+    arrays = {n: np.zeros(5, dtype=bool) for n in names}
     for name in names if short == "all" else (short,):
         arrays[name] = arrays[name][:3]
     s = MarkovStrategy(0.5, 0.5)
@@ -331,6 +330,9 @@ def test_pair_payoffs_are_the_stage_payoffs_of_the_choices():
     assert set(pairs) == set(stage)  # all four outcomes occur
     assert log.payoffs1.tolist() == [stage[c][0] for c in pairs]
     assert log.payoffs2.tolist() == [stage[c][1] for c in pairs]
+    # each player's mean prices only that player's side of the rounds after burn-in
+    assert log.mean_payoff(1, burn_in=7) == np.mean(log.payoffs1[7:])
+    assert log.mean_payoff(2, burn_in=7) == np.mean(log.payoffs2[7:])
 
 
 def test_group_play_deterministic():

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
-from scalar_route import seeds_via_objective_grid, solve_scalar
+from scalar_route import seed_points, seeds_via_objective_grid, solve_scalar
 
 import pdqre.qre
+from pdqre._kernel import KERNEL_BLOCK, _sigma_vec
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     NoSolution,
@@ -142,11 +143,32 @@ def test_seeds_from_the_priced_mesh_equal_the_objective_grid_route(monkeypatch):
         for lam in lams:
             for matrix in matrices:
                 want = seeds_via_objective_grid(lam, cfg, matrix)
-                assert _seeds(lam, cfg, matrix) == want, (size, lam, matrix)
+                assert seed_points(lam, cfg, matrix) == want, (size, lam, matrix)
         matrices.reverse()
     for array in pdqre.qre._seed_mesh(9, DEFAULT_MATRIX):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lam=st.one_of(
+        st.sampled_from([0.0, 0.5, 2.0, 5.0, 7.7, 10.0, 20.0, 100.0, 1000.0, 1e5]),
+        st.floats(0.0, 1e5),
+    ),
+    payoffs=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+)
+@example(lam=9.62, payoffs=[5.0, 0.0, 10.0, 1.0])
+@example(lam=100.0, payoffs=[5.0, 0.0, 7.0, 1.0])
+def test_seeds_carry_the_objective_that_sigma_reprices_bitwise(lam, payoffs):
+    # the edge-seed rule reads the mesh's F in place of pricing sigma at each
+    # seed, on the seeds alone and in a stack past KERNEL_BLOCK, as a sweep's
+    matrix = PayoffMatrix(*payoffs)
+    a, g, f = _seeds(lam, SolverConfig(), matrix)
+    tiled = [np.tile(v, KERNEL_BLOCK // max(len(v), 1) + 1) for v in (a, g, f)]
+    for a, g, f in ((a, g, f), tiled):
+        sa, sg = _sigma_vec(np.full(len(a), lam), a, g, matrix)
+        assert f.tobytes() == ((sa - a) ** 2 + (sg - g) ** 2).tobytes()
 
 
 def test_a_sweep_prices_the_seed_mesh_once(monkeypatch):
