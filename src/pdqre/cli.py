@@ -33,6 +33,7 @@ from .qre import (
     SolverConfig,
     _check_finite,
     find_intersections,
+    main_branch,
     objective_grid,
     sweep_lambda,
 )
@@ -373,8 +374,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         qre_sweep = _read_sweep_csv(Path(args.sweep))
         inputs[str(Path(args.sweep))] = Path(args.sweep)
     else:
-        lambdas = _float_grid(0.0, args.lambda_max, args.lambda_step, "lambda")
-        qre_sweep = sweep_lambda(lambdas, SolverConfig())
+        qre_sweep = main_branch(_float_grid(0.0, args.lambda_max, args.lambda_step, "lambda"))
     report = classify_against_qre(records, qre_sweep, lambda_max=args.lambda_max)
     aggregates = aggregate(records)
 
@@ -526,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda-step",
         type=float,
         default=0.01,
-        help="grid step for the internally computed sweep",
+        help="grid step for the internally computed main branch",
     )
     cls.add_argument("--output", required=True, help="JSON report path")
     cls.set_defaults(handler=_cmd_classify)

@@ -264,7 +264,7 @@ def _extract_branch(
         if p.lam == q.lam:
             raise InsufficientSweep(
                 f"several accepted points at lambda={p.lam:.12g}; "
-                "classify needs one branch (pass the SweepResult)"
+                "classify needs one branch (pass the SweepResult or qre.main_branch)"
             )
     if len(branch) < 2:
         raise InsufficientSweep(
@@ -290,9 +290,9 @@ def classify_against_qre(
     read as gamma versus alpha (single-valued when alpha is monotone along
     the branch; otherwise a signed nearest-distance rule takes over, with
     the side of (1, 1) defined as Above).  Records outside the branch's
-    alpha range use the nearest-endpoint extension and are flagged.  A
-    point list must hold one accepted point per lambda; a ``SweepResult``
-    gives its main branch.
+    alpha range use the nearest-endpoint extension and are flagged.  A point
+    list, such as ``qre.main_branch`` gives, must hold one accepted point per
+    lambda; a ``SweepResult`` gives its main branch, the same points.
     """
     branch = _extract_branch(qre_sweep, lambda_max)
     alphas = [p.alpha for p in branch]

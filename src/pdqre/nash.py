@@ -160,14 +160,19 @@ def _stationarity_or_nan(alpha: float, gamma: float, matrix: PayoffMatrix = DEFA
         return math.nan
 
 
-def curve_residual(choice: CurveChoice) -> Callable[..., float]:
-    """Residual function selected by ``curve_choice``.
+def curve_residual(
+    choice: CurveChoice, matrix: PayoffMatrix = DEFAULT_MATRIX
+) -> Callable[..., float]:
+    """Residual function selected by ``curve_choice`` for the game ``matrix``.
 
-    Both returned callables accept (alpha, gamma, matrix=DEFAULT_MATRIX); the
-    quadratic form is specific to the default payoffs and ignores the matrix
-    argument, and the stationarity form is NaN where the chain is degenerate.
+    Both returned callables accept (alpha, gamma, matrix=DEFAULT_MATRIX).  The
+    quadratic form is the published curve of the default payoffs: it ignores
+    the matrix argument, and asking for it under another ``matrix`` raises
+    ValueError.  The stationarity form is NaN where the chain is degenerate.
     """
     if choice == "quadratic":
+        if matrix != DEFAULT_MATRIX:
+            raise ValueError(f"the quadratic curve is the default game's, not that of {matrix}")
         return lambda alpha, gamma, matrix=DEFAULT_MATRIX: quadratic_residual(
             alpha, gamma
         )

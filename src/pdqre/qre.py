@@ -52,6 +52,7 @@ __all__ = [
     "conditional_payoffs_compositional",
     "find_intersections",
     "logit_response",
+    "main_branch",
     "objective_grid",
     "qre_objective",
     "solve_qre",
@@ -113,9 +114,12 @@ def _check_finite(name: str, value: float, positive: bool) -> None:
         raise ValueError(f"{name} must be finite and {bound}, got {value}")
 
 
-def _check_rationality(lam: float) -> None:
-    """Reject a rationality that is negative, infinite or NaN."""
-    _check_finite("rationality", lam, positive=False)
+def _check_rationality(*lams: float) -> None:
+    """Reject a rationality that is negative, infinite or NaN, and a grid that descends."""
+    for lam in lams:
+        _check_finite("rationality", lam, positive=False)
+    if any(b < a for a, b in zip(lams, lams[1:])):
+        raise ValueError("lambda grid must be ascending")
 
 
 class NoSolution(RuntimeError):
@@ -192,6 +196,7 @@ class SolverConfig:
 class SweepResult:
     """Labeled solutions over a rationality grid plus sweep-level findings.
 
+    ``main_branch`` holds the accepted first crossings of the arc, as :func:`main_branch`.
     ``matrix`` is the payoff matrix the grid was solved under; a result built
     by hand without one describes the default game.
     """
@@ -285,13 +290,21 @@ def _off_corners(alpha, gamma):
     )
 
 
+def _clip(x, closed: bool):
+    """Points stacked (alpha, gamma) on the first axis, clipped into [CLAMP_EPS, 1 - CLAMP_EPS]^2,
+    or with ``closed`` into [0, 1]^2 and pulled off the corners as :func:`_off_corners` pulls."""
+    if not closed:
+        return np.clip(x, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    return np.array(_off_corners(*np.clip(x, 0.0, 1.0))[:2])
+
+
 #: Fractions 1/2, ..., 1/1024 of a Newton step that its line search tries after the whole
 #: step, as a column.
 _HALVINGS = 0.5 ** np.arange(1.0, 11.0)[:, None]
 
 
-def _trial_points(lam, x, f, step, t, local, matrix: PayoffMatrix):
-    """Price the trial points x + t*step, clipped into the box, in one sigma call.
+def _trial_points(lam, x, f, step, t, local, matrix: PayoffMatrix, closed: bool):
+    """Price the trial points x + t*step, clipped by :func:`_clip`, in one sigma call.
 
     ``x`` and ``step`` stack (alpha, gamma) on their first axis; ``t`` is a
     number or a column of fractions.  Returns the clipped points, their sigma
@@ -300,7 +313,7 @@ def _trial_points(lam, x, f, step, t, local, matrix: PayoffMatrix):
     a ``local`` step.
     """
     trial = x + t * step
-    point = np.clip(trial, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    point = _clip(trial, closed)
     unmoved = point == trial
     inside = unmoved[0] & unmoved[1]
     sigma = _sigma_vec(lam, point[0], point[1], matrix)
@@ -310,7 +323,7 @@ def _trial_points(lam, x, f, step, t, local, matrix: PayoffMatrix):
     return point, sigma, nf, inside, (local & inside) | (nf < f)
 
 
-def _line_search(lam, x, f, step, local, matrix: PayoffMatrix):
+def _line_search(lam, x, f, step, local, matrix: PayoffMatrix, closed: bool):
     """Halve each element's Newton step until its trial point is accepted, down to 1/1024.
 
     A trial is accepted as :func:`_trial_points` accepts it.  The whole steps
@@ -322,7 +335,7 @@ def _line_search(lam, x, f, step, local, matrix: PayoffMatrix):
     sigma and objective, and how many of the trials it made (up to the
     accepted one) were clipped.
     """
-    point, sigma, nf, inside, ok = _trial_points(lam, x, f, step, 1.0, local, matrix)
+    point, sigma, nf, inside, ok = _trial_points(lam, x, f, step, 1.0, local, matrix, closed)
     clipped = (~inside).astype(np.int64)
     failed = np.flatnonzero(~ok)
     halvings = len(_HALVINGS)
@@ -331,7 +344,7 @@ def _line_search(lam, x, f, step, local, matrix: PayoffMatrix):
         retry = failed[lo : lo + per_call]
         h_point, h_sigma, h_nf, h_inside, h_ok = _trial_points(
             lam[retry], x[:, None, retry], f[retry], step[:, None, retry], _HALVINGS,
-            local[retry], matrix,
+            local[retry], matrix, closed,
         )
         first = np.where(h_ok.any(0), h_ok.argmax(0), halvings)
         clipped[retry] += (~h_inside & (np.arange(halvings)[:, None] <= first)).sum(0)
@@ -365,16 +378,18 @@ def _descend(
     makes each step the Newton step on sigma(x) - x: that is how the arc's
     crossings are polished into roots.  The step is halved until F falls, down
     to 1/1024, except that an unshifted step below ``DESCENT_LOCAL_STEP`` is
-    taken whole (:func:`_line_search`).  Iterates are clipped into
-    [CLAMP_EPS, 1 - CLAMP_EPS]^2.  An element stops once an unshifted step is
-    below ``DESCENT_STEP_TOL`` or no halving lowers F.  It is a minimum only
+    taken whole (:func:`_line_search`).  Iterates are clipped by :func:`_clip`,
+    closed on the Gauss-Newton model: sigma saturates, so a root may lie on the
+    box's edge.  An element stops once an unshifted step is below
+    ``DESCENT_STEP_TOL`` (on the Gauss-Newton model, after taking it, which fixes
+    a root to its rounding floor) or no halving lowers F.  It is a minimum only
     off the box's edge, with grad F below its bound (``DESCENT_GRAD_TOL``) and
     a positive definite Hessian, so clip stalls and saddles fail.  Returns
     arrays (alpha, gamma, objective, is_min, clipped), where ``clipped``
     counts each element's clipped trial points.
     """
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    x = np.clip((alpha, gamma), lo, hi)
+    x = _clip((alpha, gamma), gauss_newton)
     f, grad, hess = _objective_derivatives(lam, x[0], x[1], matrix, gauss_newton=gauss_newton)
     clipped = np.zeros(f.shape, dtype=np.int64)
     live = np.arange(f.size)
@@ -388,13 +403,14 @@ def _descend(
         det = h_aa * h_gg - h_ag * h_ag
         step = (-grad_l * diag + grad_l[::-1] * h_ag) / det
         size = np.abs(step).max(0)
-        keep = (det > 0.0) & ~(unshifted & (size <= DESCENT_STEP_TOL))
+        last = unshifted & (size <= DESCENT_STEP_TOL)
+        keep = (det > 0.0) & (gauss_newton | ~last)
         local = (unshifted & (size <= DESCENT_LOCAL_STEP))[keep]
-        live, step = live[keep], step[:, keep]
+        live, step, last = live[keep], step[:, keep], last[keep]
         if not live.size:
             break
         ok, point, sigma, _, n_clipped = _line_search(
-            lam[live], x[:, live], f[live], step, local, matrix
+            lam[live], x[:, live], f[live], step, local, matrix, gauss_newton
         )
         clipped[live] += n_clipped
         live, point = live[ok], point[:, ok]
@@ -402,6 +418,7 @@ def _descend(
         f[live], grad[:, live], hess[:, live] = _objective_derivatives(
             lam[live], point[0], point[1], matrix, sigma[:, ok], gauss_newton
         )
+        live = live[~last[ok]]
     a, g = x
     small = np.abs(grad).max(0) <= DESCENT_GRAD_TOL * np.sqrt(np.maximum(1.0, hess[::2].max(0)))
     inside = (lo < a) & (a < hi) & (lo < g) & (g < hi)
@@ -470,41 +487,36 @@ def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix):
     return a[nodes[order]], g[nodes[order]], f_min[order]
 
 
-def _collect(lam: float, cfg: SolverConfig, crossings: list, descents: list):
+def _collect(lam: float, cfg: SolverConfig, crossings: list, descents: list) -> list[QrePoint]:
     """Merge the polished crossings and the descents of one rationality.
 
     ``crossings`` are (alpha, gamma, objective) in arc order; ``descents`` are
     (alpha, gamma, objective, accepted) of the descents that ended on a minimum.
-    The roots (crossings below ``accept_tol``, accepted descents), then the other
-    minima, each by (objective, alpha, gamma), fold into the first point kept
+    The crossings below ``accept_tol``, in arc order, then the descents, accepted
+    first and each by (objective, alpha, gamma), fold into the first point kept
     within ``merge_tol`` (max-norm), adding their descent to its ``start_count``,
-    or are kept.  Returns the points, accepted first, and a list of the first
-    accepted point within ``merge_tol`` of the first crossing.
+    or are kept; so a crossing that is a root is kept as polished.  Returns the
+    points, accepted first.
     """
-
-    def near(p: QrePoint, a: float, g: float) -> bool:
-        return max(abs(p.alpha - a), abs(p.gamma - g)) <= cfg.merge_tol
-
     results = [(a, g, f, True, 0) for a, g, f in crossings if f < cfg.accept_tol]
-    results += [(a, g, f, low, 1) for a, g, f, low in descents]
+    results += sorted(((*d, 1) for d in descents), key=lambda r: (not r[3], r[2], r[0], r[1]))
     kept: list[QrePoint] = []
-    for a, g, f, accepted, n in sorted(results, key=lambda r: (not r[3], r[2], r[0], r[1])):
-        point = next((p for p in kept if near(p, a, g)), None)
+    for a, g, f, accepted, n in results:
+        near = (p for p in kept if max(abs(p.alpha - a), abs(p.gamma - g)) <= cfg.merge_tol)
+        point = next(near, None)
         if point is None:
             kept.append(QrePoint(lam, a, g, f, accepted, start_count=n))
         else:
             point.start_count += n
     ceiling = cfg.candidate_ceiling if cfg.include_candidates else -math.inf
-    points = sorted(
+    return sorted(
         (p for p in kept if p.accepted or p.objective < ceiling),
         key=lambda p: (not p.accepted, p.alpha, p.gamma),
     )
-    a1, g1, _ = crossings[0]
-    return points, [p for p in points if p.accepted and near(p, a1, g1)][:1]
 
 
 def _solve(lams: list[float], cfg: SolverConfig, matrix: PayoffMatrix):
-    """Yield (points, main, folds passed, clipped descent trials) per rationality of ``lams``.
+    """Yield (points, first crossing, folds passed, clipped trials) per rationality of ``lams``.
 
     Consecutive rationalities join one stack until it holds as many
     (rationality, seed) pairs as the seed mesh has nodes, so its arrays stay
@@ -528,7 +540,8 @@ def _solve_stack(stack, cfg: SolverConfig, matrix: PayoffMatrix):
     a descent that ends on a strict local minimum below ``accept_tol`` is
     accepted as it ends, which finds a root off the arc; one above it is a
     candidate.  A root among the seeds on the box's edge, outside the clip of
-    the descent, is accepted as it stands.  Folds passed precede the first crossing.
+    the descent, is accepted as it stands.  The first crossing is (alpha, gamma,
+    objective), and the folds passed precede it.
     """
     owner = np.repeat(np.arange(len(stack)), [len(seeds[0]) for _, seeds in stack])
     lam = np.array([lam for lam, _ in stack], dtype=float)[owner]
@@ -539,7 +552,7 @@ def _solve_stack(stack, cfg: SolverConfig, matrix: PayoffMatrix):
     root = edge & (seed_f < cfg.accept_tol)
     da[root], dg[root], df[root] = seed_a[root], seed_g[root], seed_f[root]
     is_min[root] = low[root] = True
-    level, *crossed, passed = _crossings([lam for lam, _ in stack], matrix)
+    level, *crossed, _, passed = _crossings([lam for lam, _ in stack], matrix)
     found = [([], []) for _ in stack]  # (crossings, descents) per rationality
     for k, *crossing in zip(level.tolist(), *(v.tolist() for v in crossed)):
         found[k][0].append(crossing)
@@ -549,7 +562,7 @@ def _solve_stack(stack, cfg: SolverConfig, matrix: PayoffMatrix):
     for (lam, _), (crossings, descents), folds, n in zip(
         stack, found, passed.tolist(), clamped, strict=True
     ):
-        yield *_collect(lam, cfg, crossings, descents), folds, n
+        yield _collect(lam, cfg, crossings, descents), crossings[0], folds, n
 
 
 def solve_qre(
@@ -565,7 +578,7 @@ def solve_qre(
     descent on the objective reaches from the seeds of :func:`_seeds`, as the
     descent ends them, and the edge seeds that are roots.
     The seeds' descents also find candidate near-solutions (strict local
-    minima of the objective).  Results within ``merge_tol`` (max-norm) merge; a
+    minima of the objective).  Results within ``merge_tol`` merge, crossings first; a
     point's ``start_count`` is the number of seeds whose descent merged into it.
     The clipped steps of the seeds' descents go to
     ``diagnostics["clamped_evals"]``.  Accepted points come first; raises
@@ -594,7 +607,7 @@ def label_branch(
         return smooth
     if max(point.alpha, point.gamma) < DEFECT_THRESHOLD:
         return defect
-    resid = curve_residual(config.curve_choice)(point.alpha, point.gamma, matrix)
+    resid = curve_residual(config.curve_choice, matrix)(point.alpha, point.gamma, matrix)
     if abs(resid) < NEARNASH_THRESHOLD:
         return near_nash
     return other
@@ -696,7 +709,7 @@ def _crossings(lams: list[float], matrix: PayoffMatrix):
     A crossing is placed on the arc's polyline and polished by :func:`_descend`
     on the Gauss-Newton model, whose clipped trials are not counted.  Returns
     arrays (level index, alpha, gamma, objective), by level and then along the
-    arc, and per level the number of folds before its first crossing.
+    arc, and per level the index of its first crossing and the folds before it.
     """
     z, arc_lams, folds = _trace_arc(matrix)
     levels = np.array(lams, dtype=float)
@@ -711,7 +724,21 @@ def _crossings(lams: list[float], matrix: PayoffMatrix):
     start = _logistic(1.0, x), _logistic(1.0, y)
     alpha, gamma, f = _descend(levels[level], *start, matrix, gauss_newton=True)[:3]
     first = np.flatnonzero(np.diff(level, prepend=-1))
-    return level, alpha, gamma, f, np.searchsorted(folds, seg[first] + 1)
+    return level, alpha, gamma, f, first, np.searchsorted(folds, seg[first] + 1)
+
+
+def main_branch(lambdas: Iterable[float], matrix: PayoffMatrix = DEFAULT_MATRIX) -> list[QrePoint]:
+    """The main branch of :func:`sweep_lambda` over the same grid, from the arc alone.
+
+    Per rationality, the arc's first crossing as :func:`_crossings` polishes it, where
+    that is a root by the default ``accept_tol``: no seed, descent or merge, so no
+    branch label and no ``start_count``.
+    """
+    lams = [float(v) for v in lambdas]
+    _check_rationality(*lams)
+    _, *crossed, first, _ = _crossings(lams, matrix)
+    found = zip(lams, *(v[first].tolist() for v in crossed))
+    return [QrePoint(lam, a, g, f, True) for lam, a, g, f in found if f < SolverConfig.accept_tol]
 
 
 def sweep_lambda(
@@ -721,23 +748,19 @@ def sweep_lambda(
 ) -> SweepResult:
     """Solve each rationality of an ascending grid on its own, as :func:`solve_qre` does.
 
-    Every point gets a branch label.  The main branch is the accepted point at
-    each rationality's first crossing of the arc, and the discontinuities are
-    the rationalities whose first crossing lies past a fold that the previous
-    one's did not.
+    Every point gets a branch label.  The main branch holds each rationality's
+    first crossing of the arc where it is accepted, as :func:`main_branch` gives
+    it, and the discontinuities are the rationalities whose first crossing lies
+    past a fold that the previous one's did not.
     """
-    cfg = config or SolverConfig()
-    lam_list = [float(v) for v in lambdas]
-    for lam in lam_list:
-        _check_rationality(lam)
-    if any(b < a for a, b in zip(lam_list, lam_list[1:])):
-        raise ValueError("lambda grid must be ascending")
-
+    cfg, lams = config or SolverConfig(), [float(v) for v in lambdas]
+    _check_rationality(*lams)
+    curve_residual(cfg.curve_choice, matrix)  # raises ValueError for a curve this game lacks
     points, main, no_solution, passed = [], [], [], []
     transition, diag = None, {"clamped_evals": 0}
 
-    for lam, (pts, first, folds, n) in zip(lam_list, _solve(lam_list, cfg, matrix), strict=True):
-        main.extend(first)
+    for lam, (pts, (a1, g1, _), folds, n) in zip(lams, _solve(lams, cfg, matrix), strict=True):
+        main += [p for p in pts if p.accepted and (p.alpha, p.gamma) == (a1, g1)]
         passed.append(folds)
         if not any(p.accepted for p in pts):
             no_solution.append(lam)
@@ -748,7 +771,7 @@ def sweep_lambda(
         if transition is None and any(max(p.alpha, p.gamma) < DEFECT_REGION for p in pts):
             transition = lam
 
-    jumps = [lam for lam, a, b in zip(lam_list[1:], passed, passed[1:]) if a != b]
+    jumps = [lam for lam, a, b in zip(lams[1:], passed, passed[1:]) if a != b]
     return SweepResult(points, main, no_solution, jumps, transition, cfg, diag, matrix)
 
 
@@ -767,7 +790,8 @@ def find_intersections(
     discontinuity.  The lowest lambda event is flagged as first.
     """
     _check_finite("tol", tol, positive=True)
-    resid_fn, matrix = curve_residual(curve_choice or sweep.config.curve_choice), sweep.matrix
+    matrix = sweep.matrix
+    resid_fn = curve_residual(curve_choice or sweep.config.curve_choice, matrix)
 
     main = sorted(sweep.main_branch, key=lambda p: p.lam)
     if not main:

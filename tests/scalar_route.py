@@ -21,9 +21,10 @@ route.
 replaced: it prices the whole mesh through ``objective_grid`` at every call.
 
 ``collect_by_dedupe`` is the merge that the one-pass ``qre._collect``
-replaced, with its ``_dedupe``: roots and other minima deduplicated apart,
-minima near a root dropped, and every point's ``start_count`` counted over
-all descents within ``merge_tol`` of it.
+replaced, with its ``_dedupe``: roots and other minima deduplicated apart
+(a root crossing ahead of the descents), minima near a root dropped, and
+every point's ``start_count`` counted over all descents within ``merge_tol``
+of it.
 """
 
 import math
@@ -220,7 +221,13 @@ def descend_by_halving(lam, alpha, gamma, matrix, gauss_newton=False):
     """``qre._descend`` with one sigma call per halving of the pending steps,
     and sigma priced again at each accepted point."""
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    a, g = np.clip(alpha, lo, hi), np.clip(gamma, lo, hi)
+
+    def clip(a, g):  # the Gauss-Newton polish runs in [0, 1]^2, off the corners
+        if not gauss_newton:
+            return np.clip(a, lo, hi), np.clip(g, lo, hi)
+        return _off_corners(np.clip(a, 0.0, 1.0), np.clip(g, 0.0, 1.0))[:2]
+
+    a, g = clip(alpha, gamma)
     f, grad, hess = objective_derivatives(lam, a, g, matrix, gauss_newton=gauss_newton)
     grad, hess = np.array(grad), np.array(hess)
     clipped = np.zeros(a.shape, dtype=np.int64)
@@ -235,19 +242,19 @@ def descend_by_halving(lam, alpha, gamma, matrix, gauss_newton=False):
         step_a = (-g_a * h_gg + g_g * h_ag) / det
         step_g = (-g_g * h_aa + g_a * h_ag) / det
         size = np.maximum(np.abs(step_a), np.abs(step_g))
-        keep = (det > 0.0) & ~(unshifted & (size <= DESCENT_STEP_TOL))
+        last = unshifted & (size <= DESCENT_STEP_TOL)
+        keep = (det > 0.0) & (gauss_newton | ~last)
         local = (unshifted & (size <= DESCENT_LOCAL_STEP))[keep]
-        live, step_a, step_g = live[keep], step_a[keep], step_g[keep]
+        live, step_a, step_g, last = live[keep], step_a[keep], step_g[keep], last[keep]
         if not live.size:
             break
         pending, t = np.arange(live.size), 1.0
         while t >= 1.0 / 1024.0 and pending.size:
             at = live[pending]
-            na = a[at] + t * step_a[pending]
-            ng = g[at] + t * step_g[pending]
-            inside = (lo <= na) & (na <= hi) & (lo <= ng) & (ng <= hi)
+            ta, tg = a[at] + t * step_a[pending], g[at] + t * step_g[pending]
+            na, ng = clip(ta, tg)
+            inside = (na == ta) & (ng == tg)
             clipped[at[~inside]] += 1
-            na, ng = np.clip(na, lo, hi), np.clip(ng, lo, hi)
             better = local[pending] & inside
             priced = ~better
             sa, sg = sigma_vec(lam[at[priced]], na[priced], ng[priced], matrix)
@@ -255,10 +262,12 @@ def descend_by_halving(lam, alpha, gamma, matrix, gauss_newton=False):
             a[at[better]], g[at[better]] = na[better], ng[better]
             pending = pending[~better]
             t *= 0.5
+        last = np.delete(last, pending)
         live = np.delete(live, pending)
         f[live], grad[:, live], hess[:, live] = objective_derivatives(
             lam[live], a[live], g[live], matrix, gauss_newton=gauss_newton
         )
+        live = live[~last]
     small = np.abs(grad).max(0) <= DESCENT_GRAD_TOL * np.sqrt(np.maximum(1.0, hess[::2].max(0)))
     inside = (lo < a) & (a < hi) & (lo < g) & (g < hi)
     return a, g, f, small & inside & (_min_eigenvalue(hess) > 0.0), clipped
@@ -267,20 +276,27 @@ def descend_by_halving(lam, alpha, gamma, matrix, gauss_newton=False):
 # --- the per-seed scalar solve ---------------------------------------------
 
 
-def _dedupe(entries: list, tol: float) -> list[tuple[float, float, float]]:
-    """Keep the lowest-objective (alpha, gamma, objective) entry per max-norm cluster."""
+def _dedupe(entries: list, tol: float, ordered: bool = False) -> list[tuple[float, float, float]]:
+    """Keep the lowest-objective (alpha, gamma, objective) entry per max-norm cluster.
+
+    With ``ordered`` the entries are taken as given, and each cluster keeps its first.
+    """
     kept: list[tuple[float, float, float]] = []
-    for a, g, f in sorted(entries, key=lambda e: (e[2], e[0], e[1])):
+    for a, g, f in entries if ordered else sorted(entries, key=lambda e: (e[2], e[0], e[1])):
         if all(max(abs(a - ka), abs(g - kg)) > tol for ka, kg, _ in kept):
             kept.append((a, g, f))
     return kept
 
 
 def collect_by_dedupe(lam, cfg, crossings, descents):
-    """(points, main branch) of one rationality, as ``qre._collect`` merged them before."""
+    """The points of one rationality by dedupe rules, for clusters far apart.
+
+    A cluster of roots keeps its first root crossing in arc order, or else its
+    lowest accepted descent; one of minima keeps its lowest.
+    """
     tol = cfg.merge_tol
-    roots = [c for c in crossings if c[2] < cfg.accept_tol] + [r[:3] for r in descents if r[3]]
-    exact = _dedupe(roots, tol)
+    descended = sorted((r[:3] for r in descents if r[3]), key=lambda e: (e[2], e[0], e[1]))
+    exact = _dedupe([c for c in crossings if c[2] < cfg.accept_tol] + descended, tol, True)
     cands = [
         c
         for c in _dedupe([r[:3] for r in descents if not r[3]], tol)
@@ -292,14 +308,11 @@ def collect_by_dedupe(lam, cfg, crossings, descents):
     def start_count(a0, g0):
         return sum(max(abs(a - a0), abs(g - g0)) <= tol for a, g, _, _ in descents)
 
-    points = [
+    return [
         QrePoint(lam, a0, g0, f0, accepted, start_count=start_count(a0, g0))
         for accepted, kept in ((True, exact), (False, cands))
         for a0, g0, f0 in sorted(kept, key=lambda e: (e[0], e[1]))
     ]
-    a1, g1, _ = crossings[0]
-    main = [p for p in points[: len(exact)] if max(abs(p.alpha - a1), abs(p.gamma - g1)) <= tol]
-    return points, main[:1]
 
 
 def expit(x):

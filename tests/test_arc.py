@@ -29,6 +29,7 @@ from pdqre.qre import (
     _objective_derivatives,
     _trace_arc,
     find_intersections,
+    main_branch,
     qre_objective,
     solve_qre,
     sweep_lambda,
@@ -39,8 +40,7 @@ GRID = [0.01 * k for k in range(1001)]
 
 def _first(crossings):
     """(alpha, gamma, objective) of each level's first crossing and the levels past a new fold."""
-    level, alpha, gamma, objective, passed = crossings
-    first = np.flatnonzero(np.diff(level, prepend=-1))
+    _, alpha, gamma, objective, first, passed = crossings
     jumped = np.flatnonzero(np.diff(passed, prepend=passed[:1]))
     return alpha[first], gamma[first], objective[first], jumped.tolist()
 
@@ -57,25 +57,37 @@ def swept(request):
 def test_first_crossings_are_exact_roots_and_the_main_branch(swept):
     matrix, sweep = swept
     alpha, gamma, _, jumps = _first(_crossings(GRID, matrix))
-    crossings = list(zip(GRID, alpha, gamma))
+    crossings = list(zip(GRID, alpha.tolist(), gamma.tolist()))
     worst = max(qre_objective(lam, a, g, matrix) for lam, a, g in crossings)
-    apart = max(
-        max(abs(p.alpha - a), abs(p.gamma - g)) for p, (_, a, g) in zip(sweep.main_branch, crossings)
-    )
-    print(f"worst scalar objective {worst:.2e}; farthest from the main branch {apart:.2e}")
+    print(f"worst scalar objective {worst:.2e}")
     assert worst <= SolverConfig().accept_tol
-    assert [p.lam for p in sweep.main_branch] == GRID
-    assert apart <= 1e-12
+    # each main point is its level's first crossing as polished, bit for bit
+    assert [(p.lam, p.alpha, p.gamma) for p in sweep.main_branch] == crossings
     # the main branch is the sweep's own accepted points, not copies
     assert all(any(p is q for q in sweep.points) and p.accepted for p in sweep.main_branch)
     assert sweep.discontinuities == [GRID[k] for k in jumps]
+
+
+def test_main_branch_is_the_sweeps_without_a_multi_start(swept):
+    # main_branch takes the points from the arc alone: no seed scan and no merge
+    matrix, sweep = swept
+    with (
+        mock.patch.object(pdqre.qre, "_seeds", wraps=pdqre.qre._seeds) as seeds,
+        mock.patch.object(pdqre.qre, "_collect", wraps=pdqre.qre._collect) as collect,
+    ):
+        points = main_branch(GRID, matrix=matrix)
+    assert seeds.call_count == collect.call_count == 0
+    assert [(p.lam, p.alpha, p.gamma, p.objective) for p in points] == [
+        (p.lam, p.alpha, p.gamma, p.objective) for p in sweep.main_branch
+    ]
+    assert all(p.accepted and (p.branch, p.start_count) == ("", 0) for p in points)
 
 
 def test_every_crossing_is_an_accepted_point(swept):
     # on this grid the accepted points are exactly the arc's crossings: one per
     # crossing, each an exact root by the scalar reference objective
     matrix, sweep = swept
-    level, alpha, gamma, _, _ = _crossings(GRID, matrix)
+    level, alpha, gamma, *_ = _crossings(GRID, matrix)
     accepted = [p for p in sweep.points if p.accepted]
     assert len(accepted) == len(level)
     for k, a, g in zip(level.tolist(), alpha, gamma):
@@ -85,12 +97,10 @@ def test_every_crossing_is_an_accepted_point(swept):
 
 
 def test_refined_events_lie_on_the_arc(swept):
+    # the published quadratic is drawn for the default game only
     matrix, sweep = swept
-    events = [
-        e
-        for choice in ("stationarity", "quadratic")
-        for e in find_intersections(sweep, choice)
-    ]
+    choices = ("stationarity", "quadratic") if matrix == DEFAULT_MATRIX else ("stationarity",)
+    events = [e for choice in choices for e in find_intersections(sweep, choice)]
     assert events
     for e in events:
         objective = qre_objective(e.lam, e.alpha, e.gamma, matrix)
@@ -111,6 +121,21 @@ def test_events_are_found_in_the_game_the_sweep_was_solved_under():
     assert [e.kind for e in events] == ["entry"]
     assert events[0].lam == pytest.approx(7.4927886, abs=1e-6)
     assert (events[0].alpha, events[0].gamma) == pytest.approx((0.208816, 0.394832), abs=1e-6)
+
+
+def test_the_published_quadratic_is_refused_under_another_game():
+    # the quadratic is drawn for the default game: under T = 7 it would label the
+    # points and check the events against another game's curve
+    matrix, quadratic = PayoffMatrix(temptation_dc=7.0), SolverConfig(curve_choice="quadratic")
+    with mock.patch.object(pdqre.qre, "_crossings", wraps=_crossings) as crossings:
+        with pytest.raises(ValueError, match="quadratic curve"):
+            sweep_lambda([6.0, 8.0, 10.0], quadratic, matrix)
+    assert crossings.call_count == 0  # refused before anything is solved
+    sweep = sweep_lambda([6.0, 8.0, 10.0], matrix=matrix)
+    with pytest.raises(ValueError, match="quadratic curve"):
+        find_intersections(sweep, "quadratic")
+    assert [e.kind for e in find_intersections(sweep, "stationarity")] == ["entry"]
+    assert len(sweep_lambda([6.0, 8.0, 10.0], quadratic).main_branch) == 3
 
 
 def test_events_do_not_depend_on_the_grid():
@@ -162,7 +187,7 @@ def test_an_arc_that_returns_below_its_fold_keeps_its_roots():
     z, lams, folds = _trace_arc(matrix)
     assert lams[folds].tolist() == pytest.approx([58.3252, 7.79519], abs=1e-4)
     for lam, count in ((7.79, 1), (7.80, 3)):
-        level, alpha, gamma, objective, _ = _crossings([lam], matrix)
+        level, alpha, gamma, objective, *_ = _crossings([lam], matrix)
         assert len(level) == count and objective.max() <= SolverConfig().accept_tol
         accepted = sorted((p.alpha, p.gamma) for p in solve_qre(lam, matrix=matrix) if p.accepted)
         assert len(accepted) == count, lam
@@ -224,6 +249,27 @@ def test_roots_the_arc_does_not_reach_are_accepted(lam, matrix, root):
     assert qre_objective(lam, near[0].alpha, near[0].gamma, matrix) <= SolverConfig().accept_tol
 
 
+def test_the_main_branch_ends_on_a_root_on_the_box_edge():
+    # under T = 7 the arc runs into the top-edge root (1/2, 1): the polish of its
+    # crossing runs in the closed box, so it stops on the root and not on the clip
+    # face 1.2e-8 away, whose F is 1.4e-9 at lambda 1e5
+    matrix, lams = PayoffMatrix(temptation_dc=7.0), [100.0, 1e5]
+    want = [(lam, 0.5, 1.0, 0.0) for lam in lams]
+    for points in (sweep_lambda(lams, matrix=matrix).main_branch, main_branch(lams, matrix)):
+        assert [(p.lam, p.alpha, p.gamma, p.objective) for p in points] == want
+
+
+def test_the_main_branch_is_pulled_off_a_degenerate_corner():
+    # this arc runs into the corner (0, 1), where the stationary state is 0/0:
+    # the polish pulls its trials off the corner as the seed mesh does
+    matrix = PayoffMatrix(1.7481630404978066, 0.46573169294277905, 5.265416392123964, 1.4997396224019741)
+    points = main_branch([100.0, 1e5], matrix)
+    assert len(points) == 2
+    for p in points:
+        assert p.alpha <= CLAMP_EPS and p.gamma >= 1.0 - CLAMP_EPS
+        assert p.objective <= SolverConfig().accept_tol
+
+
 def test_a_descent_stalled_against_the_clip_is_no_root():
     # next to the degenerate corner (0, 1) the descent from the seed (0.0375,
     # 0.95) stops on the clipped edge at (2.6e-9, 1 - CLAMP_EPS) with F = 1e-18
@@ -259,9 +305,9 @@ def test_descents_find_the_roots_off_the_first_crossing(monkeypatch):
     crossings = pdqre.qre._crossings
 
     def first_only(levels, matrix):
-        level, alpha, gamma, objective, passed = crossings(levels, matrix)
-        first = np.flatnonzero(np.diff(level, prepend=-1))
-        return level[first], alpha[first], gamma[first], objective[first], passed
+        level, alpha, gamma, objective, first, passed = crossings(levels, matrix)
+        kept = np.arange(first.size)
+        return level[first], alpha[first], gamma[first], objective[first], kept, passed
 
     monkeypatch.setattr(pdqre.qre, "_crossings", first_only)
     for lam, roots in zip(lams, want):
@@ -334,7 +380,7 @@ def test_gauss_newton_polish_keeps_what_the_newton_polish_accepted(matrix):
         return descend(lam, alpha, gamma, matrix, gauss_newton)
 
     with mock.patch.object(pdqre.qre, "_descend", spy):
-        _, alpha, gamma, objective, _ = _crossings(levels, matrix)
+        _, alpha, gamma, objective, *_ = _crossings(levels, matrix)
     ((lam, start_a, start_g),) = starts
     want_a, want_g, want_f = scalar_route.polish_by_halving(lam, start_a, start_g, matrix)
     tol = SolverConfig().accept_tol
@@ -412,6 +458,9 @@ def test_prisoners_dilemmas_get_a_complete_exact_main_branch(sucker, gaps):
     for p in sweep.main_branch:
         assert p.accepted and any(p is q for q in sweep.points)
         assert qre_objective(p.lam, p.alpha, p.gamma, matrix) <= SolverConfig().accept_tol
+    assert [(p.lam, p.alpha, p.gamma, p.objective) for p in main_branch(grid, matrix=matrix)] == [
+        (p.lam, p.alpha, p.gamma, p.objective) for p in sweep.main_branch
+    ]
     z, lams, _ = _trace_arc(matrix)
     assert lams[-1] == math.inf and lams[:-1].max() > grid[-1]  # the arc reached past the grid
     assert (lams[:-1] >= 0.0).all()
@@ -438,6 +487,6 @@ def test_the_trace_steps_around_a_steep_rise_of_lambda():
     grid = [10.0 * k for k in range(11)]
     _, lams, _ = _trace_arc(matrix)
     assert all(b <= 1.0 + 2.0 * a + 1e-9 for a, b in zip(lams[:-2], lams[1:-1]) if b > a)
-    level, alpha, gamma, objective, _ = _crossings(grid, matrix)
+    level, alpha, gamma, objective, *_ = _crossings(grid, matrix)
     assert max(objective) <= SolverConfig().accept_tol
     assert max(qre_objective(grid[k], *x, matrix) for k, *x in zip(level, alpha, gamma)) <= 1e-20

@@ -558,9 +558,9 @@ def test_sweep_raises_when_a_level_has_no_crossing(monkeypatch):
     # the parent zipped the levels against the shorter per-level lists and
     # returned the first two levels without a word
     def crossings_without_the_last_level(lams, matrix):
-        level, *crossed, passed = _crossings(lams, matrix)
+        level, *crossed, first, passed = _crossings(lams, matrix)
         keep = level < len(lams) - 1
-        return level[keep], *(v[keep] for v in crossed), passed[: len(lams) - 1]
+        return level[keep], *(v[keep] for v in crossed), first[:-1], passed[: len(lams) - 1]
 
     monkeypatch.setattr(pdqre.qre, "_crossings", crossings_without_the_last_level)
     with pytest.raises(ValueError, match="zip"):
@@ -620,9 +620,12 @@ _TWO_MINIMA = [(0.50006, 0.5, 0.01, False), (0.50012, 0.5, 0.02, False)]
 @example(inputs=(SolverConfig(), [_ROOT, (0.50015, 0.5, 0.0)], [(0.500075, 0.5, 0.01, False)]))
 def test_collect_merges_clusters_as_the_dedupe_rule_did(inputs):
     cfg, crossings, descents = inputs
-    points, main = _collect(1.0, cfg, crossings, descents)
+    points = _collect(1.0, cfg, crossings, descents)
     if _clustered(crossings, descents, cfg.merge_tol):
-        assert (points, main) == collect_by_dedupe(1.0, cfg, crossings, descents)
+        assert points == collect_by_dedupe(1.0, cfg, crossings, descents)
+    # the first crossing, when it is a root, is kept as polished: the main branch's point
+    if crossings[0][2] < cfg.accept_tol:
+        assert [p for p in points if (p.alpha, p.gamma, p.objective) == crossings[0]]
     assert all(
         max(abs(p.alpha - q.alpha), abs(p.gamma - q.gamma)) > cfg.merge_tol
         for i, p in enumerate(points)
@@ -630,5 +633,5 @@ def test_collect_merges_clusters_as_the_dedupe_rule_did(inputs):
     )
     # with every candidate reported, each descent is counted once
     everything = replace(cfg, include_candidates=True, candidate_ceiling=1.0)
-    counted = sum(p.start_count for p in _collect(1.0, everything, crossings, descents)[0])
+    counted = sum(p.start_count for p in _collect(1.0, everything, crossings, descents))
     assert counted == len(descents)
