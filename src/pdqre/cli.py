@@ -92,7 +92,24 @@ def _write_manifest(output: Path, args: argparse.Namespace, config=None, inputs=
         "inputs": {name: _sha256(path) for name, path in (inputs or {}).items()},
         "timestamp": None,  # omitted by design: outputs must be byte-stable
     }
-    _write_json(Path(str(output) + ".manifest.json"), manifest)
+    _write_json(_manifest_path(output), manifest)
+
+
+def _manifest_path(output: Path) -> Path:
+    return Path(str(output) + ".manifest.json")
+
+
+def _check_outputs(outputs: dict[str, Path], inputs: dict[str, Path]) -> None:
+    """Raise ValueError unless each output and its manifest is a file of its own.
+
+    No two of them, and none of them and an input, may resolve to one path.
+    """
+    seen = {path.resolve(): f"input {name}" for name, path in inputs.items()}
+    for name, path in outputs.items():
+        for what, file in ((name, path), (f"the manifest of {name}", _manifest_path(path))):
+            other = seen.setdefault(file.resolve(), what)
+            if other != what:
+                raise ValueError(f"{what} and {other} are the same file: {file}")
 
 
 #: Largest grid a flag may ask for; keeps memory bounded for any bounds and step.
@@ -177,8 +194,10 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
     lambdas = _float_grid(args.lambda_min, args.lambda_max, args.lambda_step, "lambda")
     _check_finite("intersection_tol", args.intersection_tol, positive=True)
     cfg = _solver_config(args)
-    sweep = sweep_lambda(lambdas, cfg)
     out = Path(args.output)
+    report_path = Path(args.report) if args.report else Path(str(out) + ".report.json")
+    _check_outputs({"--output": out, "--report": report_path}, {})
+    sweep = sweep_lambda(lambdas, cfg)
     _write_text(out, "\n".join([SWEEP_HEADER] + _point_rows(sweep.points)) + "\n")
 
     report = {
@@ -229,7 +248,6 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
             "with the QRE branch"
         ),
     }
-    report_path = Path(args.report) if args.report else Path(str(out) + ".report.json")
     _write_json(report_path, report)
     _write_manifest(out, args)
     _write_manifest(report_path, args)
@@ -369,10 +387,13 @@ _BUNDLED_DATA_NAME = "pdqre/data/experiments.csv"
 def _cmd_classify(args: argparse.Namespace) -> int:
     data_path = Path(args.data) if args.data else bundled_experiments_path()
     inputs = {str(data_path) if args.data else _BUNDLED_DATA_NAME: data_path}
+    if args.sweep:
+        inputs[str(Path(args.sweep))] = Path(args.sweep)
+    out = Path(args.output)
+    _check_outputs({"--output": out}, inputs)
     records = load_experiments(data_path)
     if args.sweep:
         qre_sweep = _read_sweep_csv(Path(args.sweep))
-        inputs[str(Path(args.sweep))] = Path(args.sweep)
     else:
         qre_sweep = main_branch(_float_grid(0.0, args.lambda_max, args.lambda_step, "lambda"))
     report = classify_against_qre(records, qre_sweep, lambda_max=args.lambda_max)
@@ -409,7 +430,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             for c in report.classifications
         ],
     }
-    out = Path(args.output)
     _write_json(out, payload)
     _write_manifest(out, args, inputs=inputs)
     print(

@@ -176,23 +176,23 @@ def load_experiments(source: str | Path | None = None) -> list[ExperimentRecord]
 def save_experiments(records: Sequence[ExperimentRecord], path: str | Path) -> None:
     """Serialize records back to the seven-column format.
 
-    Requires a before and an after record for every experiment id.
+    Requires one before and one after record for every experiment id.
     """
     by_id: dict[str, dict[str, ExperimentRecord]] = {}
-    order: list[str] = []
+    # every check runs before the file is opened, so a failed save leaves it as it was
     for rec in records:
-        if rec.experiment_id not in by_id:
-            by_id[rec.experiment_id] = {}
-            order.append(rec.experiment_id)
-        by_id[rec.experiment_id][rec.phase] = rec
-    for exp_id in order:  # before the file is opened, so a failed save leaves it as it was
-        if set(by_id[exp_id]) != set(PHASES):
+        phases = by_id.setdefault(rec.experiment_id, {})
+        if rec.phase in phases:
+            raise ValueError(f"experiment {rec.experiment_id!r} has a second {rec.phase} record")
+        phases[rec.phase] = rec
+    for exp_id, phases in by_id.items():
+        if set(phases) != set(PHASES):
             raise ValueError(f"experiment {exp_id!r} is missing a phase")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(COLUMNS)
-        for exp_id in order:
-            b, a = by_id[exp_id]["before"], by_id[exp_id]["after"]
+        for exp_id, phases in by_id.items():
+            b, a = phases["before"], phases["after"]
             writer.writerow(
                 [
                     exp_id,

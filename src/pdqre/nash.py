@@ -1,28 +1,29 @@
 """Symmetric mixed Nash equilibrium curves in the (alpha, gamma) square.
 
-Two candidate curves are maintained side by side.  ``quadratic_residual`` is
-a closed-form benchmark quadratic, kept exactly as published:
+Each curve is a conic aa a^2 + ag a g + a a + gg g^2 + g g + 1 = 0, held as
+its coefficient tuple.  ``QUADRATIC_CONIC`` is a closed-form benchmark
+quadratic, kept exactly as published:
 
     5 a^2 + 9 g^2 - 14 a g - 10 g + 1 = 0
 
-``stationarity_curve_residual`` is derived independently inside this package
-as the gamma component of the own-payoff gradient at the symmetric profile.
-Its interior zero set is the quadratic
+``STATIONARITY_CONIC`` is derived inside this package.  At the symmetric
+profile the own-payoff gradient is ((1 - g) C, a C) / ((a - g - 1)(a - g + 1)^3)
+with C = (R - S) a^2 + (P - R + S - T) a g + (2T - R - P) a + (T - P) g^2
++ (S - T) g + (P - S), so both components vanish on one interior curve, C = 0,
+which for the default payoffs reads
 
     5 a^2 + 9 g^2 - 14 a g + 14 a - 10 g + 1 = 0
 
-which differs from the benchmark by the 14 a term.  Both vanish at
+and differs from the benchmark by the 14 a term.  Both vanish at
 (0, 1/9) and (0, 1) but disagree everywhere else in the interior, so both
 are traced and reported; downstream consumers choose via ``curve_choice``.
-A useful computed fact: the alpha component of the same gradient carries the
-identical quadratic factor, so requiring stationarity in both parameters
-yields the same interior curve, not isolated points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Literal
 
 from .game import (
@@ -59,21 +60,30 @@ class CurvePoint:
     stationarity_residual: float
 
 
+#: The published quadratic's coefficients (aa, ag, a, gg, g, 1).
+QUADRATIC_CONIC = (5.0, -14.0, 0.0, 9.0, -10.0, 1.0)
+
+
+def _stationarity_conic(matrix: PayoffMatrix) -> tuple[float, ...]:
+    """Coefficients (aa, ag, a, gg, g, 1) of C, the gradient's factor under ``matrix``."""
+    r, s = matrix.reward_cc, matrix.sucker_cd
+    t, p = matrix.temptation_dc, matrix.punishment_dd
+    return (r - s, p - r + s - t, 2.0 * t - r - p, t - p, s - t, p - s)
+
+
+STATIONARITY_CONIC = _stationarity_conic(DEFAULT_MATRIX)
+
+
 def quadratic_residual(alpha: float, gamma: float) -> float:
     """Benchmark quadratic, kept exactly as published."""
-    return 5.0 * alpha**2 + 9.0 * gamma**2 - 14.0 * alpha * gamma - 10.0 * gamma + 1.0
+    aa, ag, a, gg, g, one = QUADRATIC_CONIC
+    return aa * alpha**2 + gg * gamma**2 + ag * alpha * gamma + a * alpha + g * gamma + one
 
 
 def stationarity_quadratic(alpha: float, gamma: float) -> float:
     """Interior factor of the stationarity gradient's zero set."""
-    return (
-        5.0 * alpha**2
-        + 9.0 * gamma**2
-        - 14.0 * alpha * gamma
-        + 14.0 * alpha
-        - 10.0 * gamma
-        + 1.0
-    )
+    aa, ag, a, gg, g, one = STATIONARITY_CONIC
+    return aa * alpha**2 + gg * gamma**2 + ag * alpha * gamma + a * alpha + g * gamma + one
 
 
 def own_payoff_gradient(
@@ -152,7 +162,7 @@ def stationarity_curve_residual(
     return own_payoff_gradient(profile, profile, matrix)[1]
 
 
-def _stationarity_or_nan(alpha: float, gamma: float, matrix: PayoffMatrix = DEFAULT_MATRIX) -> float:
+def _stationarity_or_nan(matrix: PayoffMatrix, alpha: float, gamma: float) -> float:
     """:func:`stationarity_curve_residual`, NaN where the chain is degenerate."""
     try:
         return stationarity_curve_residual(alpha, gamma, matrix)
@@ -162,38 +172,38 @@ def _stationarity_or_nan(alpha: float, gamma: float, matrix: PayoffMatrix = DEFA
 
 def curve_residual(
     choice: CurveChoice, matrix: PayoffMatrix = DEFAULT_MATRIX
-) -> Callable[..., float]:
-    """Residual function selected by ``curve_choice`` for the game ``matrix``.
+) -> Callable[[float, float], float]:
+    """Residual of (alpha, gamma) selected by ``curve_choice`` for the game ``matrix``.
 
-    Both returned callables accept (alpha, gamma, matrix=DEFAULT_MATRIX).  The
-    quadratic form is the published curve of the default payoffs: it ignores
-    the matrix argument, and asking for it under another ``matrix`` raises
-    ValueError.  The stationarity form is NaN where the chain is degenerate.
+    The quadratic form is the published curve of the default payoffs,
+    :func:`quadratic_residual` itself; asking for it under another ``matrix``
+    raises ValueError.  The stationarity form is priced under ``matrix`` and
+    is NaN where the chain is degenerate.
     """
     if choice == "quadratic":
         if matrix != DEFAULT_MATRIX:
             raise ValueError(f"the quadratic curve is the default game's, not that of {matrix}")
-        return lambda alpha, gamma, matrix=DEFAULT_MATRIX: quadratic_residual(
-            alpha, gamma
-        )
+        return quadratic_residual
     if choice == "stationarity":
-        return _stationarity_or_nan
+        return partial(_stationarity_or_nan, matrix)
     raise ValueError(f"unknown curve choice {choice!r}")
 
 
-def _trace(
-    gammas: Iterable[float], linear_coeff: Callable[[float], float]
-) -> list[CurvePoint]:
-    # Both curves are quadratics 5 a^2 + b(g) a + c(g) with shared c(g).
+def _trace(gammas: Iterable[float], conic: tuple[float, ...]) -> list[CurvePoint]:
+    # The conic is aa a^2 + b(g) a + c(g) in alpha.  b is written
+    # a (1 - g) + (a + ag) g: where a or a + ag is 0 one product is an exact
+    # zero, so b is rounded as ag g or a (1 - g) alone.
+    aa, ag, a, gg, g, one = conic
+    a_ag, two_aa, four_aa = a + ag, 2.0 * aa, 4.0 * aa
     points: list[CurvePoint] = []
     for gamma in gammas:
-        b = linear_coeff(gamma)
-        c = 9.0 * gamma**2 - 10.0 * gamma + 1.0
-        disc = b * b - 20.0 * c
+        b = a * (1.0 - gamma) + a_ag * gamma
+        c = gg * gamma**2 + g * gamma + one
+        disc = b * b - four_aa * c
         if disc < 0.0:
             continue
         root = math.sqrt(disc)
-        for branch, alpha in (("low", (-b - root) / 10.0), ("high", (-b + root) / 10.0)):
+        for branch, alpha in (("low", (-b - root) / two_aa), ("high", (-b + root) / two_aa)):
             if -1e-12 <= alpha <= 1.0 + 1e-12:
                 alpha = min(max(alpha, 0.0), 1.0) + 0.0  # -0 reads 0
                 points.append(
@@ -202,7 +212,7 @@ def _trace(
                         gamma=gamma,
                         branch=branch,
                         quadratic_residual=quadratic_residual(alpha, gamma),
-                        stationarity_residual=_stationarity_or_nan(alpha, gamma),
+                        stationarity_residual=_stationarity_or_nan(DEFAULT_MATRIX, alpha, gamma),
                     )
                 )
     return points
@@ -213,13 +223,13 @@ def trace_quadratic_curve(gammas: Iterable[float]) -> list[CurvePoint]:
 
     Empty below the discriminant root near gamma = 0.0992.
     """
-    return _trace(gammas, lambda g: -14.0 * g)
+    return _trace(gammas, QUADRATIC_CONIC)
 
 
 def trace_stationarity_curve(gammas: Iterable[float]) -> list[CurvePoint]:
-    """In-square points of the stationarity-derived curve.
+    """In-square points of the stationarity-derived curve of the default game.
 
     Only the high branch enters the unit square; it runs from (0, 1/9) to
     (0, 1) with alpha staying below 0.3.
     """
-    return _trace(gammas, lambda g: 14.0 * (1.0 - g))
+    return _trace(gammas, STATIONARITY_CONIC)

@@ -581,19 +581,16 @@ def solve_qre(
     minima of the objective).  Results within ``merge_tol`` merge, crossings first; a
     point's ``start_count`` is the number of seeds whose descent merged into it.
     The clipped steps of the seeds' descents go to
-    ``diagnostics["clamped_evals"]``.  Accepted points come first; raises
+    ``diagnostics["clamped_evals"]``, its only key.  Accepted points come first; raises
     :class:`NoSolution` when none reaches ``accept_tol``.  :func:`sweep_lambda`
     runs the same solve.
     """
     cfg = config or SolverConfig()
     _check_rationality(lam)
     ((points, _, _, clamped_evals),) = _solve([lam], cfg, matrix)
-    n_exact = sum(p.accepted for p in points)
     if diagnostics is not None:
-        diagnostics.update(
-            clamped_evals=clamped_evals, n_exact=n_exact, n_candidates=len(points) - n_exact
-        )
-    if not n_exact:
+        diagnostics["clamped_evals"] = clamped_evals
+    if not any(p.accepted for p in points):
         raise NoSolution(lam, points)
     return points
 
@@ -607,7 +604,7 @@ def label_branch(
         return smooth
     if max(point.alpha, point.gamma) < DEFECT_THRESHOLD:
         return defect
-    resid = curve_residual(config.curve_choice, matrix)(point.alpha, point.gamma, matrix)
+    resid = curve_residual(config.curve_choice, matrix)(point.alpha, point.gamma)
     if abs(resid) < NEARNASH_THRESHOLD:
         return near_nash
     return other
@@ -796,14 +793,14 @@ def find_intersections(
     main = sorted(sweep.main_branch, key=lambda p: p.lam)
     if not main:
         return []
-    res = [resid_fn(p.alpha, p.gamma, matrix) for p in main]
+    res = [resid_fn(p.alpha, p.gamma) for p in main]
     events: list[Intersection] = []
 
     def refine(p: QrePoint, q: QrePoint, kind: str, value) -> None:
         ends = ([math.log(v / (1.0 - v)) for v in (r.alpha, r.gamma)] for r in (p, q))
         lo, hi = (_project(z, matrix) for z in ends)
-        _, frame = _bisect_chord(lo, hi, lambda _, f: value(resid_fn(*f[4], matrix)), matrix)
-        events.append(Intersection(frame[2], *frame[4], resid_fn(*frame[4], matrix), kind))
+        _, frame = _bisect_chord(lo, hi, lambda _, f: value(resid_fn(*f[4])), matrix)
+        events.append(Intersection(frame[2], *frame[4], resid_fn(*frame[4]), kind))
 
     if math.isfinite(res[0]) and abs(res[0]) < tol:
         events.append(Intersection(main[0].lam, main[0].alpha, main[0].gamma, res[0], "entry"))

@@ -426,6 +426,49 @@ def test_classify_custom_data_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "output,report",
+    [
+        ("s.csv", "s.csv"),
+        ("s.csv", "./s.csv"),
+        ("s.csv", "s.csv.manifest.json"),
+        ("r.json.manifest.json", "r.json"),
+    ],
+)
+def test_qre_sweep_refuses_two_outputs_in_one_file(tmp_path, monkeypatch, capsys, output, report):
+    # the CSV, the report and their two manifests are four files: otherwise one
+    # overwrites another, so it is a JSON error before the sweep, with nothing written
+    monkeypatch.chdir(tmp_path)
+    argv = ["qre-sweep", "--lambda-max", "0.5", "--lambda-step", "0.5"]
+    assert run([*argv, "--output", output, "--report", report]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "same file" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--sweep", "u.csv", "--output", "u.csv"],
+        ["--sweep", "u.csv", "--output", "./u.csv"],
+        ["--data", "d.csv", "--sweep", "u.csv", "--output", "d.csv"],
+        ["--data", "d.csv.manifest.json", "--sweep", "u.csv", "--output", "d.csv"],
+    ],
+)
+def test_classify_refuses_to_write_over_its_inputs(tmp_path, monkeypatch, capsys, flags):
+    # the report and its manifest may be neither --data nor --sweep
+    monkeypatch.chdir(tmp_path)
+    _write_synthetic_sweep(tmp_path / "u.csv")
+    table = bundled_experiments_path().read_bytes()
+    for name in ("d.csv", "d.csv.manifest.json"):
+        (tmp_path / name).write_bytes(table)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(["classify", *flags]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "same file" in err["message"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_classify_missing_sweep_file(tmp_path, capsys):
     code = run(
         ["classify", "--sweep", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "r.json")]

@@ -136,6 +136,20 @@ def test_save_requires_both_phases(tmp_path):
     assert kept.read_bytes() == before
 
 
+def test_save_refuses_a_repeated_experiment(tmp_path):
+    # Exp_1 on two rows loads as four records; saving them kept only the second row
+    table = tmp_path / "twice.csv"
+    table.write_text(
+        ",".join(COLUMNS) + "\nExp_1,20%,0.3,0.1,80%,0.3,0.8\nExp_1,30%,0.2,0.2,70%,0.4,0.7\n",
+        encoding="utf-8",
+    )
+    records = load_experiments(table)
+    assert len(records) == 4
+    with pytest.raises(ValueError, match="Exp_1"):
+        save_experiments(records, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("text", ["", "\n \n,,\n"], ids=["empty", "blank"])
 def test_empty_table_raises(tmp_path, text):
     path = tmp_path / "t.csv"
