@@ -273,29 +273,25 @@ def qre_objective(
 
 
 def _degenerate_mask(alpha: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Points where some substituted chain is degenerate: a denominator of
-    :func:`_conditional_dens` below ``DEGENERACY_THRESHOLD`` in magnitude."""
-    d0, d1, d2, d3 = (np.abs(den) for den in _conditional_dens(alpha, gamma))
-    return np.minimum(np.minimum(d0, d1), np.minimum(d2, d3)) < DEGENERACY_THRESHOLD
+    """Points of [0, 1]^2 where some substituted chain is degenerate: a denominator of
+    :func:`_conditional_dens` below ``DEGENERACY_THRESHOLD`` in magnitude.  Each is at least
+    1 - |alpha - gamma| there, so only |alpha - gamma| > 1 - 2 * threshold is priced."""
+    mask = np.abs(alpha - gamma) > 1.0 - 2.0 * DEGENERACY_THRESHOLD
+    if np.count_nonzero(mask):  # a third of ndarray.any's cost on a few dozen points
+        dens = np.abs(_conditional_dens(alpha[mask], gamma[mask]))
+        mask[mask] = dens.min(0) < DEGENERACY_THRESHOLD
+    return mask
 
 
-def _off_corners(alpha, gamma):
-    """Pull degenerate points into [CLAMP_EPS, 1 - CLAMP_EPS]^2; also returns the flags."""
-    clamped = _degenerate_mask(alpha, gamma)
-    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    return (
-        np.where(clamped, np.clip(alpha, lo, hi), alpha),
-        np.where(clamped, np.clip(gamma, lo, hi), gamma),
-        clamped,
-    )
-
-
-def _clip(x, closed: bool):
-    """Points stacked (alpha, gamma) on the first axis, clipped into [CLAMP_EPS, 1 - CLAMP_EPS]^2,
-    or with ``closed`` into [0, 1]^2 and pulled off the corners as :func:`_off_corners` pulls."""
-    if not closed:
-        return np.clip(x, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    return np.array(_off_corners(*np.clip(x, 0.0, 1.0))[:2])
+def _clip(x):
+    """Points stacked (alpha, gamma) on the first axis, clipped into [0, 1]^2, those where a
+    chain is degenerate pulled into [CLAMP_EPS, 1 - CLAMP_EPS]^2, which moves each of them (a
+    denominator below ``DEGENERACY_THRESHOLD`` needs a coordinate above 1 - threshold)."""
+    x = np.clip(x, 0.0, 1.0)
+    corner = _degenerate_mask(*x)
+    if np.count_nonzero(corner):
+        x[:, corner] = np.clip(x[:, corner], CLAMP_EPS, 1.0 - CLAMP_EPS)
+    return x
 
 
 #: Fractions 1/2, ..., 1/1024 of a Newton step that its line search tries after the whole
@@ -303,7 +299,7 @@ def _clip(x, closed: bool):
 _HALVINGS = 0.5 ** np.arange(1.0, 11.0)[:, None]
 
 
-def _trial_points(lam, x, f, step, t, local, matrix: PayoffMatrix, closed: bool):
+def _trial_points(lam, x, f, step, t, local, matrix: PayoffMatrix):
     """Price the trial points x + t*step, clipped by :func:`_clip`, in one sigma call.
 
     ``x`` and ``step`` stack (alpha, gamma) on their first axis; ``t`` is a
@@ -313,7 +309,7 @@ def _trial_points(lam, x, f, step, t, local, matrix: PayoffMatrix, closed: bool)
     a ``local`` step.
     """
     trial = x + t * step
-    point = _clip(trial, closed)
+    point = _clip(trial)
     unmoved = point == trial
     inside = unmoved[0] & unmoved[1]
     sigma = _sigma_vec(lam, point[0], point[1], matrix)
@@ -323,7 +319,7 @@ def _trial_points(lam, x, f, step, t, local, matrix: PayoffMatrix, closed: bool)
     return point, sigma, nf, inside, (local & inside) | (nf < f)
 
 
-def _line_search(lam, x, f, step, local, matrix: PayoffMatrix, closed: bool):
+def _line_search(lam, x, f, step, local, matrix: PayoffMatrix):
     """Halve each element's Newton step until its trial point is accepted, down to 1/1024.
 
     A trial is accepted as :func:`_trial_points` accepts it.  The whole steps
@@ -335,7 +331,7 @@ def _line_search(lam, x, f, step, local, matrix: PayoffMatrix, closed: bool):
     sigma and objective, and how many of the trials it made (up to the
     accepted one) were clipped.
     """
-    point, sigma, nf, inside, ok = _trial_points(lam, x, f, step, 1.0, local, matrix, closed)
+    point, sigma, nf, inside, ok = _trial_points(lam, x, f, step, 1.0, local, matrix)
     clipped = (~inside).astype(np.int64)
     failed = np.flatnonzero(~ok)
     halvings = len(_HALVINGS)
@@ -344,7 +340,7 @@ def _line_search(lam, x, f, step, local, matrix: PayoffMatrix, closed: bool):
         retry = failed[lo : lo + per_call]
         h_point, h_sigma, h_nf, h_inside, h_ok = _trial_points(
             lam[retry], x[:, None, retry], f[retry], step[:, None, retry], _HALVINGS,
-            local[retry], matrix, closed,
+            local[retry], matrix,
         )
         first = np.where(h_ok.any(0), h_ok.argmax(0), halvings)
         clipped[retry] += (~h_inside & (np.arange(halvings)[:, None] <= first)).sum(0)
@@ -378,18 +374,18 @@ def _descend(
     makes each step the Newton step on sigma(x) - x: that is how the arc's
     crossings are polished into roots.  The step is halved until F falls, down
     to 1/1024, except that an unshifted step below ``DESCENT_LOCAL_STEP`` is
-    taken whole (:func:`_line_search`).  Iterates are clipped by :func:`_clip`,
-    closed on the Gauss-Newton model: sigma saturates, so a root may lie on the
-    box's edge.  An element stops once an unshifted step is below
-    ``DESCENT_STEP_TOL`` (on the Gauss-Newton model, after taking it, which fixes
-    a root to its rounding floor) or no halving lowers F.  It is a minimum only
-    off the box's edge, with grad F below its bound (``DESCENT_GRAD_TOL``) and
-    a positive definite Hessian, so clip stalls and saddles fail.  Returns
+    taken whole (:func:`_line_search`).  Iterates are clipped by :func:`_clip`:
+    sigma saturates, so a root may lie on the box's edge.  An element stops once
+    an unshifted step is below ``DESCENT_STEP_TOL`` (on the Gauss-Newton model,
+    after taking it, which fixes a root to its rounding floor) or no halving
+    lowers F.  It is a minimum only more than ``CLAMP_EPS`` inside each edge, with
+    grad F below its bound (``DESCENT_GRAD_TOL``) and a positive definite Hessian,
+    so stalls against the clip and saddles fail.  Returns
     arrays (alpha, gamma, objective, is_min, clipped), where ``clipped``
     counts each element's clipped trial points.
     """
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    x = _clip((alpha, gamma), gauss_newton)
+    x = _clip((alpha, gamma))
     f, grad, hess = _objective_derivatives(lam, x[0], x[1], matrix, gauss_newton=gauss_newton)
     clipped = np.zeros(f.shape, dtype=np.int64)
     live = np.arange(f.size)
@@ -410,7 +406,7 @@ def _descend(
         if not live.size:
             break
         ok, point, sigma, _, n_clipped = _line_search(
-            lam[live], x[:, live], f[live], step, local, matrix, gauss_newton
+            lam[live], x[:, live], f[live], step, local, matrix
         )
         clipped[live] += n_clipped
         live, point = live[ok], point[:, ok]
@@ -436,11 +432,11 @@ def _price_nodes(alpha, gamma, matrix: PayoffMatrix):
     """The part of the objective at the nodes (alpha, gamma) that has no lambda, elementwise.
 
     Returns arrays (pulled alpha, pulled gamma, clamped, gap_alpha, gap_gamma): the nodes
-    pulled off the corners by :func:`_off_corners` with its flags, and the payoff gaps
-    u1 - u0 and u3 - u2 at the pulled nodes."""
-    a, g, clamped = _off_corners(alpha, gamma)
+    pulled off the corners by :func:`_clip`, the flags of the nodes it moved, and the
+    payoff gaps u1 - u0 and u3 - u2 at the pulled nodes."""
+    a, g = _clip((alpha, gamma))
     u = _conditional_utilities(a, g, matrix)
-    return a, g, clamped, u[1] - u[0], u[3] - u[2]
+    return a, g, (a != alpha) | (g != gamma), u[1] - u[0], u[3] - u[2]
 
 
 def _mesh_objective(lam: float, priced) -> np.ndarray:
@@ -539,9 +535,9 @@ def _solve_stack(stack, cfg: SolverConfig, matrix: PayoffMatrix):
     below ``accept_tol`` are accepted.  Every (rationality, seed) pair descends:
     a descent that ends on a strict local minimum below ``accept_tol`` is
     accepted as it ends, which finds a root off the arc; one above it is a
-    candidate.  A root among the seeds on the box's edge, outside the clip of
-    the descent, is accepted as it stands.  The first crossing is (alpha, gamma,
-    objective), and the folds passed precede it.
+    candidate.  A root among the seeds within ``CLAMP_EPS`` of the box's edge,
+    where a descent reports no minimum, is accepted as it stands.  The first
+    crossing is (alpha, gamma, objective), and the folds passed precede it.
     """
     owner = np.repeat(np.arange(len(stack)), [len(seeds[0]) for _, seeds in stack])
     lam = np.array([lam for lam, _ in stack], dtype=float)[owner]
@@ -784,7 +780,8 @@ def find_intersections(
     sign along the branch, and an ``entry`` where its magnitude first drops
     below ``tol``, which must be finite and positive.  Both are refined on
     the arc of H = 0 between two main-branch points, but not across a
-    discontinuity.  The lowest lambda event is flagged as first.
+    discontinuity, nor next to a point past the arc's largest lambda, which the
+    arc does not join to another.  The lowest lambda event is flagged as first.
     """
     _check_finite("tol", tol, positive=True)
     matrix = sweep.matrix
@@ -793,6 +790,7 @@ def find_intersections(
     main = sorted(sweep.main_branch, key=lambda p: p.lam)
     if not main:
         return []
+    reach = _trace_arc(matrix)[1][:-1].max()  # the last node's lambda is infinite
     res = [resid_fn(p.alpha, p.gamma) for p in main]
     events: list[Intersection] = []
 
@@ -805,7 +803,8 @@ def find_intersections(
     if math.isfinite(res[0]) and abs(res[0]) < tol:
         events.append(Intersection(main[0].lam, main[0].alpha, main[0].gamma, res[0], "entry"))
     for p, q, r_p, r_q in zip(main, main[1:], res, res[1:]):
-        if not (math.isfinite(r_p) and math.isfinite(r_q)) or q.lam in sweep.discontinuities:
+        unjoined = q.lam > reach or q.lam in sweep.discontinuities
+        if unjoined or not (math.isfinite(r_p) and math.isfinite(r_q)):
             continue
         if r_p * r_q < 0.0:
             refine(p, q, "crossing", lambda r: r)

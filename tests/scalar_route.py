@@ -40,10 +40,10 @@ from pdqre.qre import (
     DESCENT_MAX_ITER,
     DESCENT_STEP_TOL,
     QrePoint,
+    _clip,
     _conditional_dens,
     _logistic,
     _min_eigenvalue,
-    _off_corners,
     _seeds,
     objective_grid,
 )
@@ -179,7 +179,7 @@ def polish_by_halving(lam, alpha, gamma, matrix):
     falls, down to 1/16, and an element stopped below F = 1e-28, at a singular
     Jacobian or when no halving helps."""
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    a, g, _ = _off_corners(alpha, gamma)
+    a, g = _clip((alpha, gamma))
     sa, sg = sigma_vec(lam, a, g, matrix)
     ra, rg = sa - a, sg - g
     f = ra * ra + rg * rg
@@ -221,13 +221,7 @@ def descend_by_halving(lam, alpha, gamma, matrix, gauss_newton=False):
     """``qre._descend`` with one sigma call per halving of the pending steps,
     and sigma priced again at each accepted point."""
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-
-    def clip(a, g):  # the Gauss-Newton polish runs in [0, 1]^2, off the corners
-        if not gauss_newton:
-            return np.clip(a, lo, hi), np.clip(g, lo, hi)
-        return _off_corners(np.clip(a, 0.0, 1.0), np.clip(g, 0.0, 1.0))[:2]
-
-    a, g = clip(alpha, gamma)
+    a, g = _clip((alpha, gamma))
     f, grad, hess = objective_derivatives(lam, a, g, matrix, gauss_newton=gauss_newton)
     grad, hess = np.array(grad), np.array(hess)
     clipped = np.zeros(a.shape, dtype=np.int64)
@@ -252,7 +246,7 @@ def descend_by_halving(lam, alpha, gamma, matrix, gauss_newton=False):
         while t >= 1.0 / 1024.0 and pending.size:
             at = live[pending]
             ta, tg = a[at] + t * step_a[pending], g[at] + t * step_g[pending]
-            na, ng = clip(ta, tg)
+            na, ng = _clip((ta, tg))
             inside = (na == ta) & (ng == tg)
             clipped[at[~inside]] += 1
             better = local[pending] & inside
@@ -367,7 +361,7 @@ def seeds_via_objective_grid(lam, cfg, matrix):
     f_min = f_sq[is_min]
     order = np.argsort(f_min, kind="stable")[:40]
     order = order[f_min[order] <= max(0.5, 10.0 * cfg.candidate_ceiling)]
-    a, g, _ = _off_corners(alpha[nodes[order]], gamma[nodes[order]])
+    a, g = _clip((alpha[nodes[order]], gamma[nodes[order]]))
     return list(zip(a.tolist(), g.tolist()))
 
 

@@ -21,6 +21,7 @@ import scalar_route
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     CLAMP_EPS,
+    NoSolution,
     SolverConfig,
     _conditional_utilities,
     _crossings,
@@ -103,6 +104,7 @@ def test_refined_events_lie_on_the_arc(swept):
     events = [e for choice in choices for e in find_intersections(sweep, choice)]
     assert events
     for e in events:
+        assert GRID[0] <= e.lam <= GRID[-1]
         objective = qre_objective(e.lam, e.alpha, e.gamma, matrix)
         print(f"{e.kind} lambda={e.lam:.11f} objective={objective:.1e} residual={e.residual:.3e}")
         assert objective <= 1e-20
@@ -221,8 +223,9 @@ def test_single_solves_accept_roots_next_to_the_top_edge(lam, matrix, alpha, gam
 @pytest.mark.parametrize(
     "lam,matrix,root",
     [
-        # roots on the strategy box's edge, outside the box the descents are
-        # clipped into: a descent from the edge seed stalls against the clip
+        # roots on the strategy box's edge, where a descent reports no minimum
+        # (it must end more than CLAMP_EPS inside each edge): the edge seed is
+        # accepted as it stands
         (
             20.0,
             PayoffMatrix(7.522310924928103, 2.3766717366353056, 8.082767460122454, 3.599629019707033),
@@ -272,7 +275,8 @@ def test_the_main_branch_is_pulled_off_a_degenerate_corner():
 
 def test_a_descent_stalled_against_the_clip_is_no_root():
     # next to the degenerate corner (0, 1) the descent from the seed (0.0375,
-    # 0.95) stops on the clipped edge at (2.6e-9, 1 - CLAMP_EPS) with F = 1e-18
+    # 0.95) stalls against the corner's pull at (6.0e-10, 1 - 2.0e-10) with
+    # F = 7e-20, less than CLAMP_EPS inside both edges
     matrix = PayoffMatrix(4.871996778916673, 3.9400092772168067, 6.314380700510172, 4.630547701367358)
     points = solve_qre(250.0, matrix=matrix)
     assert [(round(p.alpha, 4), round(p.gamma, 4)) for p in points if p.accepted] == [
@@ -280,6 +284,48 @@ def test_a_descent_stalled_against_the_clip_is_no_root():
         (0.0942, 0.9992),
     ]
     assert not any({p.alpha, p.gamma} & {CLAMP_EPS, 1.0 - CLAMP_EPS} for p in points)
+
+
+def test_no_point_next_to_a_degenerate_corner_is_accepted():
+    # descents pressed against the box next to the corner (0, 1) end with F near
+    # CLAMP_EPS**2 = 1e-18, below accept_tol: only the minimum test's band of
+    # CLAMP_EPS along each edge keeps such a stall from being accepted
+    matrix = PayoffMatrix(2.5002992190977, -1.6547439735276452, 12.508301223743246, -1.506313290231327)
+    accepted = [p for p in solve_qre(100.0, matrix=matrix) if p.accepted]
+    assert [(round(p.alpha, 4), round(p.gamma, 4)) for p in accepted] == [(0.2014, 0.9998)]
+    assert not any(p.alpha <= 1e-6 and p.gamma >= 1.0 - 1e-6 for p in accepted)
+
+
+def test_no_point_next_to_the_all_defect_corner_is_accepted_at_huge_rationality():
+    # no fixed point lies near (0, 0), but at lambda 1e9 sigma saturates and F is
+    # 1.3e-16 at (1.1e-8, 1.4e-5); raising NoSolution is fine, since at this
+    # lambda the solver misses the root next to the top edge too
+    try:
+        points = solve_qre(1e9)
+    except NoSolution as e:
+        points = e.candidates
+    assert not any(p.accepted and max(p.alpha, p.gamma) <= 1e-4 for p in points)
+
+
+#: Its arc steps over a pole of lambda and ends at lambda 21.59, so every main
+#: point above that is polished from the arc's last node and no arc joins two.
+UNREACHED = PayoffMatrix(10.511936357166142, 2.962430699533213, 10.94102636996481, 3.24232307396629)
+
+
+@pytest.mark.parametrize(
+    "lams",
+    [[295.0, 370.0], [150.0, 155.0, 160.0, 175.0, 180.0, 205.0, 210.0, 235.0]],
+    ids=["edge-main-point", "eight"],
+)
+def test_no_event_is_refined_past_the_arcs_largest_lambda(lams):
+    # the main point at lambda 295 is (1/2, 1), whose logit coordinate is infinite,
+    # and a chord between two points the arc does not join projects onto another
+    # part of H = 0 (events at lambda 1062.87)
+    assert _trace_arc(UNREACHED)[1][:-1].max() < lams[0]
+    sweep = sweep_lambda(lams, matrix=UNREACHED)
+    assert len(sweep.main_branch) == len(lams)
+    for e in find_intersections(sweep, "stationarity"):
+        assert lams[0] <= e.lam <= lams[-1]
 
 
 def test_crossings_just_below_the_fold_are_exact_roots_before_it():

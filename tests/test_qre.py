@@ -14,7 +14,8 @@ from scalar_route import clamped as scalar_clamped
 from scipy.special import expit
 
 import pdqre.qre
-from pdqre.game import DEFAULT_MATRIX, DegenerateChain, PayoffMatrix
+from pdqre._kernel import _conditional_dens
+from pdqre.game import DEFAULT_MATRIX, DEGENERACY_THRESHOLD, DegenerateChain, PayoffMatrix
 from pdqre.nash import stationarity_curve_residual
 from pdqre.qre import (
     CLAMP_EPS,
@@ -23,6 +24,7 @@ from pdqre.qre import (
     NoSolution,
     QrePoint,
     SolverConfig,
+    _clip,
     _collect,
     _crossings,
     _degenerate_mask,
@@ -270,6 +272,36 @@ def test_degenerate_mask_matches_scalar_clamp_flag():
     assert mask.dtype == bool
     assert np.array_equal(mask, flags)
     assert 4 < mask.sum() < mask.size  # both outcomes are exercised
+
+
+def _four_denominator_mask(alpha, gamma):
+    """The degeneracy rule priced at every point, the reference of ``_degenerate_mask``."""
+    d0, d1, d2, d3 = (np.abs(den) for den in _conditional_dens(alpha, gamma))
+    return np.minimum(np.minimum(d0, d1), np.minimum(d2, d3)) < DEGENERACY_THRESHOLD
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_prefiltered_degenerate_mask_matches_the_four_denominator_rule(seed):
+    # the mask prices the denominators only where |alpha - gamma| > 1 - 2e-9; on
+    # uniform points, seed-mesh nodes, points 1e-12..1e-7 off the corners (0, 1)
+    # and (1, 0), and points whose |alpha - gamma| is within 1e-8 of 1 - 2e-9 it
+    # is the rule priced everywhere, and the clip moves exactly the points it flags
+    rng = np.random.default_rng(seed)
+    n = 4000
+    uniform = rng.uniform(0.0, 1.0, (2, n))
+    mesh = rng.integers(0, 81, (2, n)) / 80.0
+    off = 10.0 ** rng.uniform(-12.0, -7.0, (2, n))
+    gap = 1.0 - 2.0 * DEGENERACY_THRESHOLD + rng.uniform(-1e-8, 1e-8, n)
+    low = rng.uniform(0.0, 1.0, n) * np.maximum(1.0 - gap, 0.0)
+    flip = rng.random(n) < 0.5
+    corner = np.where(flip, (off[0], 1.0 - off[1]), (1.0 - off[0], off[1]))
+    band = np.where(flip, (low, low + gap), (low + gap, low))
+    kind = rng.integers(0, 4, n)
+    alpha, gamma = np.clip(np.choose(kind, (uniform, mesh, corner, band)), 0.0, 1.0)
+    want = _four_denominator_mask(alpha, gamma)
+    assert np.array_equal(_degenerate_mask(alpha, gamma), want)
+    assert np.array_equal((_clip((alpha, gamma)) != (alpha, gamma)).any(0), want)
 
 
 def test_objective_grid_equals_per_cell_clamp_route():
