@@ -3,9 +3,9 @@
 Players use memory-one Markov strategies (alpha, gamma): the probability of
 cooperating after the opponent defected, respectively cooperated.  The
 package computes the symmetric logit quantal response equilibrium across
-rationality levels, traces the symmetric mixed Nash curve, validates the
-closed forms against numerical and Monte Carlo oracles, and classifies the
-bundled experimental strategy table against the QRE boundary.
+rationality levels, traces the symmetric mixed Nash curve, plays seeded
+Monte Carlo games, and classifies the bundled experimental strategy table
+against the QRE boundary.
 
 The public names are those of each module's ``__all__``.
 """

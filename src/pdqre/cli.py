@@ -279,8 +279,6 @@ def _grid_blocks(mesh: int, alpha, gamma, objective, clamped):
 
 
 def _cmd_objective_grid(args: argparse.Namespace) -> int:
-    if args.mesh < 2:
-        raise ValueError(f"mesh must have at least 2 nodes per axis, got {args.mesh}")
     if args.mesh > MAX_MESH:
         raise ValueError(
             f"mesh must have at most {MAX_MESH} nodes per axis, got {args.mesh}"

@@ -18,10 +18,8 @@ __all__ = [
     "MarkovStrategy",
     "PayoffMatrix",
     "StationaryState",
-    "dynamics_step",
     "expected_payoff",
     "stationary_state",
-    "stationary_state_iterative",
 ]
 
 #: Denominators smaller than this make the Markov chain degenerate.
@@ -93,22 +91,11 @@ class StationaryState:
     p2: float
 
 
-def dynamics_step(
-    s1: MarkovStrategy, s2: MarkovStrategy, state: StationaryState
-) -> StationaryState:
-    """Advance the cooperation probabilities by one round.
-
-    Each player responds to the opponent's current cooperation probability:
-    p_i' = gamma_i * p_j + alpha_i * (1 - p_j).
-    """
-    return StationaryState(
-        p1=s1.gamma * state.p2 + s1.alpha * (1.0 - state.p2),
-        p2=s2.gamma * state.p1 + s2.alpha * (1.0 - state.p1),
-    )
-
-
 def stationary_state(s1: MarkovStrategy, s2: MarkovStrategy) -> StationaryState:
-    """Closed-form fixed point of :func:`dynamics_step`.
+    """Closed-form fixed point of the one-round dynamics.
+
+    Each round, each player responds to the opponent's cooperation probability:
+    p_i' = gamma_i * p_j + alpha_i * (1 - p_j).
 
     Raises
     ------
@@ -128,23 +115,6 @@ def stationary_state(s1: MarkovStrategy, s2: MarkovStrategy) -> StationaryState:
         p1=(s1.alpha - s2.alpha * d1) / denom,
         p2=(s2.alpha - s1.alpha * d2) / denom,
     )
-
-
-def stationary_state_iterative(
-    s1: MarkovStrategy,
-    s2: MarkovStrategy,
-    start: StationaryState | None = None,
-    tol: float = 1e-14,
-    max_iter: int = 10_000,
-) -> StationaryState:
-    """Stationary state by direct iteration, used as an independent oracle."""
-    state = start if start is not None else StationaryState(0.5, 0.5)
-    for _ in range(max_iter):
-        nxt = dynamics_step(s1, s2, state)
-        if abs(nxt.p1 - state.p1) < tol and abs(nxt.p2 - state.p2) < tol:
-            return nxt
-        state = nxt
-    return state
 
 
 def expected_payoff(matrix: PayoffMatrix, state: StationaryState) -> float:

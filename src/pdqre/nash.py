@@ -38,10 +38,8 @@ __all__ = [
     "CurvePoint",
     "curve_residual",
     "own_payoff_gradient",
-    "own_payoff_gradient_fd",
     "quadratic_residual",
     "stationarity_curve_residual",
-    "stationarity_quadratic",
     "trace_quadratic_curve",
     "trace_stationarity_curve",
 ]
@@ -80,12 +78,6 @@ def quadratic_residual(alpha: float, gamma: float) -> float:
     return aa * alpha**2 + gg * gamma**2 + ag * alpha * gamma + a * alpha + g * gamma + one
 
 
-def stationarity_quadratic(alpha: float, gamma: float) -> float:
-    """Interior factor of the stationarity gradient's zero set."""
-    aa, ag, a, gg, g, one = STATIONARITY_CONIC
-    return aa * alpha**2 + gg * gamma**2 + ag * alpha * gamma + a * alpha + g * gamma + one
-
-
 def own_payoff_gradient(
     own: MarkovStrategy,
     opponent: MarkovStrategy,
@@ -120,34 +112,6 @@ def own_payoff_gradient(
         du_dp1 * dp1_da + du_dp2 * dp2_da,
         du_dp1 * dp1_dg + du_dp2 * dp2_dg,
     )
-
-
-def own_payoff_gradient_fd(
-    own: MarkovStrategy,
-    opponent: MarkovStrategy,
-    matrix: PayoffMatrix = DEFAULT_MATRIX,
-    step: float = 1e-6,
-) -> tuple[float, float]:
-    """Finite-difference oracle for :func:`own_payoff_gradient`.
-
-    Central differences, falling back to one-sided at the box boundary.
-    """
-    from .game import expected_payoff, stationary_state
-
-    def u(alpha: float, gamma: float) -> float:
-        return expected_payoff(
-            matrix, stationary_state(MarkovStrategy(alpha, gamma), opponent)
-        )
-
-    out = []
-    for i in range(2):
-        x = [own.alpha, own.gamma]
-        lo = max(x[i] - step, 0.0)
-        hi = min(x[i] + step, 1.0)
-        x_lo, x_hi = list(x), list(x)
-        x_lo[i], x_hi[i] = lo, hi
-        out.append((u(*x_hi) - u(*x_lo)) / (hi - lo))
-    return out[0], out[1]
 
 
 def stationarity_curve_residual(
@@ -197,6 +161,8 @@ def _trace(gammas: Iterable[float], conic: tuple[float, ...]) -> list[CurvePoint
     a_ag, two_aa, four_aa = a + ag, 2.0 * aa, 4.0 * aa
     points: list[CurvePoint] = []
     for gamma in gammas:
+        if not 0.0 <= gamma <= 1.0:  # NaN too; the message is MarkovStrategy's
+            raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
         b = a * (1.0 - gamma) + a_ag * gamma
         c = gg * gamma**2 + g * gamma + one
         disc = b * b - four_aa * c
@@ -221,7 +187,8 @@ def _trace(gammas: Iterable[float], conic: tuple[float, ...]) -> list[CurvePoint
 def trace_quadratic_curve(gammas: Iterable[float]) -> list[CurvePoint]:
     """In-square points of the benchmark quadratic, labeled by branch.
 
-    Empty below the discriminant root near gamma = 0.0992.
+    Empty below the discriminant root near gamma = 0.0992.  A gamma outside
+    [0, 1], NaN included, raises ValueError.
     """
     return _trace(gammas, QUADRATIC_CONIC)
 
@@ -230,6 +197,7 @@ def trace_stationarity_curve(gammas: Iterable[float]) -> list[CurvePoint]:
     """In-square points of the stationarity-derived curve of the default game.
 
     Only the high branch enters the unit square; it runs from (0, 1/9) to
-    (0, 1) with alpha staying below 0.3.
+    (0, 1) with alpha staying below 0.3.  A gamma outside [0, 1], NaN
+    included, raises ValueError.
     """
     return _trace(gammas, STATIONARITY_CONIC)

@@ -35,8 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .game import DEFAULT_MATRIX, DEGENERACY_THRESHOLD, DegenerateChain, MarkovStrategy
-from .game import PayoffMatrix, expected_payoff, stationary_state
+from .game import DEFAULT_MATRIX, DEGENERACY_THRESHOLD, DegenerateChain, MarkovStrategy, PayoffMatrix
 from ._kernel import KERNEL_BLOCK, _conditional_dens, _conditional_utilities, _gap_gradients
 from ._kernel import _logistic, _objective_derivatives, _sigma_vec
 from .nash import curve_residual
@@ -49,7 +48,6 @@ __all__ = [
     "SolverConfig",
     "SweepResult",
     "conditional_payoffs",
-    "conditional_payoffs_compositional",
     "find_intersections",
     "logit_response",
     "main_branch",
@@ -220,28 +218,12 @@ def conditional_payoffs(
     before symmetrization; substituting after symmetrization collapses the
     state to its extreme cases and is not what this function computes.
     """
+    MarkovStrategy(alpha, gamma)  # a point outside [0, 1]^2, NaN too, raises ValueError
     if min(abs(den) for den in _conditional_dens(alpha, gamma)) < DEGENERACY_THRESHOLD:
         raise DegenerateChain(
             f"conditional payoffs degenerate at alpha={alpha}, gamma={gamma}"
         )
     return ConditionalPayoffs(*_conditional_utilities(alpha, gamma, matrix))
-
-
-def conditional_payoffs_compositional(
-    alpha: float, gamma: float, matrix: PayoffMatrix = DEFAULT_MATRIX
-) -> ConditionalPayoffs:
-    """Oracle route: substitute, call the game-layer stationary state, price it."""
-    opponent = MarkovStrategy(alpha, gamma)
-
-    def u(own: MarkovStrategy) -> float:
-        return expected_payoff(matrix, stationary_state(own, opponent))
-
-    return ConditionalPayoffs(
-        u_alpha0=u(MarkovStrategy(0.0, gamma)),
-        u_alpha1=u(MarkovStrategy(1.0, gamma)),
-        u_gamma0=u(MarkovStrategy(alpha, 0.0)),
-        u_gamma1=u(MarkovStrategy(alpha, 1.0)),
-    )
 
 
 def logit_response(lam: float, u_choice1: float, u_choice0: float) -> float:
@@ -266,6 +248,7 @@ def qre_objective(
 
     Evaluated on the scalar reference route of :func:`logit_response`.
     """
+    MarkovStrategy(alpha, gamma)  # a point outside [0, 1]^2, NaN too, raises ValueError
     u = _conditional_utilities(alpha, gamma, matrix)
     sa = logit_response(lam, u[1], u[0])
     sg = logit_response(lam, u[3], u[2])
@@ -825,7 +808,10 @@ def objective_grid(
     Returns flat arrays (alpha, gamma, objective, clamped) of :func:`_mesh`.
     ``MESH_BLOCK`` nodes at a time are priced into the outputs, so no other
     array has the mesh's size; each cell has the bits of a whole-mesh pricing.
+    A mesh of fewer than 2 nodes per axis raises ValueError.
     """
+    if mesh < 2:
+        raise ValueError(f"mesh must have at least 2 nodes per axis, got {mesh}")
     _check_rationality(lam)
     alpha, gamma = _mesh(mesh)
     f, clamped = np.empty(alpha.size), np.empty(alpha.size, dtype=bool)

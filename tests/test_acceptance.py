@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import conditional_payoffs_compositional, own_payoff_gradient_fd
 
 from pdqre.cli import main as cli_main
 from pdqre.data import aggregate, classify_against_qre, load_experiments
@@ -18,7 +19,6 @@ from pdqre.qre import (
     DEFECT_REGION,
     DEFECT_THRESHOLD,
     SolverConfig,
-    conditional_payoffs_compositional,
     find_intersections,
     logit_response,
     solve_qre,
@@ -211,7 +211,7 @@ def test_criterion_04_first_intersection(full_sweep):
 
 
 def test_criterion_05_closed_form_equivalence():
-    from pdqre.nash import own_payoff_gradient, own_payoff_gradient_fd
+    from pdqre.nash import own_payoff_gradient
     from pdqre.qre import conditional_payoffs
 
     rng = np.random.default_rng(20260815)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import conditional_payoffs_compositional
 import scalar_route
 from scalar_route import _dedupe, clamped, seed_points, sigma_scalar
 from scipy.optimize import minimize
@@ -32,7 +33,6 @@ from pdqre.qre import (
     _objective_derivatives,
     _sigma_vec,
     conditional_payoffs,
-    conditional_payoffs_compositional,
     logit_response,
     qre_objective,
     solve_qre,

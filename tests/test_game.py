@@ -1,11 +1,14 @@
 """Game-layer tests: payoffs, strategies, stationary state vs oracle."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dynamics_step, stationary_state_iterative
 
 from pdqre.game import (
     DEFAULT_MATRIX,
@@ -13,10 +16,8 @@ from pdqre.game import (
     MarkovStrategy,
     PayoffMatrix,
     StationaryState,
-    dynamics_step,
     expected_payoff,
     stationary_state,
-    stationary_state_iterative,
 )
 
 
@@ -135,6 +136,14 @@ def test_iterative_start_independence():
     b = stationary_state_iterative(s1, s2, start=StationaryState(1.0, 1.0))
     assert a.p1 == pytest.approx(b.p1, abs=1e-10)
     assert a.p2 == pytest.approx(b.p2, abs=1e-10)
+
+
+def test_oracles_build_on_the_game_layer_alone():
+    # an oracle that imported the route it checks would check nothing
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert {m for m in modules if m.split(".")[0] == "pdqre"} == {"pdqre.game"}
 
 
 def test_iterative_returns_its_last_state_at_max_iter():

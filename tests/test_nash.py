@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import own_payoff_gradient_fd, stationarity_quadratic
 
 from pdqre.game import DEFAULT_MATRIX, DegenerateChain, MarkovStrategy, PayoffMatrix
 from pdqre.nash import (
@@ -13,10 +14,8 @@ from pdqre.nash import (
     _stationarity_conic,
     curve_residual,
     own_payoff_gradient,
-    own_payoff_gradient_fd,
     quadratic_residual,
     stationarity_curve_residual,
-    stationarity_quadratic,
     trace_quadratic_curve,
     trace_stationarity_curve,
 )
@@ -145,7 +144,9 @@ def _stationarity(a, g):
 
 
 def test_conic_residuals_keep_the_bits_of_the_literal_expressions():
-    # the tuples are evaluated term by term in the order of these literals
+    # the stationarity curve is traced from this tuple; the published residual and
+    # the oracle's C are evaluated term by term in the order of these literals
+    assert STATIONARITY_CONIC == (5.0, -14.0, 14.0, 9.0, -10.0, 1.0)
     rng = np.random.default_rng(29)
     points = [*rng.random((100_000, 2)).tolist(), (0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 1 / 9)]
     for f, literal in ((quadratic_residual, _published), (stationarity_quadratic, _stationarity)):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import conditional_payoffs_compositional
 from scalar_route import _dedupe, collect_by_dedupe, seed_points
 from scalar_route import clamped as scalar_clamped
 from scipy.special import expit
@@ -16,7 +17,7 @@ from scipy.special import expit
 import pdqre.qre
 from pdqre._kernel import _conditional_dens
 from pdqre.game import DEFAULT_MATRIX, DEGENERACY_THRESHOLD, DegenerateChain, PayoffMatrix
-from pdqre.nash import stationarity_curve_residual
+from pdqre.nash import stationarity_curve_residual, trace_quadratic_curve, trace_stationarity_curve
 from pdqre.qre import (
     CLAMP_EPS,
     DEFECT_THRESHOLD,
@@ -34,7 +35,6 @@ from pdqre.qre import (
     _price_nodes,
     _sigma_vec,
     conditional_payoffs,
-    conditional_payoffs_compositional,
     find_intersections,
     label_branch,
     logit_response,
@@ -251,6 +251,15 @@ def test_objective_grid_shapes_and_flags():
     best = np.argmin(f)
     assert alpha[best] == pytest.approx(0.5, abs=1e-12)
     assert gamma[best] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("mesh", [1, 0, -3])
+def test_objective_grid_rejects_a_mesh_below_two_nodes(mesh):
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        objective_grid(1.0, mesh)
+    # the mesh is checked first, so a bad rationality does not hide it
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        objective_grid(math.nan, mesh)
 
 
 def _mask_probe_points():
@@ -489,6 +498,20 @@ def test_every_entry_point_rejects_bad_rationality(lam):
         logit_response(lam, 1.0, 0.0)
     with pytest.raises(ValueError, match="rationality"):
         qre_objective(lam, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 2.0])
+def test_every_entry_point_rejects_a_point_outside_the_box(bad):
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        conditional_payoffs(bad, 0.5)
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        conditional_payoffs(0.5, bad)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        qre_objective(1.0, bad, 0.5)
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        trace_quadratic_curve([0.5, bad])
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        trace_stationarity_curve([0.5, bad])
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
+from oracles import conditional_payoffs_compositional
 from scalar_route import seed_points, seeds_via_objective_grid, solve_scalar
 
 import pdqre.qre
@@ -22,7 +23,6 @@ from pdqre.qre import (
     SolverConfig,
     _seeds,
     _solve,
-    conditional_payoffs_compositional,
     logit_response,
     solve_qre,
     sweep_lambda,
