@@ -130,15 +130,16 @@ def _gap_gradients(alpha: float, gamma: float, matrix: PayoffMatrix):
     return [(u[1] - u[0], u[3] - u[2]) for u in zip(*states)]
 
 
-def _substituted_states(a: np.ndarray, g: np.ndarray):
+def _substituted_states(a: np.ndarray, g: np.ndarray, hessians: bool = True):
     """The substituted states p = N/D with their derivatives, over flat arrays of points.
 
     N and D are the quadratics of ``_PART_COEFFS``, priced for all four
     substitutions in one pass.  Differentiating p*D = N once and twice gives
     D*p_i = N_i - p*D_i and D*p_ij = N_ij - p_i*D_j - p_j*D_i - p*D_ij.
     Returns p (substitution, part, point), p_d (a or g, substitution, part,
-    point), p_dd (aa or gg, ...) and p_ag like p.  The quadratics are freed on
-    return, before the payoff's stack is built.
+    point), p_dd (aa or gg, ...) and p_ag like p; without ``hessians`` the
+    last two are None.  The quadratics are freed on return, before the
+    payoff's stack is built.
     """
     c0, c1, c2, c3, c4, c5 = _VALUE_COEFFS
     value = c0 + a * (c1 + c3 * a + c4 * g) + g * (c2 + c5 * g)
@@ -147,31 +148,38 @@ def _substituted_states(a: np.ndarray, g: np.ndarray):
     num, den, num_d, den_d = value[:, :2], value[:, 2:], grad[:, :, :2], grad[:, :, 2:]
     p = num / den
     p_d = (num_d - p * den_d) / den
+    if not hessians:
+        return p, p_d, None, None
     hess_d, hess_ag = _HESS_DIAG, _HESS_AG
     p_dd = (hess_d[:, :, :2] - 2.0 * p_d * den_d - p * hess_d[:, :, 2:]) / den
     p_ag = (hess_ag[:, :2] - p_d[0] * den_d[1] - p_d[1] * den_d[0] - p * hess_ag[:, 2:]) / den
     return p, p_d, p_dd, p_ag
 
 
-def _gap_derivatives(alpha, gamma, matrix: PayoffMatrix):
+def _gap_derivatives(alpha, gamma, matrix: PayoffMatrix, hessians: bool = True):
     """Gradients and Hessians in (alpha, gamma) of the two payoff gaps, elementwise over arrays.
 
     The gaps are u_alpha1 - u_alpha0 and u_gamma1 - u_gamma0.  Returns one
     (5, 2, ...) array: entry [j][i] is derivative j of gap i, for j in (a, g,
-    aa, ag, gg).  The substituted states come from :func:`_substituted_states`,
+    aa, ag, gg); without ``hessians`` only the first two, (2, 2, ...).  The
+    substituted states come from :func:`_substituted_states`,
     all four at once, and go through the payoff as one stack.  The payoff is bilinear,
     u = P + (S-P)p1 + (T-P)p2 + k*p1*p2 with k = R - S - T + P, so
     u_i = u_1*p1_i + u_2*p2_i and u_ij = u_1*p1_ij + u_2*p2_ij +
     k*(p1_i*p2_j + p1_j*p2_i), where u_1 = S - P + k*p2 and u_2 = T - P + k*p1.
     """
     shape = np.shape(alpha)
-    p, p_d, p_dd, p_ag = _substituted_states(np.reshape(alpha, -1), np.reshape(gamma, -1))
+    p, p_d, p_dd, p_ag = _substituted_states(
+        np.reshape(alpha, -1), np.reshape(gamma, -1), hessians
+    )
     m = matrix
     k = m.reward_cc - m.sucker_cd - m.temptation_dc + m.punishment_dd
     p1, p2, p1_d, p2_d = p[:, 0], p[:, 1], p_d[:, :, 0], p_d[:, :, 1]
     u_1 = m.sucker_cd - m.punishment_dd + k * p2
     u_2 = m.temptation_dc - m.punishment_dd + k * p1
     u_d = u_1 * p1_d + u_2 * p2_d
+    if not hessians:
+        return (u_d[:, 1::2] - u_d[:, ::2]).reshape((2, 2) + shape)
     u_dd = u_1 * p_dd[:, :, 0] + u_2 * p_dd[:, :, 1] + 2.0 * k * p1_d * p2_d
     u_ag = u_1 * p_ag[:, 0] + u_2 * p_ag[:, 1] + k * (p1_d[0] * p2_d[1] + p1_d[1] * p2_d[0])
     derivs = np.array((u_d[0], u_d[1], u_dd[0], u_ag, u_dd[1]))
@@ -202,7 +210,7 @@ def _sigma_vec(lam, alpha, gamma, matrix: PayoffMatrix):
     return _logistic(lam, u[1::2] - u[::2])
 
 
-def _sigma_derivatives(lam, alpha, gamma, matrix: PayoffMatrix, sigma=None):
+def _sigma_derivatives(lam, alpha, gamma, matrix: PayoffMatrix, sigma=None, hessians=True):
     """sigma with its Jacobian rows and the Hessian (aa, ag, gg) of each component.
 
     With s = expit(lam*gap) and w = s*(1 - s): grad s = lam*w*grad(gap) and
@@ -210,13 +218,15 @@ def _sigma_derivatives(lam, alpha, gamma, matrix: PayoffMatrix, sigma=None):
     components go through as one stack: returns arrays sigma (2, ...), rows
     (2, 2, ...) with rows[i][j] = d sigma_i / d x_j and Hessians (2, 3, ...).  A
     caller that has priced the point passes its ``sigma`` (from
-    :func:`_sigma_vec`) in.
+    :func:`_sigma_vec`) in.  Without ``hessians`` the Hessians are None.
     """
     if sigma is None:
         sigma = _sigma_vec(lam, alpha, gamma, matrix)
-    gap = _gap_derivatives(alpha, gamma, matrix)
+    gap = _gap_derivatives(alpha, gamma, matrix, hessians)
     w = lam * sigma * (1.0 - sigma)
     rows = (w * gap[:2]).swapaxes(0, 1)
+    if not hessians:
+        return sigma, rows, None
     v = lam * w * (1.0 - 2.0 * sigma)
     hess = w * gap[2:] + v * gap[[0, 0, 1]] * gap[[0, 1, 1]]
     return sigma, rows, hess.swapaxes(0, 1)
@@ -233,6 +243,7 @@ def _objective_derivatives(
     is the Newton step -J^-1 r on sigma(x) - x.  ``sigma``, if given, is
     :func:`_sigma_vec` at the point.  Returns F and the arrays grad (2, ...)
     and hess (3, ...).  A long flat array is priced ``KERNEL_BLOCK`` points at a time.
+    The Gauss-Newton model prices no second derivative of sigma.
     """
     if np.ndim(alpha) == 1 and alpha.size > KERNEL_BLOCK:
         lam, n = np.broadcast_to(lam, alpha.shape), alpha.size
@@ -244,7 +255,7 @@ def _objective_derivatives(
                 lam[at], alpha[at], gamma[at], matrix, part, gauss_newton
             )
         return f, grad, hess
-    sigma, rows, hess_s = _sigma_derivatives(lam, alpha, gamma, matrix, sigma)
+    sigma, rows, hess_s = _sigma_derivatives(lam, alpha, gamma, matrix, sigma, not gauss_newton)
     ra, rg = sigma[0] - alpha, sigma[1] - gamma
     jac = rows.copy()
     jac[0, 0] -= 1.0

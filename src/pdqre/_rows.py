@@ -1,51 +1,277 @@
-"""Bulk CSV rows: the bytes of one ``.12g`` f-string per row, written in blocks.
+"""Bulk CSV rows rendered as bytes in numpy: literal text, labels, ``%.12g`` and ``%d``.
 
-A large export (the million-cell objective grid, a million-round log) spends
-its time formatting, not computing.  Its label cells (axis values, flags, a
-round's choices and payoffs) take few distinct values, so each distinct value
-is formatted once and then indexed.  A label goes into a row template as text,
-its ``%`` escaped by :func:`template`, so a block of rows is one format string
-and a single ``%`` converts only its numeric cells.  A block holds at most
-:data:`CHUNK_ROWS` rows, which keeps the memory a write needs bounded whatever
+A large export (the million-cell objective grid, a million-round log) would
+spend its time in Python's per-cell ``%`` conversions, so a block of rows is
+built as one numpy array of bytes instead.  A row is a sequence of columns:
+
+- literal text (a ``str``), the same in every row;
+- a labelled column ``(labels, codes)``: row i reads ``labels[codes[i]]``;
+- a float array, each value written as ``'%.12g' % x`` writes it;
+- an integer array, each value written as ``'%d' % n`` writes it.
+
+Each column is laid out as a fixed number of ``uint64`` words per row, its
+cells padded with NUL bytes wherever they are shorter, and the columns of a
+block side by side; one compaction drops every NUL and leaves the rows' bytes.  So no label or
+literal may hold a NUL: :func:`labels` and :func:`blocks` refuse one before
+anything is rendered.  :func:`blocks` cuts the rows into blocks of at most
+:data:`CHUNK_ROWS`, which keeps the memory a write needs bounded whatever
 the row count.
+
+Digits come from a table of the 10,000 four-digit strings, each the low half
+of a little-endian ``uint64`` word, so a number's cell is a few words per
+row: masks keep the digits it shows, and the digits after a decimal point
+move one byte on to make room for it.
+
+Why ``%.12g`` stays exact.  For a finite x != 0 let e = floor(log10 |x|) and
+k = 11 - e.  While |k| <= 22, 10**|k| is an exact double, so one correctly
+rounded multiply (or divide, for k < 0) gives p within half an ulp of the
+exact y = |x| * 10**k.  Where p lies in [1e11, 1e12 - 1/2), the ulp is at
+most 2**-13, so every half-integer h there is a double, and a correctly
+rounded p cannot pass one: h between y and p would be nearer to y than p
+is.  So unless p is a half-integer itself (y may lie on either side of it),
+y and p round to the same integer, and ``rint(p)`` is the correctly rounded
+12-digit significand.  Values with p outside that range (log10 off by one
+next to a power of ten, or a significand that rounds up to 10**12), p on a
+half-integer, zeros, subnormals, non-finite values and exponents out of
+range are written by Python's ``'%.12g' %`` itself.  The layout is Python's:
+fixed notation for -4 <= e < 12, scientific otherwise, trailing zeros
+stripped (and the point with them), the exponent at least two digits.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 from typing import Iterable, Iterator
 
 import numpy as np
 
-#: Rows formatted and written per block.
+#: Rows rendered and written per block.
 CHUNK_ROWS = 65_536
 
-#: A labelled column: row i reads ``labels[codes[i]]``.
-Labelled = tuple[np.ndarray, np.ndarray]
+#: The exponents e of the ``%.12g`` fast path: |11 - e| <= 22.
+_E_LO, _E_HI = -11, 33
+
+#: 10**k as a multiplier and as a divisor, indexed by k + 22: an exact double or 1.
+_SCALE_UP = np.array([1.0] * 22 + [float(10**k) for k in range(23)])
+_SCALE_DOWN = _SCALE_UP[::-1].copy()
+
+#: For k = 0..8, the mask that clears the first k bytes of a word.
+_LATER_BYTES = np.array([2**64 - 2 ** (8 * k) for k in range(9)], dtype=np.uint64)
 
 
-def template(fmt: str, *labels: str) -> str:
-    """``fmt`` with ``labels`` in its ``{}`` fields, each ``%`` doubled so that ``%`` keeps it."""
-    return fmt.format(*(label.replace("%", "%%") for label in labels))
+def _words(strings: list[bytes], width: int = 8) -> np.ndarray:
+    """``strings`` NUL-padded to ``width`` bytes, a multiple of 8, as rows of uint64 words."""
+    return np.array(strings, dtype=f"S{width}").view(np.uint64).reshape(len(strings), width // 8)
 
 
-def labelled_blocks(fmt: str, column: Labelled, values) -> Iterator[tuple[str, tuple]]:
-    """Blocks of at most :data:`CHUNK_ROWS` rows for :func:`write_blocks`.
+def _layout(e: int, shown: int, sign: bytes) -> tuple[bytes, ...]:
+    """The fields of a ``%.12g`` cell of exponent e with ``shown`` significant digits.
 
-    Row i is ``fmt`` with ``labels[codes[i]]`` in its ``{}`` field and
-    ``values[i]`` in its one ``%`` conversion.  Each label's template is
-    built once, so a block's ``%`` converts only the values.
+    They are: the sign with the "0." and zeros of -4 <= e < 0; the exponent
+    of scientific notation; and over the two words of the 12 digits, the
+    masks of the digits before the point and of those after it, and the
+    point, in the byte after the digits before it if any digits follow it.
     """
-    labels, codes = column
-    if len(codes) != len(values):
-        raise ValueError(f"{len(codes)} labelled rows but {len(values)} rows of values")
-    templates = np.array([template(fmt, label) for label in labels.tolist()], dtype=object)
-    chunks = [slice(lo, lo + CHUNK_ROWS) for lo in range(0, len(codes), CHUNK_ROWS)]
-    return (("".join(templates[codes[c]].tolist()), tuple(values[c].tolist())) for c in chunks)
+    fixed = -4 <= e < 12
+    before = e + 1 if 0 <= e < 12 else shown if fixed else 1
+    after = max(shown, before)
+    return (
+        sign + (b"0." + b"0" * (-e - 1) if fixed and e < 0 else b""),
+        b"" if fixed else b"e%+03d" % e,
+        b"\xff" * before + b"\0" * (16 - before),
+        b"\0" * before + b"\xff" * (after - before),
+        b"\0" * before + b"." if after > before else b"",
+    )
 
 
-def write_blocks(path, head: str, blocks: Iterable[tuple[str, tuple]]) -> None:
-    """Write ``head``, then ``block % values`` for each (block, values) in turn."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
-        for block, values in blocks:
-            fh.write(block % values)
+@functools.lru_cache(maxsize=None)
+def _tables() -> dict[str, np.ndarray]:
+    """Lookup tables, built on first use so that importing the package costs nothing.
+
+    ``quads``: the 4-digit string of each of 0..9999 as a word; ``trailing``:
+    its trailing zeros; and per field of :func:`_layout` its two words over
+    (exponent, significant digits, sign), as ``prefix_0``, ``prefix_1`` and so on.
+    """
+    if sys.byteorder != "little":  # a word's low byte must be the string's first
+        raise NotImplementedError("the CSV renderer needs a little-endian machine")
+    q = np.arange(10_000)
+    digits = np.zeros((q.size, 8), dtype=np.uint8)
+    digits[:, :4] = q[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    tables = {
+        "quads": digits.view(np.uint64)[:, 0],
+        "trailing": (sum(q % 10**k == 0 for k in range(1, 4)) + (q == 0)).astype(np.uint8),
+    }
+    layouts = [
+        _layout(e, shown, sign)
+        for e in range(_E_LO, _E_HI + 1) for shown in range(1, 13) for sign in (b"", b"-")
+    ]
+    for field, column in zip(("prefix", "suffix", "before", "after", "point"), zip(*layouts)):
+        tables[f"{field}_0"], tables[f"{field}_1"] = np.ascontiguousarray(_words(list(column), 16).T)
+    return tables
+
+
+def _text(text: str) -> bytes:
+    data = text.encode("utf-8")
+    if b"\0" in data:
+        raise ValueError(f"CSV text may not hold a NUL byte: {text!r}")
+    return data
+
+
+def labels(strings: Iterable[str]) -> np.ndarray:
+    """A label table for a labelled column: each string's UTF-8 bytes, NUL-padded.
+
+    The table is rows of uint64 words.  A table passes through unchanged; a
+    string holding a NUL raises ValueError.
+    """
+    if isinstance(strings, np.ndarray) and strings.dtype == np.uint64 and strings.ndim == 2:
+        return strings
+    encoded = [_text(s) for s in strings]
+    return _words(encoded, max(8, -(-max(map(len, encoded), default=0) // 8) * 8))
+
+
+def _bytes(words: np.ndarray) -> np.ndarray:
+    """Rows of uint64 words as rows of bytes."""
+    return words.view(np.uint8).reshape(len(words), -1)
+
+
+def _g12(x: np.ndarray) -> list[np.ndarray]:
+    """The cells of ``'%.12g' % x`` as byte parts: sign and "0.000", digits, exponent."""
+    t = _tables()
+    size = np.abs(x)
+    with np.errstate(all="ignore"):  # zeros, subnormals, infinities and NaN fail the range test
+        e = np.fmin(np.fmax(np.floor(np.log10(size)), _E_LO), _E_HI).astype(np.intp)
+        k = 33 - e
+        p = size * _SCALE_UP[k] / _SCALE_DOWN[k]
+        m = np.rint(p)
+        # a 12-digit significand that is not a tie: p - m is exact there
+        fast = (p >= 1e11) & (p < 999_999_999_999.5) & (np.abs(p - m) != 0.5)
+    rows = np.flatnonzero(~fast)
+    m[rows] = 1e11
+    top = np.floor(m / 1e8)
+    rest = m - top * 1e8
+    middle = np.floor(rest / 1e4)
+    q = [top.astype(np.intp), middle.astype(np.intp), (rest - middle * 1e4).astype(np.intp)]
+    z0, z1, z2 = (t["trailing"][i] for i in q)
+    shown = 12 - (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0))
+    code = (e - _E_LO) * 24 + 2 * shown + np.signbit(x) - 2
+    low, high = t["quads"][q[0]] | t["quads"][q[1]] << np.uint64(32), t["quads"][q[2]]
+    # the digits after the point move one byte on, out of its way
+    tail = low & t["after_0"][code]
+    low = low & t["before_0"][code] | tail << np.uint64(8) | t["point_0"][code]
+    high = (
+        high & t["before_1"][code] | (high & t["after_1"][code]) << np.uint64(8)
+        | tail >> np.uint64(56) | t["point_1"][code]
+    )
+    prefix, suffix = t["prefix_0"][code], t["suffix_0"][code]
+    if rows.size:  # at most 19 bytes: 6 in the prefix's word, 8 and 5 in the digits' two
+        text = np.array([("%.12g" % v).encode("ascii") for v in x[rows].tolist()], dtype="S19")
+        text = text.view(np.uint8).reshape(rows.size, 19)
+        for word, (lo, hi) in zip((prefix, low, high), ((0, 6), (6, 14), (14, 19))):
+            cells = _bytes(word)
+            cells[rows] = 0
+            cells[rows, : hi - lo] = text[:, lo:hi]
+        suffix[rows] = 0
+    return [w for w in (prefix, low, high, suffix) if w is low or w is high or w.any()]
+
+
+def _d(n: np.ndarray) -> list[np.ndarray]:
+    """The cells of ``'%d' % n`` as byte parts: the sign, then the digits."""
+    quads = _tables()["quads"]
+    negative = n < 0
+    if n.dtype.kind == "u":
+        magnitude = n.astype(np.uint64, copy=False)
+    else:  # |-2**63| wraps to -2**63, whose uint64 view is 2**63, as wanted
+        magnitude = np.abs(n.astype(np.int64, copy=False)).view(np.uint64)
+    width = len(str(magnitude.max(initial=0)))  # digits of the widest cell
+    words = np.zeros((n.size, -(-width // 8)), dtype=np.uint64)
+    digits = np.ones(n.size, dtype=np.intp)
+    for k in range(1, width):
+        digits += magnitude >= np.uint64(10**k)
+    rest, ten_thousand = magnitude, np.uint64(10_000)
+    for quad in reversed(range(2 * words.shape[1])):  # from the last digit on
+        # a floor division by a scalar is much faster in numpy than divmod
+        higher = rest // ten_thousand
+        q = (rest - higher * ten_thousand).astype(np.intp)
+        words[:, quad // 2] |= quads[q] << np.uint64(32 * (quad % 2))
+        rest = higher
+    zeros = 8 * words.shape[1] - digits
+    for word in range(words.shape[1]):
+        words[:, word] &= _LATER_BYTES[np.clip(zeros - 8 * word, 0, 8)]
+    sign = [negative * np.uint64(ord("-"))] if negative.any() else []
+    return sign + [words]
+
+
+def _checked(column):
+    """``column`` as :func:`render` lays it out: text as bytes, a label table, or numbers."""
+    if isinstance(column, str):
+        return _text(column)
+    if isinstance(column, tuple):
+        table, codes = column
+        return labels(table), np.asarray(codes, dtype=np.intp)
+    column = np.asarray(column)
+    if column.ndim != 1 or column.dtype.kind not in "iuf":
+        raise ValueError(f"a value column is a 1-D array of numbers, got {column.dtype} {column.shape}")
+    return column
+
+
+def _length(columns) -> int:
+    """The row count shared by every column but the literal ones."""
+    lengths = {
+        len(c[1]) if isinstance(c, tuple) else len(c) for c in columns if not isinstance(c, bytes)
+    }
+    if len(lengths) > 1:
+        raise ValueError(f"columns of different lengths: {sorted(lengths)}")
+    return lengths.pop() if lengths else 0
+
+
+def _parts(column, n: int) -> list[np.ndarray]:
+    """The NUL-padded cells of a checked column, as (n,) or (n, k) arrays of words."""
+    if isinstance(column, bytes):
+        words = _words([column], max(8, -(-len(column) // 8) * 8))
+        return [np.broadcast_to(words, (n, words.shape[1]))]
+    if isinstance(column, tuple):
+        table, codes = column
+        return [np.take(table[:, 0], codes) if table.shape[1] == 1 else np.take(table, codes, axis=0)]
+    return _g12(column) if column.dtype.kind == "f" else _d(column)
+
+
+def _render(columns: list, n: int) -> bytes:
+    """The bytes of ``n`` rows of checked columns."""
+    parts = [p for c in columns for p in _parts(c, n)]
+    words = np.column_stack(parts) if parts else np.empty(0, dtype=np.uint64)
+    return words.tobytes().translate(None, b"\0")
+
+
+def render(*columns) -> bytes:
+    """The bytes of the rows of ``columns`` (see the module docstring), all rows at once."""
+    columns = [_checked(c) for c in columns]
+    return _render(columns, _length(columns))
+
+
+def blocks(*columns) -> Iterator[bytes]:
+    """:func:`render` over blocks of at most :data:`CHUNK_ROWS` rows.
+
+    The columns are checked here, before any block is rendered: equal lengths,
+    1-D numeric value columns, no NUL in text or labels (ValueError).
+    """
+    columns = [_checked(c) for c in columns]
+    n = _length(columns)
+
+    def rows(column, at: slice):
+        if isinstance(column, bytes):
+            return column
+        if isinstance(column, tuple):
+            return column[0], column[1][at]
+        return column[at]
+
+    spans = [slice(lo, min(lo + CHUNK_ROWS, n)) for lo in range(0, n, CHUNK_ROWS)]
+    return (_render([rows(c, at) for c in columns], at.stop - at.start) for at in spans)
+
+
+def write(path, head: str, rows: Iterable[bytes]) -> None:
+    """Write ``head``, then each block of ``rows`` in turn, as bytes."""
+    with open(path, "wb") as fh:
+        fh.write(head.encode("utf-8"))
+        for block in rows:
+            fh.write(block)

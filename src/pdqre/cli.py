@@ -15,8 +15,9 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from ._rows import template, write_blocks
 from .data import (
     InsufficientSweep,
     ParseError,
@@ -32,9 +33,9 @@ from .qre import (
     QrePoint,
     SolverConfig,
     _check_finite,
+    _objective_blocks,
     find_intersections,
     main_branch,
-    objective_grid,
     sweep_lambda,
 )
 from .simulate import (
@@ -158,22 +159,30 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _cmd_nash_curve(args: argparse.Namespace) -> int:
+    from ._rows import blocks, write  # on first use, as in simulate.export_log
+
     gammas = _float_grid(args.gamma_min, args.gamma_max, args.gamma_step, "gamma")
     if args.gamma_min < 0.0 or args.gamma_max > 1.0:  # gamma is a probability
         raise ValueError(f"gamma range must lie in [0, 1], got [{args.gamma_min}, {args.gamma_max}]")
     tracers = {"quadratic": trace_quadratic_curve, "stationarity": trace_stationarity_curve}
     wanted = ["quadratic", "stationarity"] if args.curve == "both" else [args.curve]
-    lines = ["curve,alpha,gamma,branch,quadratic_residual,stationarity_residual"]
+    rows, count = [], 0
     for name in wanted:
-        for p in tracers[name](gammas):
-            lines.append(
-                f"{name},{_fmt(p.alpha)},{_fmt(p.gamma)},{p.branch},"
-                f"{_fmt(p.quadratic_residual)},{_fmt(p.stationarity_residual)}"
-            )
+        points = tracers[name](gammas)
+        count += len(points)
+        alpha, gamma, quadratic, stationarity = np.array(
+            [(p.alpha, p.gamma, p.quadratic_residual, p.stationarity_residual) for p in points],
+            dtype=float,
+        ).reshape(-1, 4).T
+        high = np.array([p.branch == "high" for p in points], dtype=np.intp)
+        rows.append(blocks(
+            f"{name},", alpha, ",", gamma, ([",low,", ",high,"], high), quadratic, ",", stationarity, "\n"
+        ))
     out = Path(args.output)
-    _write_text(out, "\n".join(lines) + "\n")
+    head = "curve,alpha,gamma,branch,quadratic_residual,stationarity_residual\n"
+    write(out, head, (block for curve in rows for block in curve))
     _write_manifest(out, args)
-    print(f"wrote {len(lines) - 1} curve points to {out}")
+    print(f"wrote {count} curve points to {out}")
     return 0
 
 
@@ -258,36 +267,25 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_blocks(mesh: int, alpha, gamma, objective, clamped):
-    """The objective-grid rows, one block per alpha row of the mesh.
-
-    ``objective_grid`` lays the mesh out alpha-major, so every block shares
-    the gamma labels, priced once, and starts each of its lines with its
-    alpha; only a row holding clamped cells gets its own flag text.
-    """
-    gammas = [format(v, ".12g") for v in gamma[:mesh].tolist()]
-
-    def cells(row) -> list[str]:
-        return [template("{},%.12g,{}", g, "true" if c else "false") for g, c in zip(gammas, row)]
-
-    plain = cells([False] * mesh)
-    for lo in range(0, len(alpha), mesh):
-        row = clamped[lo : lo + mesh]
-        start = template("{},", format(alpha[lo], ".12g"))
-        text = ("\n" + start).join(cells(row.tolist()) if row.any() else plain)
-        yield start + text + "\n", tuple(objective[lo : lo + mesh].tolist())
-
-
 def _cmd_objective_grid(args: argparse.Namespace) -> int:
+    from ._rows import labels, render, write  # on first use, as in simulate.export_log
+
     if args.mesh > MAX_MESH:
         raise ValueError(
             f"mesh must have at most {MAX_MESH} nodes per axis, got {args.mesh}"
         )
-    a, g, f, clamped = objective_grid(args.rationality, args.mesh)
+    axis, priced = _objective_blocks(args.rationality, args.mesh)
+    # each block is written as soon as it is priced; an axis value carries its comma
+    values = labels(f"{v:.12g}," for v in axis.tolist())
+    flags = labels([",false\n", ",true\n"])
     out = Path(args.output)
-    write_blocks(out, "alpha,gamma,objective,clamped\n", _grid_blocks(args.mesh, a, g, f, clamped))
+    write(
+        out,
+        "alpha,gamma,objective,clamped\n",
+        (render((values, i), (values, j), f, (flags, c)) for i, j, f, c in priced),
+    )
     _write_manifest(out, args)
-    print(f"wrote {len(a)} grid nodes to {out}")
+    print(f"wrote {args.mesh ** 2} grid nodes to {out}")
     return 0
 
 

@@ -73,7 +73,13 @@ STATIONARITY_CONIC = _stationarity_conic(DEFAULT_MATRIX)
 
 
 def quadratic_residual(alpha: float, gamma: float) -> float:
-    """Benchmark quadratic, kept exactly as published."""
+    """Benchmark quadratic, kept exactly as published.
+
+    A point outside [0, 1]^2, NaN included, raises ``MarkovStrategy``'s ValueError,
+    as the stationarity residual does.
+    """
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= gamma <= 1.0):
+        MarkovStrategy(alpha, gamma)
     aa, ag, a, gg, g, one = QUADRATIC_CONIC
     return aa * alpha**2 + gg * gamma**2 + ag * alpha * gamma + a * alpha + g * gamma + one
 

@@ -798,6 +798,29 @@ def find_intersections(
     return [replace(e, first=(i == 0)) for i, e in enumerate(events)]
 
 
+def _objective_blocks(lam: float, mesh: int, matrix: PayoffMatrix = DEFAULT_MATRIX):
+    """The objective over a uniform mesh, priced ``MESH_BLOCK`` nodes at a time.
+
+    Returns the mesh axis ``np.linspace(0, 1, mesh)`` and an iterator of
+    blocks (i, j, objective, clamped): node (axis[i], axis[j]), alpha-major
+    as in :func:`_mesh`, its objective F and whether :func:`_clip` moved it.
+    The arguments are checked on the call, before any block is priced: a mesh
+    of fewer than 2 nodes per axis raises ValueError.
+    """
+    if mesh < 2:
+        raise ValueError(f"mesh must have at least 2 nodes per axis, got {mesh}")
+    _check_rationality(lam)
+    axis = np.linspace(0.0, 1.0, mesh)
+
+    def blocks():
+        for lo in range(0, mesh * mesh, MESH_BLOCK):
+            i, j = np.divmod(np.arange(lo, min(lo + MESH_BLOCK, mesh * mesh)), mesh)
+            priced = _price_nodes(axis[i], axis[j], matrix)
+            yield i, j, _mesh_objective(lam, priced), priced[2]
+
+    return axis, blocks()
+
+
 def objective_grid(
     lam: float,
     mesh: int = 201,
@@ -805,18 +828,17 @@ def objective_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Objective values over a uniform mesh, with degenerate cells flagged.
 
-    Returns flat arrays (alpha, gamma, objective, clamped) of :func:`_mesh`.
-    ``MESH_BLOCK`` nodes at a time are priced into the outputs, so no other
-    array has the mesh's size; each cell has the bits of a whole-mesh pricing.
-    A mesh of fewer than 2 nodes per axis raises ValueError.
+    Returns flat arrays (alpha, gamma, objective, clamped) of :func:`_mesh`,
+    collected from :func:`_objective_blocks`, so no other array has the
+    mesh's size; each cell has the bits of a whole-mesh pricing.  A mesh of
+    fewer than 2 nodes per axis raises ValueError.
     """
-    if mesh < 2:
-        raise ValueError(f"mesh must have at least 2 nodes per axis, got {mesh}")
-    _check_rationality(lam)
-    alpha, gamma = _mesh(mesh)
-    f, clamped = np.empty(alpha.size), np.empty(alpha.size, dtype=bool)
-    for lo in range(0, alpha.size, MESH_BLOCK):
-        block = slice(lo, lo + MESH_BLOCK)
-        priced = _price_nodes(alpha[block], gamma[block], matrix)
-        f[block], clamped[block] = _mesh_objective(lam, priced), priced[2]
+    axis, blocks = _objective_blocks(lam, mesh, matrix)
+    alpha, gamma, f = np.empty((3, mesh * mesh))
+    clamped = np.empty(mesh * mesh, dtype=bool)
+    lo = 0
+    for i, j, f_block, clamped_block in blocks:
+        at = slice(lo, lo + f_block.size)
+        alpha[at], gamma[at], f[at], clamped[at] = axis[i], axis[j], f_block, clamped_block
+        lo = at.stop
     return alpha, gamma, f, clamped

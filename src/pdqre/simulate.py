@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rows import labelled_blocks, write_blocks
 from .game import DEFAULT_MATRIX, MarkovStrategy, PayoffMatrix
 
 __all__ = [
@@ -286,6 +285,8 @@ def estimate_markov_pooled(log: PooledLog) -> MarkovEstimate:
 
 def export_log(log: GameLog, path) -> None:
     """Write a pair log as CSV with key=value header metadata."""
+    from ._rows import blocks, write  # on first use, so that importing pdqre compiles no renderer
+
     head = (
         f"# generator={log.generator}\n"
         f"# seed={log.config.seed}\n"
@@ -299,9 +300,6 @@ def export_log(log: GameLog, path) -> None:
     # one label per choice pair, code 2 * c1 + c2, priced as simulate prices a round
     c1, c2 = np.array([False, False, True, True]), np.array([False, True, False, True])
     p1, p2 = log.matrix.payoff(c1, c2).tolist(), log.matrix.payoff(c2, c1).tolist()
-    labels = np.array(
-        [f"{a},{b},{x:.12g},{y:.12g}" for a, b, x, y in zip("DDCC", "DCDC", p1, p2)], dtype=object
-    )
+    labels = [f",{a},{b},{x:.12g},{y:.12g}\n" for a, b, x, y in zip("DDCC", "DCDC", p1, p2)]
     codes = 2 * log.choices1.view(np.uint8) + log.choices2.view(np.uint8)
-    rows = np.arange(1, log.rounds + 1)
-    write_blocks(path, head, labelled_blocks("%d,{}\n", (labels, codes), rows))
+    write(path, head, blocks(np.arange(1, log.rounds + 1), (labels, codes)))

@@ -13,11 +13,15 @@ route it checks:
   differences, the check of ``nash.own_payoff_gradient``;
 - ``stationarity_quadratic`` evaluates the gradient's factor C from the four
   payoffs, the check of the curve that ``nash.trace_stationarity_curve``
-  traces from ``nash.STATIONARITY_CONIC``.
+  traces from ``nash.STATIONARITY_CONIC``;
+- ``percent_rows`` writes CSV rows by Python's ``%`` (one format string per
+  row, its text escaped by ``template``), the check of the numpy byte
+  renderer ``pdqre._rows``.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 from pdqre.game import (
@@ -130,3 +134,31 @@ def stationarity_quadratic(alpha: float, gamma: float) -> float:
         + (s - t) * gamma
         + (p - s)
     )
+
+
+def template(fmt: str, *labels: str) -> str:
+    """``fmt`` with ``labels`` in its ``{}`` fields, each ``%`` doubled so that ``%`` keeps it."""
+    return fmt.format(*(label.replace("%", "%%") for label in labels))
+
+
+def percent_rows(*columns) -> bytes:
+    """The rows of ``columns`` as the ``%`` route writes them, in UTF-8.
+
+    The columns are those of ``pdqre._rows.render``: literal text, a labelled
+    column (labels, codes), float values (``%.12g``) or integer values
+    (``%d``).  A row is one format string, with its text and its labels in
+    it through :func:`template`, and one ``%`` converts the row's numbers.
+    """
+    (n,) = {len(c[1]) if isinstance(c, tuple) else len(c) for c in columns if not isinstance(c, str)}
+    formats, numbers = [], []
+    for column in columns:
+        if isinstance(column, str):
+            formats.append([template("{}", column)] * n)
+        elif isinstance(column, tuple):
+            labels, codes = column
+            formats.append([template("{}", labels[int(c)]) for c in codes])
+        else:
+            formats.append(["%.12g" if column.dtype.kind == "f" else "%d"] * n)
+            numbers.append(column.tolist())
+    values = zip(*numbers) if numbers else repeat(())
+    return "".join("".join(fmt) % row for fmt, row in zip(zip(*formats), values)).encode("utf-8")

@@ -169,13 +169,15 @@ def test_stacked_kernel_matches_the_per_substitution_oracle_bitwise(matrix, size
     with np.errstate(all="ignore"):
         sigma = _sigma_vec(lam, alpha, gamma, matrix)
         _same_bits(sigma, scalar_route.sigma_vec(lam, alpha, gamma, matrix), corner)
-        want = scalar_route.objective_derivatives(lam, alpha, gamma, matrix)
-        for got in (
-            _objective_derivatives(lam, alpha, gamma, matrix),
-            _objective_derivatives(lam, alpha, gamma, matrix, sigma),
-        ):
-            for part, oracle in zip(got, want):
-                _same_bits(part, oracle, corner)
+        # the Gauss-Newton model prices no Hessian of sigma, and keeps every other bit
+        for gauss_newton in (False, True):
+            want = scalar_route.objective_derivatives(lam, alpha, gamma, matrix, None, gauss_newton)
+            for got in (
+                _objective_derivatives(lam, alpha, gamma, matrix, None, gauss_newton),
+                _objective_derivatives(lam, alpha, gamma, matrix, sigma, gauss_newton),
+            ):
+                for part, oracle in zip(got, want):
+                    _same_bits(part, oracle, corner)
     # the descent clips corners into the box: bit for bit throughout, on the
     # objective's Hessian and on the Gauss-Newton model that polishes crossings
     for gauss_newton in (False, True):

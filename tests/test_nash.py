@@ -19,6 +19,7 @@ from pdqre.nash import (
     trace_quadratic_curve,
     trace_stationarity_curve,
 )
+from pdqre.qre import QrePoint, SolverConfig, label_branch
 
 SHARED_ZEROS = [(0.0, 1.0 / 9.0), (0.0, 1.0)]
 
@@ -121,6 +122,27 @@ def test_curve_residual_dispatch():
     assert math.isnan(stat(0.0, 1.0))
     with pytest.raises(ValueError):
         curve_residual("cubic")
+
+
+@pytest.mark.parametrize(
+    "alpha, gamma, message",
+    [
+        (2.0, 0.5, "alpha must lie in \\[0, 1\\], got 2.0"),
+        (math.nan, 0.5, "alpha must lie in \\[0, 1\\], got nan"),
+        (0.5, -1e-300, "gamma must lie in \\[0, 1\\], got -1e-300"),
+        (0.5, math.nan, "gamma must lie in \\[0, 1\\], got nan"),
+    ],
+    ids=["alpha-2", "alpha-nan", "gamma-negative", "gamma-nan"],
+)
+def test_both_residuals_refuse_a_point_outside_the_square(alpha, gamma, message):
+    # one ValueError from either curve, so that no branch label depends on the curve choice
+    for residual in (quadratic_residual, stationarity_curve_residual):
+        with pytest.raises(ValueError, match=message):
+            residual(alpha, gamma)
+    for choice in ("quadratic", "stationarity"):
+        with pytest.raises(ValueError, match=message):
+            label_branch(QrePoint(6.0, alpha, gamma, 0.0, True), SolverConfig(curve_choice=choice))
+    assert quadratic_residual(1.0, 0.0) == 6.0 and quadratic_residual(0.0, 1.0) == 0.0
 
 
 def test_curve_residual_prices_the_game_it_was_given():

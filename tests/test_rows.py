@@ -1,13 +1,15 @@
-"""Block writer against the per-row f-string route it replaces: same bytes."""
+"""The numpy byte renderer against the ``%`` route it replaces: same bytes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import percent_rows, template
 
-from pdqre._rows import CHUNK_ROWS, labelled_blocks, template, write_blocks
+from pdqre._rows import CHUNK_ROWS, blocks, labels, render, write
 from pdqre.cli import main
 from pdqre.game import MarkovStrategy, PayoffMatrix
 from pdqre.qre import objective_grid
@@ -61,7 +63,7 @@ def test_writer_matches_per_row_route(tmp_path_factory, n, pool, seed):
     rng = np.random.default_rng(seed)
     values = np.array(SPECIALS + pool, dtype=np.float64)
     # the labelled column: each value's .12g string once, a row reads one by its code
-    labels = np.array([format(v, ".12g") for v in values.tolist()], dtype=object)
+    texts = [format(v, ".12g") for v in values.tolist()]
     codes = rng.integers(0, len(values), n)
     # the value column mixes pool values with arbitrary bit patterns:
     # NaN payloads, subnormals and every exponent
@@ -70,17 +72,68 @@ def test_writer_matches_per_row_route(tmp_path_factory, n, pool, seed):
 
     want = "head\n" + "".join(f"{values[codes[t]]:.12g},{dense[t]:.12g}\n" for t in range(n))
     out = tmp_path_factory.mktemp("rows") / "rows.csv"
-    write_blocks(out, "head\n", labelled_blocks("{},%.12g\n", (labels, codes), dense))
+    write(out, "head\n", blocks((texts, codes), ",", dense, "\n"))
     assert out.read_bytes() == want.encode("utf-8")
 
 
+def _near_ties(m: int, j: int, ulps: int) -> list[float]:
+    """(m + 1/2) * 10**j, correctly rounded, then stepped up to ``ulps`` ulps either way."""
+    tie = float(Fraction(2 * m + 1, 2) * Fraction(10) ** j)
+    out, up, down = [tie], tie, tie
+    for _ in range(ulps):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+    ties=st.lists(
+        st.tuples(st.integers(10**11, 10**12 - 1), st.integers(-40, 40)), min_size=1, max_size=8
+    ),
+)
+@example(bits=[0x3FF0000000000000, 0x7FF8000000000001, 0x8000000000000001], ties=[(10**12 - 1, 0)])
+def test_g12_cells_match_percent_on_any_bit_pattern_and_near_ties(bits, ties):
+    # every exponent and NaN payload, and the values where rounding to 12
+    # digits is a near-tie: 13-digit halves, a few ulps either way, both signs
+    x = np.array(bits, dtype=np.uint64).view(np.float64)
+    near = [v for m, j in ties for v in _near_ties(m, j - 11, 3)]
+    x = np.concatenate([x, near, np.negative(near)])
+    assert render(x, "\n") == "".join("%.12g\n" % v for v in x.tolist()).encode("ascii")
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 12), below=st.integers(0, 40), above=st.integers(1, 40))
+@example(k=0, below=0, above=1)  # the single row 1
+def test_d_cells_match_percent_d_across_powers_of_ten(k, below, above):
+    # a column is as wide as its widest cell: alone, then with its negatives, then with the extremes
+    n = np.arange(10**k - below, 10**k + above)
+    for column in (n, np.concatenate([n, -n]), np.concatenate([n, [0, -(2**63), 2**63 - 1]])):
+        assert render(column, ",") == "".join("%d," % v for v in column.tolist()).encode("ascii")
+    unsigned = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert render(unsigned, ",") == b"0,9223372036854775808,18446744073709551615,"
+
+
+def test_renderer_matches_the_percent_route_column_by_column():
+    rng = np.random.default_rng(11)
+    n = 1000
+    columns = (
+        np.arange(n) - 500, "|%s|", (["50%", "x{}", "é"], rng.integers(0, 3, n)),
+        rng.normal(0.0, 1e3, n), ",", (10.0 ** rng.uniform(-8, 16, n)).round(rng.integers(0, 9)),
+        "\n",
+    )
+    assert render(*columns) == percent_rows(*columns)
+    assert b"".join(blocks(*columns)) == render(*columns)
+
+
 def test_labels_holding_percent_signs_are_written_as_they_are(tmp_path):
-    # a label's % is template text, never a conversion
+    # a label's % and braces are text, never a conversion or a field
     n = CHUNK_ROWS + 5
     flag = np.random.default_rng(3).random(n) < 0.5
-    column = np.array(["50%,%(x)s", "%d%%s%,{}"], dtype=object), flag.view(np.uint8)
+    column = ["50%,%(x)s", "%d%%s%,{}"], flag.view(np.uint8)
     out = tmp_path / "rows.csv"
-    write_blocks(out, "%\n", labelled_blocks("{},%.12g\n", column, np.arange(n) + 0.5))
+    write(out, "%\n", blocks(column, ",", np.arange(n) + 0.5, "\n"))
     want = "%\n" + "".join(
         f"{'%d%%s%' if flag[t] else '50%'},{'{}' if flag[t] else '%(x)s'},{t + 0.5:.12g}\n"
         for t in range(n)
@@ -91,9 +144,22 @@ def test_labels_holding_percent_signs_are_written_as_they_are(tmp_path):
 
 def test_writer_rejects_columns_of_different_lengths(tmp_path):
     out = tmp_path / "rows.csv"
-    column = np.array(["D", "C"], dtype=object), np.ones(3, dtype=np.uint8)
-    with pytest.raises(ValueError, match="3 labelled rows but 4 rows of values"):
-        write_blocks(out, "", labelled_blocks("%d,{}\n", column, np.zeros(4)))
+    column = ["D", "C"], np.ones(3, dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"columns of different lengths: \[3, 4\]"):
+        write(out, "", blocks(np.zeros(4, dtype=int), ",", column))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [(["D", "C\0"], "labels"), ("\0", "text")], ids=["label", "text"])
+def test_a_nul_in_text_raises_before_the_file_is_opened(tmp_path, bad):
+    # the renderer drops every NUL byte, so it refuses text that holds one
+    out = tmp_path / "rows.csv"
+    text, kind = bad
+    column = (text, np.zeros(2, dtype=np.uint8)) if kind == "labels" else text
+    with pytest.raises(ValueError, match="NUL"):
+        write(out, "", blocks(np.arange(2), column))
+    with pytest.raises(ValueError, match="NUL"):
+        labels(["ok", "n\0"])
     assert not out.exists()
 
 
