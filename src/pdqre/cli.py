@@ -15,8 +15,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import (
     InsufficientSweep,
@@ -27,7 +25,7 @@ from .data import (
     load_experiments,
 )
 from .game import MarkovStrategy
-from .nash import trace_quadratic_curve, trace_stationarity_curve
+from .nash import QUADRATIC_CONIC, STATIONARITY_CONIC, _trace_columns
 from .qre import (
     BRANCH_LABELS,
     QrePoint,
@@ -164,17 +162,11 @@ def _cmd_nash_curve(args: argparse.Namespace) -> int:
     gammas = _float_grid(args.gamma_min, args.gamma_max, args.gamma_step, "gamma")
     if args.gamma_min < 0.0 or args.gamma_max > 1.0:  # gamma is a probability
         raise ValueError(f"gamma range must lie in [0, 1], got [{args.gamma_min}, {args.gamma_max}]")
-    tracers = {"quadratic": trace_quadratic_curve, "stationarity": trace_stationarity_curve}
-    wanted = ["quadratic", "stationarity"] if args.curve == "both" else [args.curve]
+    conics = {"quadratic": QUADRATIC_CONIC, "stationarity": STATIONARITY_CONIC}
     rows, count = [], 0
-    for name in wanted:
-        points = tracers[name](gammas)
-        count += len(points)
-        alpha, gamma, quadratic, stationarity = np.array(
-            [(p.alpha, p.gamma, p.quadratic_residual, p.stationarity_residual) for p in points],
-            dtype=float,
-        ).reshape(-1, 4).T
-        high = np.array([p.branch == "high" for p in points], dtype=np.intp)
+    for name in conics if args.curve == "both" else [args.curve]:
+        alpha, gamma, high, quadratic, stationarity = _trace_columns(gammas, conics[name])
+        count += alpha.size
         rows.append(blocks(
             f"{name},", alpha, ",", gamma, ([",low,", ",high,"], high), quadratic, ",", stationarity, "\n"
         ))

@@ -17,6 +17,9 @@ which for the default payoffs reads
 and differs from the benchmark by the 14 a term.  Both vanish at
 (0, 1/9) and (0, 1) but disagree everywhere else in the interior, so both
 are traced and reported; downstream consumers choose via ``curve_choice``.
+
+The conic's value and the gradient are each written once, for floats, numpy
+arrays and exact Fractions; ``_trace_columns`` traces a curve in one numpy pass.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Literal
+
+import numpy as np
 
 from .game import (
     DEFAULT_MATRIX,
@@ -66,10 +71,21 @@ def _stationarity_conic(matrix: PayoffMatrix) -> tuple[float, ...]:
     """Coefficients (aa, ag, a, gg, g, 1) of C, the gradient's factor under ``matrix``."""
     r, s = matrix.reward_cc, matrix.sucker_cd
     t, p = matrix.temptation_dc, matrix.punishment_dd
-    return (r - s, p - r + s - t, 2.0 * t - r - p, t - p, s - t, p - s)
+    return (r - s, p - r + s - t, 2 * t - r - p, t - p, s - t, p - s)
 
 
 STATIONARITY_CONIC = _stationarity_conic(DEFAULT_MATRIX)
+
+
+def _square(x):
+    """``x**2`` by Python's ``**``, per element for an array: libm's pow is not x * x."""
+    return np.fromiter((v**2 for v in x.tolist()), float) if isinstance(x, np.ndarray) else x**2
+
+
+def _conic_residual(conic: tuple[float, ...], alpha, gamma):
+    """The conic's value at (alpha, gamma), elementwise on floats, Fractions and arrays."""
+    aa, ag, a, gg, g, one = conic
+    return aa * _square(alpha) + gg * _square(gamma) + ag * alpha * gamma + a * alpha + g * gamma + one
 
 
 def quadratic_residual(alpha: float, gamma: float) -> float:
@@ -80,8 +96,28 @@ def quadratic_residual(alpha: float, gamma: float) -> float:
     """
     if not (0.0 <= alpha <= 1.0 and 0.0 <= gamma <= 1.0):
         MarkovStrategy(alpha, gamma)
-    aa, ag, a, gg, g, one = QUADRATIC_CONIC
-    return aa * alpha**2 + gg * gamma**2 + ag * alpha * gamma + a * alpha + g * gamma + one
+    return _conic_residual(QUADRATIC_CONIC, alpha, gamma)
+
+
+def _gradient(a1, g1, a2, g2, matrix: PayoffMatrix):
+    """:func:`own_payoff_gradient` at (a1, g1) against (a2, g2), elementwise, unchecked."""
+    d1 = a1 - g1
+    d2 = a2 - g2
+    denom = 1 - d1 * d2
+    n1 = a1 - a2 * d1
+    n2 = a2 - a1 * d2
+    p1 = n1 / denom
+    p2 = n2 / denom
+    dd = denom * denom
+    dp1_da = ((1 - a2) * denom + d2 * n1) / dd
+    dp1_dg = (a2 * denom - n1 * d2) / dd
+    dp2_da = d2 * (n2 - denom) / dd
+    dp2_dg = -n2 * d2 / dd
+    r, s = matrix.reward_cc, matrix.sucker_cd
+    t, p = matrix.temptation_dc, matrix.punishment_dd
+    du_dp1 = (r - t) * p2 + (s - p) * (1 - p2)
+    du_dp2 = (r - s) * p1 + (t - p) * (1 - p1)
+    return du_dp1 * dp1_da + du_dp2 * dp2_da, du_dp1 * dp1_dg + du_dp2 * dp2_dg
 
 
 def own_payoff_gradient(
@@ -94,30 +130,9 @@ def own_payoff_gradient(
     Both stationary probabilities depend on the own parameters, so the chain
     rule runs through p1 and p2 simultaneously.
     """
-    a1, g1 = own.alpha, own.gamma
-    a2, g2 = opponent.alpha, opponent.gamma
-    d1 = a1 - g1
-    d2 = a2 - g2
-    denom = 1.0 - d1 * d2
-    if abs(denom) < DEGENERACY_THRESHOLD:
+    if abs(1 - (own.alpha - own.gamma) * (opponent.alpha - opponent.gamma)) < DEGENERACY_THRESHOLD:
         raise DegenerateChain(f"gradient undefined for {own} vs {opponent}")
-    n1 = a1 - a2 * d1
-    n2 = a2 - a1 * d2
-    p1 = n1 / denom
-    p2 = n2 / denom
-    dd = denom * denom
-    dp1_da = ((1.0 - a2) * denom + d2 * n1) / dd
-    dp1_dg = (a2 * denom - n1 * d2) / dd
-    dp2_da = d2 * (n2 - denom) / dd
-    dp2_dg = -n2 * d2 / dd
-    r, s = matrix.reward_cc, matrix.sucker_cd
-    t, p = matrix.temptation_dc, matrix.punishment_dd
-    du_dp1 = (r - t) * p2 + (s - p) * (1.0 - p2)
-    du_dp2 = (r - s) * p1 + (t - p) * (1.0 - p1)
-    return (
-        du_dp1 * dp1_da + du_dp2 * dp2_da,
-        du_dp1 * dp1_dg + du_dp2 * dp2_dg,
-    )
+    return _gradient(own.alpha, own.gamma, opponent.alpha, opponent.gamma, matrix)
 
 
 def stationarity_curve_residual(
@@ -159,35 +174,38 @@ def curve_residual(
     raise ValueError(f"unknown curve choice {choice!r}")
 
 
+def _trace_columns(gammas: Iterable[float], conic: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """Columns (alpha, gamma, high, quadratic, stationarity) of ``conic``'s points.
+
+    Per gamma, its low then its high (``high`` 1) root in [-1e-12, 1 + 1e-12], clamped
+    into [0, 1], with the default game's residuals and the bits of the scalar calls.
+    A gamma outside [0, 1], NaN included, raises ``MarkovStrategy``'s ValueError.
+    """
+    gammas = np.fromiter(gammas, dtype=float)
+    outside = ~((gammas >= 0.0) & (gammas <= 1.0))
+    if outside.any():
+        MarkovStrategy(0.0, gammas[outside][0].item())
+    # The conic is aa a^2 + b(g) a + c(g) in alpha, c(g) its value at alpha = 0.
+    # b is written a (1 - g) + (a + ag) g: where a or a + ag is 0 one product
+    # is an exact zero, so b is rounded as ag g or a (1 - g) alone.
+    aa, ag, a = conic[:3]
+    b = a * (1 - gammas) + (a + ag) * gammas
+    disc = b * b - 4 * aa * _conic_residual(conic, 0.0, gammas)
+    root = np.sqrt(np.where(disc < 0.0, np.nan, disc))
+    # entry 2i is gamma i's low root, 2i + 1 its high one; NaN (no real root) is not kept
+    roots = np.column_stack(((-b - root) / (2 * aa), (-b + root) / (2 * aa))).ravel()
+    kept = np.flatnonzero((roots >= -1e-12) & (roots <= 1 + 1e-12))
+    alpha = np.clip(roots[kept], 0.0, 1.0) + 0.0  # -0 reads 0
+    gamma, high = gammas[kept // 2], kept % 2
+    d = alpha - gamma  # a degenerate chain's profile is NaN, and so is its residual
+    profile = np.where(np.abs(1 - d * d) < DEGENERACY_THRESHOLD, np.nan, alpha)
+    stationarity = _gradient(profile, gamma, profile, gamma, DEFAULT_MATRIX)[1]
+    return alpha, gamma, high, _conic_residual(QUADRATIC_CONIC, alpha, gamma), stationarity
+
+
 def _trace(gammas: Iterable[float], conic: tuple[float, ...]) -> list[CurvePoint]:
-    # The conic is aa a^2 + b(g) a + c(g) in alpha.  b is written
-    # a (1 - g) + (a + ag) g: where a or a + ag is 0 one product is an exact
-    # zero, so b is rounded as ag g or a (1 - g) alone.
-    aa, ag, a, gg, g, one = conic
-    a_ag, two_aa, four_aa = a + ag, 2.0 * aa, 4.0 * aa
-    points: list[CurvePoint] = []
-    for gamma in gammas:
-        if not 0.0 <= gamma <= 1.0:  # NaN too; the message is MarkovStrategy's
-            raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
-        b = a * (1.0 - gamma) + a_ag * gamma
-        c = gg * gamma**2 + g * gamma + one
-        disc = b * b - four_aa * c
-        if disc < 0.0:
-            continue
-        root = math.sqrt(disc)
-        for branch, alpha in (("low", (-b - root) / two_aa), ("high", (-b + root) / two_aa)):
-            if -1e-12 <= alpha <= 1.0 + 1e-12:
-                alpha = min(max(alpha, 0.0), 1.0) + 0.0  # -0 reads 0
-                points.append(
-                    CurvePoint(
-                        alpha=alpha,
-                        gamma=gamma,
-                        branch=branch,
-                        quadratic_residual=quadratic_residual(alpha, gamma),
-                        stationarity_residual=_stationarity_or_nan(DEFAULT_MATRIX, alpha, gamma),
-                    )
-                )
-    return points
+    columns = zip(*(column.tolist() for column in _trace_columns(gammas, conic)))
+    return [CurvePoint(a, g, ("low", "high")[h], q, s) for a, g, h, q, s in columns]
 
 
 def trace_quadratic_curve(gammas: Iterable[float]) -> list[CurvePoint]:

@@ -1,6 +1,7 @@
 """Nash-curve tests: residuals, analytic gradient vs oracle, tracing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from oracles import own_payoff_gradient_fd, stationarity_quadratic
 
 from pdqre.game import DEFAULT_MATRIX, DegenerateChain, MarkovStrategy, PayoffMatrix
 from pdqre.nash import (
+    QUADRATIC_CONIC,
     STATIONARITY_CONIC,
+    _conic_residual,
     _stationarity_conic,
+    _trace_columns,
     curve_residual,
     own_payoff_gradient,
     quadratic_residual,
@@ -174,6 +178,10 @@ def test_conic_residuals_keep_the_bits_of_the_literal_expressions():
     for f, literal in ((quadratic_residual, _published), (stationarity_quadratic, _stationarity)):
         got = np.array([f(a, g) for a, g in points])
         assert got.tobytes() == np.array([literal(a, g) for a, g in points]).tobytes()
+    # the array route squares by Python's ** too (libm's pow, not x * x, which
+    # differs on about one point in a thousand here), so its column keeps the same bits
+    column = _conic_residual(QUADRATIC_CONIC, *np.array(points).T)
+    assert column.tobytes() == np.array([_published(a, g) for a, g in points]).tobytes()
 
 
 def _prisoners_dilemma(sucker, gaps):
@@ -219,3 +227,138 @@ def test_gradient_at_the_symmetric_profile_is_the_conic_over_d(matrix, alpha, ga
     for root in (1.0, (p - s) / (t - p)):
         terms = abs(conic[3]) * root**2 + abs(conic[4]) * root + abs(conic[5])
         assert abs(_conic(conic, 0.0, root)) <= 1e-13 * terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    matrix=st.builds(
+        _prisoners_dilemma,
+        st.fractions(-5, 5, max_denominator=1000),
+        st.lists(st.fractions(Fraction(1, 100), 5, max_denominator=1000), min_size=3, max_size=3),
+    ),
+    alpha=st.fractions(0, 1, max_denominator=10**6),
+    gamma=st.fractions(0, 1, max_denominator=10**6),
+)
+@example(matrix=PayoffMatrix(*map(Fraction, (5, 0, 10, 1))), alpha=Fraction(3, 10), gamma=Fraction(2, 5))
+def test_gradient_at_the_symmetric_profile_is_the_conic_over_d_exactly(matrix, alpha, gamma):
+    # on Fractions the gradient is exact: ((1 - g) C, a C) / D with D = (a - g - 1)(a - g + 1)^3
+    d = alpha - gamma
+    assume(abs(d) < 1)
+    c, big_d = _conic(_stationarity_conic(matrix), alpha, gamma), (d - 1) * (d + 1) ** 3
+    profile = MarkovStrategy(alpha, gamma)
+    grad = own_payoff_gradient(profile, profile, matrix)
+    assert grad == ((1 - gamma) * c / big_d, alpha * c / big_d)
+    assert [type(v) for v in grad] == [Fraction, Fraction]
+
+
+@pytest.mark.parametrize(
+    "gammas, shown",
+    [
+        (lambda: np.array([0.5, 2.0]), "2.0"),
+        (lambda: [0.5, 2.0, -1.0], "2.0"),
+        (lambda: (g for g in (0.5, -1.0)), "-1.0"),
+        (lambda: np.array([0.5, np.nan]), "nan"),
+        (lambda: [1e-300, -1e-300], "-1e-300"),
+    ],
+    ids=["array", "list", "generator", "nan", "negative"],
+)
+def test_trace_names_the_first_gamma_outside_the_square_as_a_float(gammas, shown):
+    for trace in (trace_quadratic_curve, trace_stationarity_curve):
+        with pytest.raises(ValueError, match=rf"^gamma must lie in \[0, 1\], got {shown}$"):
+            trace(gammas())
+
+
+@pytest.mark.parametrize(
+    "gammas",
+    [lambda: [1], lambda: np.array([0.5, 1.0]), lambda: (g for g in (0.2, 0.5, 1))],
+    ids=["int", "array", "generator"],
+)
+def test_traced_points_hold_python_floats_and_strs(gammas):
+    for trace in (trace_quadratic_curve, trace_stationarity_curve):
+        points = trace(gammas())
+        assert points
+        for p in points:
+            assert [type(v) for v in vars(p).values()] == [float, float, str, float, float]
+
+
+def _per_point_columns(gammas, conic):
+    """The columns of ``conic``'s trace, one gamma at a time on Python floats.
+
+    This is the per-point route that ``_trace_columns`` replaced, built from
+    ``math.sqrt`` and the scalar residuals.  It runs the same formulas in the
+    same order, so it pins the columns' bits; it is no independent check of
+    the formulas, which ``own_payoff_gradient_fd`` and the exact gradient
+    test give.
+    """
+    aa, ag, a, gg, g, one = conic
+    rows = []
+    for gamma in gammas:
+        b = a * (1.0 - gamma) + (a + ag) * gamma
+        disc = b * b - 4.0 * aa * (gg * gamma**2 + g * gamma + one)
+        if disc < 0.0:
+            continue
+        root = math.sqrt(disc)
+        for high, alpha in enumerate(((-b - root) / (2.0 * aa), (-b + root) / (2.0 * aa))):
+            if -1e-12 <= alpha <= 1.0 + 1e-12:
+                alpha = min(max(alpha, 0.0), 1.0) + 0.0
+                try:
+                    stationarity = stationarity_curve_residual(alpha, gamma)
+                except DegenerateChain:
+                    stationarity = math.nan
+                rows.append((alpha, gamma, high, quadratic_residual(alpha, gamma), stationarity))
+    return np.array(rows, dtype=float).reshape(-1, 5).T
+
+
+def _band_conic(low, high):
+    """A conic whose roots in alpha are ``low`` and ``high`` (to rounding) at every gamma."""
+    return (1.0, 0.0, -(low + high), 0.0, 0.0, low * high)
+
+
+def _discriminant_roots(conic):
+    """The gammas in [0, 1] where the conic's two roots in alpha meet."""
+    aa, ag, a, gg, g, one = conic
+    roots = np.roots([ag * ag - 4 * aa * gg, 2 * a * ag - 4 * aa * g, a * a - 4 * aa * one])
+    return [r.real for r in roots if r.imag == 0 and 0.0 <= r.real <= 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    conic=st.one_of(
+        st.sampled_from([QUADRATIC_CONIC, STATIONARITY_CONIC]),
+        st.builds(
+            _stationarity_conic,
+            st.builds(
+                _prisoners_dilemma,
+                st.floats(-5.0, 5.0),
+                st.lists(st.floats(0.01, 5.0), min_size=3, max_size=3),
+            ),
+        ),
+        # roots in and next to the clamp bands [-1e-12, 0) and (1, 1 + 1e-12]
+        st.builds(_band_conic, st.floats(-2e-12, 0.0), st.floats(1.0, 1.0 + 2e-12)),
+    ),
+    grid=st.lists(st.floats(0.0, 1.0), max_size=40),
+    ulps=st.lists(st.integers(-64, 64), max_size=8),
+)
+@example(conic=STATIONARITY_CONIC, grid=[1.0, 1.0 / 9.0, 0.5], ulps=[0])
+@example(conic=_band_conic(-1e-12, 1.0 + 1e-12), grid=[0.5], ulps=[])
+def test_trace_columns_keep_the_bits_of_the_per_point_route(conic, grid, ulps):
+    # gamma = 1 is a degenerate chain on both curves, and a NaN cell; the
+    # gammas next to a discriminant root are where the two roots meet
+    near = [min(max(r + k * math.ulp(r), 0.0), 1.0) for r in _discriminant_roots(conic) for k in ulps]
+    gammas = [*grid, *near, 1.0]
+    got = _trace_columns(gammas, conic)
+    assert got[2].dtype == np.intp
+    want = _per_point_columns(gammas, conic)
+    assert [c.astype(float).tobytes() for c in got] == [c.tobytes() for c in want]
+
+
+def test_trace_columns_reach_the_degenerate_corner_and_the_clamp_bands():
+    # the cases the property above must cover: a NaN residual at (0, 1), and roots
+    # clamped from either band, with the roots just past the bands dropped
+    alpha, gamma, high, quadratic, stationarity = _trace_columns([1.0], STATIONARITY_CONIC)
+    assert (alpha.tolist(), gamma.tolist(), high.tolist()) == ([0.0, 0.0], [1.0, 1.0], [0, 1])
+    assert np.isnan(stationarity).all() and quadratic.tolist() == [0.0, 0.0]
+    assert _trace_columns([0.5], _band_conic(-5e-13, 1.0 + 5e-13))[0].tolist() == [0.0, 1.0]
+    assert _trace_columns([0.5], _band_conic(-2e-12, 1.0 + 2e-12))[0].size == 0
+    assert _discriminant_roots(STATIONARITY_CONIC) == pytest.approx([1.0])
+    assert _discriminant_roots(QUADRATIC_CONIC) == pytest.approx([0.0992], abs=1e-4)
