@@ -15,6 +15,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     InsufficientSweep,
@@ -63,13 +65,9 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 #: Parsed entries a manifest does not echo: the subcommand is a key of its
@@ -122,27 +120,24 @@ MAX_MESH = 1001
 MAX_ROUNDS = 1_000_000
 
 
-def _float_grid(lo: float, hi: float, step: float, what: str) -> list[float]:
+def _float_grid(lo: float, hi: float, step: float, what: str) -> np.ndarray:
+    """The grid lo + k * step, k = 0 .. round((hi - lo) / step), with its last point at most hi."""
     if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ValueError(
-            f"{what} grid bounds and step must be finite, got [{lo}, {hi}] step {step}"
-        )
+        raise ValueError(f"{what} grid bounds and step must be finite, got [{lo}, {hi}] step {step}")
     if step <= 0.0:
         raise ValueError(f"{what} step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"{what} range is empty: [{lo}, {hi}]")
     steps = (hi - lo) / step  # inf when hi - lo overflows
     if not math.isfinite(steps) or round(steps) + 1 > MAX_GRID_POINTS:
-        raise ValueError(
-            f"{what} grid [{lo}, {hi}] step {step} has more than "
-            f"{MAX_GRID_POINTS} points"
-        )
-    n = round(steps)
-    values = [lo + k * step for k in range(n + 1)]
-    if values[-1] > hi + 1e-12:
-        values.pop()  # n >= 1 here: the first point, lo, never passes hi
-    values[-1] = min(values[-1], hi)  # rounding can carry the last point past hi
-    if len(set(values)) < len(values):  # lo + k * step rounds to the same double twice
+        raise ValueError(f"{what} grid [{lo}, {hi}] step {step} has more than {MAX_GRID_POINTS} points")
+    values = lo + np.arange(round(steps) + 1) * step
+    # past hi by more than the rounding of the values, the last point is a part of a step
+    # too many, and is dropped (lo never passes hi); past it by rounding, it is clamped
+    if values[-1] - hi > 8 * math.ulp(max(abs(lo), abs(hi))):
+        values = values[:-1]
+    values[-1] = min(values[-1], hi)
+    if (np.diff(values) == 0.0).any():  # lo + k * step rounds to the same double twice
         raise ValueError(
             f"{what} step {step} is below the float spacing of [{lo}, {hi}]: grid points repeat"
         )
@@ -178,17 +173,22 @@ def _cmd_nash_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _point_rows(points: list[QrePoint]) -> list[str]:
-    return [
-        f"{_fmt(p.lam)},{_fmt(p.alpha)},{_fmt(p.gamma)},{_fmt(p.objective)},"
-        f"{p.branch},{str(p.accepted).lower()},{p.start_count}"
-        for p in points
-    ]
-
-
 #: ``start_count`` is :attr:`QrePoint.start_count`: the seeds whose descent
 #: merged into the point, 0 for a root that only the arc's crossing gives.
 SWEEP_HEADER = "lambda,alpha,gamma,objective,branch,accepted,start_count"
+
+
+def _write_sweep_csv(path: Path, points: list[QrePoint]) -> None:
+    """Write ``points`` as ``qre-sweep`` CSV rows, rendered by ``pdqre._rows``."""
+    from ._rows import blocks, write  # on first use, as in simulate.export_log
+
+    values = np.array([(p.lam, p.alpha, p.gamma, p.objective) for p in points]).reshape(-1, 4)
+    lam, alpha, gamma, objective = values.T
+    flags = [f",{b},{a}," for b in BRANCH_LABELS for a in ("false", "true")]
+    codes = [2 * BRANCH_LABELS.index(p.branch) + p.accepted for p in points]
+    counts = np.array([p.start_count for p in points], dtype=np.int64)
+    rows = blocks(lam, ",", alpha, ",", gamma, ",", objective, (flags, codes), counts, "\n")
+    write(path, SWEEP_HEADER + "\n", rows)
 
 
 def _cmd_qre_sweep(args: argparse.Namespace) -> int:
@@ -199,7 +199,7 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
     report_path = Path(args.report) if args.report else Path(str(out) + ".report.json")
     _check_outputs({"--output": out, "--report": report_path}, {})
     sweep = sweep_lambda(lambdas, cfg)
-    _write_text(out, "\n".join([SWEEP_HEADER] + _point_rows(sweep.points)) + "\n")
+    _write_sweep_csv(out, sweep.points)
 
     report = {
         "lambda_grid": {
@@ -228,16 +228,11 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
             }
             for e in events
         ]
-    firsts = {
-        c: next((e for e in v if e["first"]), None)
-        for c, v in report["intersections"].items()
-    }
-    fs, fq = firsts["stationarity"], firsts["quadratic"]
-    agree = (
-        fs is not None
-        and fq is not None
-        and abs(fs["lambda"] - fq["lambda"]) < args.intersection_tol
-    ) or (fs is None and fq is None)
+    # each curve's first event, flagged first, leads its list
+    fs, fq = (events[0] if events else None for events in report["intersections"].values())
+    agree = (fs, fq) == (None, None) or (
+        fs is not None and fq is not None and abs(fs["lambda"] - fq["lambda"]) < args.intersection_tol
+    )
     report["curve_comparison"] = {
         "first_stationarity_lambda": fs["lambda"] if fs else None,
         "first_quadratic_lambda": fq["lambda"] if fq else None,

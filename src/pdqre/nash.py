@@ -19,12 +19,12 @@ and differs from the benchmark by the 14 a term.  Both vanish at
 are traced and reported; downstream consumers choose via ``curve_choice``.
 
 The conic's value and the gradient are each written once, for floats, numpy
-arrays and exact Fractions; ``_trace_columns`` traces a curve in one numpy pass.
+arrays and exact Fractions, with squares as x * x (rounded correctly, as libm's
+pow need not be); ``_trace_columns`` traces a curve in one numpy pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Literal
@@ -77,15 +77,10 @@ def _stationarity_conic(matrix: PayoffMatrix) -> tuple[float, ...]:
 STATIONARITY_CONIC = _stationarity_conic(DEFAULT_MATRIX)
 
 
-def _square(x):
-    """``x**2`` by Python's ``**``, per element for an array: libm's pow is not x * x."""
-    return np.fromiter((v**2 for v in x.tolist()), float) if isinstance(x, np.ndarray) else x**2
-
-
 def _conic_residual(conic: tuple[float, ...], alpha, gamma):
     """The conic's value at (alpha, gamma), elementwise on floats, Fractions and arrays."""
     aa, ag, a, gg, g, one = conic
-    return aa * _square(alpha) + gg * _square(gamma) + ag * alpha * gamma + a * alpha + g * gamma + one
+    return aa * (alpha * alpha) + gg * (gamma * gamma) + ag * alpha * gamma + a * alpha + g * gamma + one
 
 
 def quadratic_residual(alpha: float, gamma: float) -> float:
@@ -94,8 +89,7 @@ def quadratic_residual(alpha: float, gamma: float) -> float:
     A point outside [0, 1]^2, NaN included, raises ``MarkovStrategy``'s ValueError,
     as the stationarity residual does.
     """
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= gamma <= 1.0):
-        MarkovStrategy(alpha, gamma)
+    MarkovStrategy(alpha, gamma)  # a point outside [0, 1]^2, NaN too, raises ValueError
     return _conic_residual(QUADRATIC_CONIC, alpha, gamma)
 
 
@@ -147,12 +141,19 @@ def stationarity_curve_residual(
     return own_payoff_gradient(profile, profile, matrix)[1]
 
 
+def _residuals(choice: CurveChoice, matrix: PayoffMatrix, alpha, gamma):
+    """The residual :func:`curve_residual` selects, elementwise on floats and arrays, unchecked."""
+    if choice == "quadratic":
+        return _conic_residual(QUADRATIC_CONIC, alpha, gamma)
+    d = alpha - gamma  # a degenerate chain's profile is NaN, and so is its residual
+    profile = np.where(np.abs(1 - d * d) < DEGENERACY_THRESHOLD, np.nan, alpha)
+    return _gradient(profile, gamma, profile, gamma, matrix)[1]
+
+
 def _stationarity_or_nan(matrix: PayoffMatrix, alpha: float, gamma: float) -> float:
     """:func:`stationarity_curve_residual`, NaN where the chain is degenerate."""
-    try:
-        return stationarity_curve_residual(alpha, gamma, matrix)
-    except DegenerateChain:
-        return math.nan
+    MarkovStrategy(alpha, gamma)  # a point outside [0, 1]^2, NaN too, raises ValueError
+    return _residuals("stationarity", matrix, alpha, gamma).item()
 
 
 def curve_residual(
@@ -197,10 +198,8 @@ def _trace_columns(gammas: Iterable[float], conic: tuple[float, ...]) -> tuple[n
     kept = np.flatnonzero((roots >= -1e-12) & (roots <= 1 + 1e-12))
     alpha = np.clip(roots[kept], 0.0, 1.0) + 0.0  # -0 reads 0
     gamma, high = gammas[kept // 2], kept % 2
-    d = alpha - gamma  # a degenerate chain's profile is NaN, and so is its residual
-    profile = np.where(np.abs(1 - d * d) < DEGENERACY_THRESHOLD, np.nan, alpha)
-    stationarity = _gradient(profile, gamma, profile, gamma, DEFAULT_MATRIX)[1]
-    return alpha, gamma, high, _conic_residual(QUADRATIC_CONIC, alpha, gamma), stationarity
+    columns = (_residuals(c, DEFAULT_MATRIX, alpha, gamma) for c in ("quadratic", "stationarity"))
+    return alpha, gamma, high, *columns
 
 
 def _trace(gammas: Iterable[float], conic: tuple[float, ...]) -> list[CurvePoint]:

@@ -38,7 +38,7 @@ import numpy as np
 from .game import DEFAULT_MATRIX, DEGENERACY_THRESHOLD, DegenerateChain, MarkovStrategy, PayoffMatrix
 from ._kernel import KERNEL_BLOCK, _conditional_dens, _conditional_utilities, _gap_gradients
 from ._kernel import _logistic, _objective_derivatives, _sigma_vec
-from .nash import curve_residual
+from .nash import _residuals, curve_residual
 
 __all__ = [
     "ConditionalPayoffs",
@@ -250,9 +250,8 @@ def qre_objective(
     """
     MarkovStrategy(alpha, gamma)  # a point outside [0, 1]^2, NaN too, raises ValueError
     u = _conditional_utilities(alpha, gamma, matrix)
-    sa = logit_response(lam, u[1], u[0])
-    sg = logit_response(lam, u[3], u[2])
-    return (sa - alpha) ** 2 + (sg - gamma) ** 2
+    ra, rg = logit_response(lam, u[1], u[0]) - alpha, logit_response(lam, u[3], u[2]) - gamma
+    return ra * ra + rg * rg
 
 
 def _degenerate_mask(alpha: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -574,19 +573,23 @@ def solve_qre(
     return points
 
 
-def label_branch(
-    point: QrePoint, config: SolverConfig, matrix: PayoffMatrix = DEFAULT_MATRIX
-) -> str:
-    """Assign the sweep branch label for one solution."""
-    smooth, defect, near_nash, other = BRANCH_LABELS
-    if point.lam < SMOOTH_LAMBDA_MAX:
-        return smooth
-    if max(point.alpha, point.gamma) < DEFECT_THRESHOLD:
-        return defect
-    resid = curve_residual(config.curve_choice, matrix)(point.alpha, point.gamma)
-    if abs(resid) < NEARNASH_THRESHOLD:
-        return near_nash
-    return other
+def _branch_codes(lam, alpha, gamma, config: SolverConfig, matrix: PayoffMatrix):
+    """Each point's index into ``BRANCH_LABELS``, elementwise on floats and arrays, unchecked."""
+    near = np.abs(_residuals(config.curve_choice, matrix, alpha, gamma)) < NEARNASH_THRESHOLD
+    defect = np.maximum(alpha, gamma) < DEFECT_THRESHOLD
+    return np.where(lam < SMOOTH_LAMBDA_MAX, 0, np.where(defect, 1, np.where(near, 2, 3)))
+
+
+def label_branch(point: QrePoint, config: SolverConfig, matrix: PayoffMatrix = DEFAULT_MATRIX) -> str:
+    """The sweep branch label of one solution, :func:`_branch_codes` at one point.
+
+    A label that reads the curve raises ValueError for a point outside [0, 1]^2,
+    NaN included, and for a curve the game lacks.
+    """
+    code = int(_branch_codes(point.lam, point.alpha, point.gamma, config, matrix))
+    if code > 1:  # near_nash or other
+        curve_residual(config.curve_choice, matrix)(point.alpha, point.gamma)
+    return BRANCH_LABELS[code]
 
 
 def _arc_frame(z, matrix: PayoffMatrix):
@@ -724,10 +727,10 @@ def sweep_lambda(
 ) -> SweepResult:
     """Solve each rationality of an ascending grid on its own, as :func:`solve_qre` does.
 
-    Every point gets a branch label.  The main branch holds each rationality's
-    first crossing of the arc where it is accepted, as :func:`main_branch` gives
-    it, and the discontinuities are the rationalities whose first crossing lies
-    past a fold that the previous one's did not.
+    Every point gets its branch label, all in one array pass.  The main branch
+    holds each rationality's first crossing of the arc where it is accepted, as
+    :func:`main_branch` gives it, and the discontinuities are the rationalities
+    whose first crossing lies past a fold that the previous one's did not.
     """
     cfg, lams = config or SolverConfig(), [float(v) for v in lambdas]
     _check_rationality(*lams)
@@ -741,12 +744,13 @@ def sweep_lambda(
         if not any(p.accepted for p in pts):
             no_solution.append(lam)
         diag["clamped_evals"] += n
-        for p in pts:
-            p.branch = label_branch(p, cfg, matrix)
         points.extend(pts)
         if transition is None and any(max(p.alpha, p.gamma) < DEFECT_REGION for p in pts):
             transition = lam
 
+    columns = np.array([(p.lam, p.alpha, p.gamma) for p in points]).reshape(-1, 3).T
+    for p, code in zip(points, _branch_codes(*columns, cfg, matrix).tolist()):
+        p.branch = BRANCH_LABELS[code]
     jumps = [lam for lam, a, b in zip(lams[1:], passed, passed[1:]) if a != b]
     return SweepResult(points, main, no_solution, jumps, transition, cfg, diag, matrix)
 
@@ -768,13 +772,14 @@ def find_intersections(
     """
     _check_finite("tol", tol, positive=True)
     matrix = sweep.matrix
-    resid_fn = curve_residual(curve_choice or sweep.config.curve_choice, matrix)
+    choice = curve_choice or sweep.config.curve_choice
+    resid_fn = curve_residual(choice, matrix)
 
     main = sorted(sweep.main_branch, key=lambda p: p.lam)
     if not main:
         return []
     reach = _trace_arc(matrix)[1][:-1].max()  # the last node's lambda is infinite
-    res = [resid_fn(p.alpha, p.gamma) for p in main]
+    res = _residuals(choice, matrix, *np.array([(p.alpha, p.gamma) for p in main]).T).tolist()
     events: list[Intersection] = []
 
     def refine(p: QrePoint, q: QrePoint, kind: str, value) -> None:

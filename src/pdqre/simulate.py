@@ -222,9 +222,9 @@ def simulate_group(
         [np.random.default_rng(streams[i]).random(rounds) for i in range(n)]
     )
     pair_rng = np.random.default_rng(streams[n])
-    # One permutation per round, round 0 included, drawn in round order:
-    # the draws of pair-by-pair play, so a seed keeps giving the same logs.
-    perms = np.array([pair_rng.permutation(n) for _ in range(rounds)])
+    # One pair_rng.permutation(n) per round, round 0 included, drawn row by row in round
+    # order in one call: the draws of pair-by-pair play, so a seed keeps giving the same logs.
+    perms = pair_rng.permuted(np.tile(np.arange(n), (rounds, 1)), axis=1)
 
     rows = np.arange(rounds)[:, None]
     partners = np.zeros((rounds, n), dtype=int)

@@ -14,15 +14,18 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import percent_rows
 
 import pdqre
 from pdqre import cli
 from pdqre.cli import SWEEP_HEADER, _float_grid, main
 from pdqre.data import bundled_experiments_path
-from pdqre.qre import SolverConfig
+from pdqre.game import PayoffMatrix
+from pdqre.qre import BRANCH_LABELS, SolverConfig, sweep_lambda
 
 
 def run(argv):
@@ -534,9 +537,82 @@ def test_sweep_csv_reads_back_unchanged(tmp_path, capsys):
     sweep = tmp_path / "sweep.csv"
     argv = ["qre-sweep", "--lambda-min", "4.5", "--lambda-max", "10", "--lambda-step", "0.25"]
     assert run([*argv, "--output", str(sweep)]) == 0
-    rows = sweep.read_text().splitlines()[1:]
-    assert cli._point_rows(cli._read_sweep_csv(sweep)) == rows
+    again = tmp_path / "again.csv"
+    cli._write_sweep_csv(again, cli._read_sweep_csv(sweep))
+    assert read(again) == read(sweep)
     capsys.readouterr()
+
+
+def _percent_sweep(points) -> bytes:
+    """The sweep CSV of ``points`` by the % route of tests/oracles.py."""
+    values = np.array([(p.lam, p.alpha, p.gamma, p.objective) for p in points]).reshape(-1, 4)
+    lam, alpha, gamma, objective = values.T
+    branch = (list(BRANCH_LABELS), [BRANCH_LABELS.index(p.branch) for p in points])
+    accepted = (["false", "true"], [p.accepted for p in points])
+    counts = np.array([p.start_count for p in points], dtype=int)
+    rows = percent_rows(
+        lam, ",", alpha, ",", gamma, ",", objective, ",", branch, ",", accepted, ",", counts, "\n"
+    )
+    return (SWEEP_HEADER + "\n").encode() + rows
+
+
+def test_sweep_csv_is_the_percent_route_of_the_sweep_points(tmp_path, capsys):
+    # the default grid through the CLI, and T = 7 through its writer
+    grid = _float_grid(0.0, 10.0, 0.01, "lambda")
+    out = tmp_path / "default.csv"
+    assert run(["qre-sweep", "--output", str(out)]) == 0
+    assert read(out) == _percent_sweep(sweep_lambda(grid).points)
+    t7 = sweep_lambda(grid, matrix=PayoffMatrix(temptation_dc=7.0)).points
+    cli._write_sweep_csv(out, t7)
+    assert read(out) == _percent_sweep(t7)
+    # three branch labels and both flags are written
+    assert {(p.branch, p.accepted) for p in t7} >= {("smooth", True), ("near_nash", True), ("other", False)}
+    cli._write_sweep_csv(out, [])
+    assert read(out) == _percent_sweep([])
+    capsys.readouterr()
+
+
+def test_grid_clamps_an_upper_bound_that_rounding_carries_past_it(tmp_path, capsys):
+    # 16387.9 + 0.2 rounds to 16388.100000000002, one ulp (3.6e-12) past 16388.1: the point
+    # is clamped to the bound, not dropped; past it by part of a step, a point is dropped
+    assert list(_float_grid(16387.9, 16388.1, 0.2, "lambda")) == [16387.9, 16388.1]
+    assert list(_float_grid(0.0, 1.1, 0.2, "lambda")) == [0.0, 0.2, 0.4, 0.6000000000000001, 0.8, 1.0]
+    out = tmp_path / "sweep.csv"
+    argv = ["qre-sweep", "--lambda-min", "16387.9", "--lambda-max", "16388.1", "--lambda-step", "0.2"]
+    assert run([*argv, "--output", str(out)]) == 0
+    assert "wrote 2 points" in capsys.readouterr().out
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["16387.9", "16388.1"]
+
+
+def _list_grid(lo, hi, step):
+    """The grid by the list route: lo + k * step per k, its last point dropped when past
+    hi by more than 8 ulps of max(|lo|, |hi|), and else clamped to hi."""
+    points = [lo + k * step for k in range(round((hi - lo) / step) + 1)]
+    if points[-1] - hi > 8 * math.ulp(max(abs(lo), abs(hi))):
+        points.pop()
+    points[-1] = min(points[-1], hi)
+    return points
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lo=st.integers(-(10**12), 10**12),
+    step=st.integers(1, 10**6),
+    n=st.integers(0, 2000),
+    digits=st.integers(0, 10),
+)
+@example(lo=163879, step=2, n=1, digits=1)  # lost its upper bound to a fixed 1e-12 slack
+@example(lo=9, step=7, n=13, digits=2)  # 0.09 + 13 * 0.07 rounds past 1
+def test_float_grid_is_the_list_route_and_keeps_a_bound_the_step_divides(lo, step, n, digits):
+    # decimal bounds n decimal steps apart: (hi - lo) / step is n to rounding, so no
+    # point is lost, and the last is hi, or short of it by rounding
+    scale = 10**digits
+    grid = lo / scale, (lo + n * step) / scale, step / scale
+    ulp = math.ulp(max(abs(grid[0]), abs(grid[1])))
+    assume(grid[2] > 2**12 * ulp)  # far from repeating points
+    got = np.asarray(_float_grid(*grid, "lambda"))
+    assert got.tobytes() == np.array(_list_grid(*grid)).tobytes()
+    assert len(got) == n + 1 and 0.0 <= grid[1] - got[-1] <= 8 * ulp
 
 
 def test_classify_rejects_foreign_sweep_header(tmp_path, capsys):
@@ -790,11 +866,8 @@ def _many_points(grid):
 
 
 def _repeats(grid):
-    """Whether two points of the grid lo + k * step, k = 0 .. round((hi - lo) / step), its
-    last point dropped when past hi + 1e-12 or else clamped to hi, are the same double."""
-    lo, hi, step = grid
-    points = [lo + k * step for k in range(round((hi - lo) / step) + 1)]
-    points = [min(x, hi) for x in points if x <= hi + 1e-12]
+    """Whether two points of the grid's list route (:func:`_list_grid`) are the same double."""
+    points = _list_grid(*grid)
     return len(set(points)) < len(points)
 
 

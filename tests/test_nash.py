@@ -135,8 +135,9 @@ def test_curve_residual_dispatch():
         (math.nan, 0.5, "alpha must lie in \\[0, 1\\], got nan"),
         (0.5, -1e-300, "gamma must lie in \\[0, 1\\], got -1e-300"),
         (0.5, math.nan, "gamma must lie in \\[0, 1\\], got nan"),
+        (-1e-300, 1 / 9, "alpha must lie in \\[0, 1\\], got -1e-300"),  # on both curves
     ],
-    ids=["alpha-2", "alpha-nan", "gamma-negative", "gamma-nan"],
+    ids=["alpha-2", "alpha-nan", "gamma-negative", "gamma-nan", "alpha-negative-near-nash"],
 )
 def test_both_residuals_refuse_a_point_outside_the_square(alpha, gamma, message):
     # one ValueError from either curve, so that no branch label depends on the curve choice
@@ -162,7 +163,7 @@ def test_stationarity_conic_is_the_default_games():
 
 
 def _published(a, g):
-    return 5.0 * a**2 + 9.0 * g**2 - 14.0 * a * g - 10.0 * g + 1.0
+    return 5.0 * (a * a) + 9.0 * (g * g) - 14.0 * a * g - 10.0 * g + 1.0
 
 
 def _stationarity(a, g):
@@ -171,15 +172,16 @@ def _stationarity(a, g):
 
 def test_conic_residuals_keep_the_bits_of_the_literal_expressions():
     # the stationarity curve is traced from this tuple; the published residual and
-    # the oracle's C are evaluated term by term in the order of these literals
+    # the oracle's C are evaluated term by term in the order of these literals, the
+    # residual squaring by x * x and the oracle by Python's **
     assert STATIONARITY_CONIC == (5.0, -14.0, 14.0, 9.0, -10.0, 1.0)
     rng = np.random.default_rng(29)
     points = [*rng.random((100_000, 2)).tolist(), (0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 1 / 9)]
     for f, literal in ((quadratic_residual, _published), (stationarity_quadratic, _stationarity)):
         got = np.array([f(a, g) for a, g in points])
         assert got.tobytes() == np.array([literal(a, g) for a, g in points]).tobytes()
-    # the array route squares by Python's ** too (libm's pow, not x * x, which
-    # differs on about one point in a thousand here), so its column keeps the same bits
+    # the array route squares by x * x too, so its column keeps the same bits; Python's **
+    # (libm's pow, which need not round correctly) gave other bits on 66 of these points
     column = _conic_residual(QUADRATIC_CONIC, *np.array(points).T)
     assert column.tobytes() == np.array([_published(a, g) for a, g in points]).tobytes()
 

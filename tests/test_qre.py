@@ -17,14 +17,21 @@ from scipy.special import expit
 import pdqre.qre
 from pdqre._kernel import _conditional_dens
 from pdqre.game import DEFAULT_MATRIX, DEGENERACY_THRESHOLD, DegenerateChain, PayoffMatrix
-from pdqre.nash import stationarity_curve_residual, trace_quadratic_curve, trace_stationarity_curve
+from pdqre.nash import (
+    quadratic_residual,
+    stationarity_curve_residual,
+    trace_quadratic_curve,
+    trace_stationarity_curve,
+)
 from pdqre.qre import (
+    BRANCH_LABELS,
     CLAMP_EPS,
     DEFECT_THRESHOLD,
     NEARNASH_THRESHOLD,
     NoSolution,
     QrePoint,
     SolverConfig,
+    _branch_codes,
     _clip,
     _collect,
     _crossings,
@@ -598,6 +605,67 @@ def test_label_branch_uses_the_sweep_matrix():
             assert got == want, (a, g)
             labels[got] = labels.get(got, 0) + 1
     assert set(labels) == {"defect", "near_nash", "other"}
+    # a label that reads the curve refuses one the game lacks; one that does not, gives it
+    quadratic = SolverConfig(curve_choice="quadratic")
+    with pytest.raises(ValueError, match="the quadratic curve is the default game's"):
+        label_branch(QrePoint(6.0, 0.0, 1 / 9, 0.0, True), quadratic, matrix)
+    assert label_branch(QrePoint(4.0, 0.0, 1 / 9, 0.0, True), quadratic, matrix) == "smooth"
+
+
+def _label_reference(lam, alpha, gamma, cfg, matrix):
+    """The branch label one point at a time, one scalar residual call each."""
+    if lam < 5.0:
+        return "smooth"
+    if max(alpha, gamma) < DEFECT_THRESHOLD:
+        return "defect"
+    if cfg.curve_choice == "quadratic":
+        resid = quadratic_residual(alpha, gamma)
+    else:
+        try:
+            resid = stationarity_curve_residual(alpha, gamma, matrix)
+        except DegenerateChain:
+            resid = math.nan
+    return "near_nash" if abs(resid) < NEARNASH_THRESHOLD else "other"
+
+
+@pytest.mark.parametrize(
+    "choice, matrix",
+    [
+        ("stationarity", DEFAULT_MATRIX),
+        ("quadratic", DEFAULT_MATRIX),
+        ("stationarity", PayoffMatrix(temptation_dc=7.0)),
+    ],
+    ids=["stationarity", "quadratic", "stationarity-t7"],
+)
+def test_branch_labels_in_one_array_pass_are_the_per_point_labels(choice, matrix):
+    # lambda on both sides of 5, a mesh of the square, the curve's neighbourhood, and
+    # points whose |alpha - gamma| lies within 1e-9 of 1: a degenerate chain reads "other"
+    cfg = SolverConfig(curve_choice=choice)
+    axis = np.linspace(0.0, 1.0, 41)
+    mesh = [(a, g) for a in axis for g in axis]
+    curve = [(p.alpha, p.gamma) for p in trace_stationarity_curve(np.linspace(0.12, 1.0, 45))]
+    edge = [(1.0 - e, 0.0) for e in (0.0, 1e-10, 4e-10, 6e-10)] + [(0.0, 1.0 - 3e-10), (1.0, 2e-10)]
+    points = [(lam, a, g) for lam in (0.0, 4.99, 5.0, 6.0, 50.0) for a, g in mesh + curve + edge]
+    lam, alpha, gamma = np.array(points).T
+    got = [BRANCH_LABELS[c] for c in _branch_codes(lam, alpha, gamma, cfg, matrix).tolist()]
+    want = [_label_reference(*p, cfg, matrix) for p in points]
+    assert got == want
+    assert [label_branch(QrePoint(*p, 0.0, True), cfg, matrix) for p in points] == want
+    assert set(want) == set(BRANCH_LABELS)
+    # (1 - 6e-10, 0) is the one edge point whose chain is not degenerate
+    degenerate = {(a, g) for a, g in mesh + curve + edge if abs(1 - (a - g) ** 2) < DEGENERACY_THRESHOLD}
+    assert len(degenerate & set(edge)) == 5
+    if choice == "stationarity":
+        assert {label_branch(QrePoint(6.0, a, g, 0.0, True), cfg, matrix) for a, g in degenerate} == {"other"}
+
+
+def test_sweep_labels_every_point_as_label_branch_does():
+    cfg = SolverConfig()
+    for matrix in (DEFAULT_MATRIX, PayoffMatrix(temptation_dc=7.0)):
+        sweep = sweep_lambda([4.0, 4.99, 5.0, 6.0, 7.2, 8.0, 9.7, 10.0], cfg, matrix)
+        assert [p.branch for p in sweep.points] == [
+            _label_reference(p.lam, p.alpha, p.gamma, cfg, matrix) for p in sweep.points
+        ]
 
 
 def test_sweep_without_a_root_has_no_main_branch_and_no_events():

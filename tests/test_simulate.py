@@ -254,6 +254,24 @@ def test_group_play_matches_pairwise_reference(strategies, config, matrix):
             assert np.array_equal(g, w[:, i]), f"player {i} {name}"
 
 
+@pytest.mark.parametrize("n, rounds", [(2, 1000), (6, 333), (20, 5000)])
+def test_group_pairings_are_one_permutation_per_round(n, rounds):
+    # simulate_group draws every round's permutation in one call; the partners must be
+    # those of one pair_rng.permutation(n) per round, round 0 included, in round order
+    strategies = [MarkovStrategy(0.1 + 0.8 * k / n, 0.9 - 0.8 * k / n) for k in range(n)]
+    config = SimulationConfig(rounds=rounds, seed=1000 * n + rounds)
+    pair_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(n + 1)[n])
+    partners = np.zeros((rounds, n), dtype=int)
+    for t in range(rounds):
+        perm = pair_rng.permutation(n)
+        partners[t, perm[0::2]], partners[t, perm[1::2]] = perm[1::2], perm[0::2]
+    want = _pairwise_group_reference(strategies, config, DEFAULT_MATRIX)
+    for i, log in enumerate(simulate_group(strategies, config)):
+        assert np.array_equal(log.partners, partners[:, i]), f"player {i}"
+        got = (log.choices, log.conditioning, log.partners, log.payoffs)
+        assert all(np.array_equal(g, w[:, i]) for g, w in zip(got, want)), f"player {i}"
+
+
 def _pair_loop_reference(s1, s2, config, matrix):
     """Pair play one Python step per round over pre-drawn uniforms.
 
