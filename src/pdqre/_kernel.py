@@ -7,13 +7,13 @@ response sigma and the squared residual F have first and second derivatives
 in closed form.  The Gauss-Newton model of F's Hessian, on which the arc's
 crossings are polished, leaves out the second derivatives of sigma.
 
-On arrays the four substitutions, their two parts, the gradient components
-and the pair (sigma_alpha, sigma_gamma) go through as stacks, because on the
-few dozen points of a solve each numpy call costs more in dispatch than in
-arithmetic.  Each element still gets the float operations of a loop over the
-substitutions, in their order.  On Python floats (the arc trace,
-``conditional_payoffs``, ``qre_objective``) the substitutions are priced one
-at a time, with no numpy call.
+On arrays, of any size (the solver's stacks and the objective grid's blocks
+bound it), the substitutions, their parts, the gradient components and the
+pair (sigma_alpha, sigma_gamma) go through as stacks: on the few dozen points
+of a solve each numpy call costs more in dispatch than in arithmetic.  Each
+element still gets the float operations of a loop over the substitutions, in
+their order.  On Python floats (the arc trace, ``conditional_payoffs``,
+``qre_objective``) the substitutions are priced one at a time, with no numpy call.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .game import PayoffMatrix
-
-#: Points per block of :func:`_objective_derivatives`, beyond which
-#: :func:`_conditional_utilities` prices one state per call: the stacked kernel's hundred
-#: or so temporaries per point stay near 0.5 MB for a whole sweep stack, and the
-#: objective grid's blocks are priced as before.
-KERNEL_BLOCK = 512
-
 
 def _conditional_dens(alpha, gamma):
     """Denominators of the four substituted stationary states.
@@ -63,14 +56,12 @@ def _conditional_numerators(alpha, gamma):
 def _conditional_utilities(alpha, gamma, matrix: PayoffMatrix):
     """Payoffs of the four substituted states, in :func:`_conditional_dens` order.
 
-    On arrays of at most ``KERNEL_BLOCK`` points one (4, ...) array: the states
-    are divided into one (p1, p2) buffer and priced in one ``payoff`` call.
-    Otherwise a list of four, one ``payoff`` call per state: Python floats on
-    floats, and on long arrays, where the calls cost little, arrays whose
-    temporaries are a quarter of the stack's.
+    On arrays one (4, ...) array: the states are divided into one (p1, p2)
+    buffer and priced in one ``payoff`` call.  On floats a list of four
+    Python floats, one ``payoff`` call per state.
     """
     pairs = zip(_conditional_numerators(alpha, gamma), _conditional_dens(alpha, gamma))
-    if not (isinstance(alpha, np.ndarray) and alpha.size <= KERNEL_BLOCK):
+    if not isinstance(alpha, np.ndarray):
         return [matrix.payoff(n1 / den, n2 / den) for (n1, n2), den in pairs]
     states = np.empty((2, 4, *alpha.shape))
     for k, ((n1, n2), den) in enumerate(pairs):
@@ -242,19 +233,8 @@ def _objective_derivatives(
     leaves the r_i terms out: at a root the two agree, and a Newton step on it
     is the Newton step -J^-1 r on sigma(x) - x.  ``sigma``, if given, is
     :func:`_sigma_vec` at the point.  Returns F and the arrays grad (2, ...)
-    and hess (3, ...).  A long flat array is priced ``KERNEL_BLOCK`` points at a time.
-    The Gauss-Newton model prices no second derivative of sigma.
+    and hess (3, ...).  The Gauss-Newton model prices no second derivative of sigma.
     """
-    if np.ndim(alpha) == 1 and alpha.size > KERNEL_BLOCK:
-        lam, n = np.broadcast_to(lam, alpha.shape), alpha.size
-        f, grad, hess = np.empty(n), np.empty((2, n)), np.empty((3, n))
-        for lo in range(0, n, KERNEL_BLOCK):
-            at = slice(lo, lo + KERNEL_BLOCK)
-            part = None if sigma is None else sigma[:, at]
-            f[at], grad[:, at], hess[:, at] = _objective_derivatives(
-                lam[at], alpha[at], gamma[at], matrix, part, gauss_newton
-            )
-        return f, grad, hess
     sigma, rows, hess_s = _sigma_derivatives(lam, alpha, gamma, matrix, sigma, not gauss_newton)
     ra, rg = sigma[0] - alpha, sigma[1] - gamma
     jac = rows.copy()

@@ -133,10 +133,12 @@ def _float_grid(lo: float, hi: float, step: float, what: str) -> np.ndarray:
         raise ValueError(f"{what} grid [{lo}, {hi}] step {step} has more than {MAX_GRID_POINTS} points")
     values = lo + np.arange(round(steps) + 1) * step
     # past hi by more than the rounding of the values, the last point is a part of a step
-    # too many, and is dropped (lo never passes hi); past it by rounding, it is clamped
-    if values[-1] - hi > 8 * math.ulp(max(abs(lo), abs(hi))):
+    # too many, and is dropped (lo never passes hi); off it by rounding, either way, it is hi
+    rounding = 8 * math.ulp(max(abs(lo), abs(hi)))
+    if values[-1] - hi > rounding:
         values = values[:-1]
-    values[-1] = min(values[-1], hi)
+    if abs(values[-1] - hi) <= rounding:
+        values[-1] = hi
     if (np.diff(values) == 0.0).any():  # lo + k * step rounds to the same double twice
         raise ValueError(
             f"{what} step {step} is below the float spacing of [{lo}, {hi}]: grid points repeat"
@@ -152,22 +154,29 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 
 def _cmd_nash_curve(args: argparse.Namespace) -> int:
-    from ._rows import blocks, write  # on first use, as in simulate.export_log
+    from ._rows import CHUNK_ROWS, blocks, write  # on first use, as in simulate.export_log
 
     gammas = _float_grid(args.gamma_min, args.gamma_max, args.gamma_step, "gamma")
     if args.gamma_min < 0.0 or args.gamma_max > 1.0:  # gamma is a probability
         raise ValueError(f"gamma range must lie in [0, 1], got [{args.gamma_min}, {args.gamma_max}]")
     conics = {"quadratic": QUADRATIC_CONIC, "stationarity": STATIONARITY_CONIC}
-    rows, count = [], 0
-    for name in conics if args.curve == "both" else [args.curve]:
-        alpha, gamma, high, quadratic, stationarity = _trace_columns(gammas, conics[name])
-        count += alpha.size
-        rows.append(blocks(
-            f"{name},", alpha, ",", gamma, ([",low,", ",high,"], high), quadratic, ",", stationarity, "\n"
-        ))
+    count = 0
+
+    def rows():  # each curve traced and rendered CHUNK_ROWS gammas at a time
+        nonlocal count
+        for name in conics if args.curve == "both" else [args.curve]:
+            for lo in range(0, gammas.size, CHUNK_ROWS):
+                alpha, gamma, high, quadratic, stationarity = _trace_columns(
+                    gammas[lo : lo + CHUNK_ROWS], conics[name]
+                )
+                count += alpha.size
+                yield from blocks(
+                    f"{name},", alpha, ",", gamma, ([",low,", ",high,"], high), quadratic, ",",
+                    stationarity, "\n",
+                )
+
     out = Path(args.output)
-    head = "curve,alpha,gamma,branch,quadratic_residual,stationarity_residual\n"
-    write(out, head, (block for curve in rows for block in curve))
+    write(out, "curve,alpha,gamma,branch,quadratic_residual,stationarity_residual\n", rows())
     _write_manifest(out, args)
     print(f"wrote {count} curve points to {out}")
     return 0

@@ -180,9 +180,10 @@ def _trace_columns(gammas: Iterable[float], conic: tuple[float, ...]) -> tuple[n
 
     Per gamma, its low then its high (``high`` 1) root in [-1e-12, 1 + 1e-12], clamped
     into [0, 1], with the default game's residuals and the bits of the scalar calls.
-    A gamma outside [0, 1], NaN included, raises ``MarkovStrategy``'s ValueError.
+    ``gammas`` is any iterable, an array read in place; a gamma outside [0, 1], NaN
+    included, raises ``MarkovStrategy``'s ValueError.
     """
-    gammas = np.fromiter(gammas, dtype=float)
+    gammas = np.asarray(gammas, float) if isinstance(gammas, np.ndarray) else np.fromiter(gammas, float)
     outside = ~((gammas >= 0.0) & (gammas <= 1.0))
     if outside.any():
         MarkovStrategy(0.0, gammas[outside][0].item())

@@ -36,7 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from .game import DEFAULT_MATRIX, DEGENERACY_THRESHOLD, DegenerateChain, MarkovStrategy, PayoffMatrix
-from ._kernel import KERNEL_BLOCK, _conditional_dens, _conditional_utilities, _gap_gradients
+from ._kernel import _conditional_dens, _conditional_utilities, _gap_gradients
 from ._kernel import _logistic, _objective_derivatives, _sigma_vec
 from .nash import _residuals, curve_residual
 
@@ -305,24 +305,20 @@ def _line_search(lam, x, f, step, local, matrix: PayoffMatrix):
     """Halve each element's Newton step until its trial point is accepted, down to 1/1024.
 
     A trial is accepted as :func:`_trial_points` accepts it.  The whole steps
-    are priced in one sigma call and every halving of the steps that failed in
-    one more (several, of at most 3 * ``KERNEL_BLOCK`` trial points, for a
-    large stack), so each element gets the float operations of a loop that halves
-    its step one trial at a time.  Returns (accepted, point, sigma, objective,
-    clipped): per element whether a trial was accepted, that trial's point,
-    sigma and objective, and how many of the trials it made (up to the
+    are priced in one sigma call and all ten halvings of the steps that failed
+    in one more, so each element gets the float operations of a loop that
+    halves its step one trial at a time.  Returns (accepted, point, sigma,
+    objective, clipped): per element whether a trial was accepted, that trial's
+    point, sigma and objective, and how many of the trials it made (up to the
     accepted one) were clipped.
     """
     point, sigma, nf, inside, ok = _trial_points(lam, x, f, step, 1.0, local, matrix)
     clipped = (~inside).astype(np.int64)
-    failed = np.flatnonzero(~ok)
-    halvings = len(_HALVINGS)
-    per_call = 3 * KERNEL_BLOCK // halvings  # sigma needs a third of the kernel's memory
-    for lo in range(0, failed.size, per_call):
-        retry = failed[lo : lo + per_call]
+    retry = np.flatnonzero(~ok)
+    if retry.size:
+        halvings = len(_HALVINGS)
         h_point, h_sigma, h_nf, h_inside, h_ok = _trial_points(
-            lam[retry], x[:, None, retry], f[retry], step[:, None, retry], _HALVINGS,
-            local[retry], matrix,
+            lam[retry], x[:, None, retry], f[retry], step[:, None, retry], _HALVINGS, local[retry], matrix
         )
         first = np.where(h_ok.any(0), h_ok.argmax(0), halvings)
         clipped[retry] += (~h_inside & (np.arange(halvings)[:, None] <= first)).sum(0)
@@ -711,13 +707,18 @@ def main_branch(lambdas: Iterable[float], matrix: PayoffMatrix = DEFAULT_MATRIX)
 
     Per rationality, the arc's first crossing as :func:`_crossings` polishes it, where
     that is a root by the default ``accept_tol``: no seed, descent or merge, so no
-    branch label and no ``start_count``.
+    branch label and no ``start_count``.  Like :func:`_solve`, it prices stacks of at
+    most ``SEED_GRID_SIZE``**2 rationalities; no result depends on the rest of its stack.
     """
     lams = [float(v) for v in lambdas]
     _check_rationality(*lams)
-    _, *crossed, first, _ = _crossings(lams, matrix)
-    found = zip(lams, *(v[first].tolist() for v in crossed))
-    return [QrePoint(lam, a, g, f, True) for lam, a, g, f in found if f < SolverConfig.accept_tol]
+    points = []
+    for lo in range(0, len(lams), SEED_GRID_SIZE**2):
+        stack = lams[lo : lo + SEED_GRID_SIZE**2]
+        _, *crossed, first, _ = _crossings(stack, matrix)
+        found = zip(stack, *(v[first].tolist() for v in crossed))
+        points += [QrePoint(lam, a, g, f, True) for lam, a, g, f in found if f < SolverConfig.accept_tol]
+    return points
 
 
 def sweep_lambda(

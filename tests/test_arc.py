@@ -9,6 +9,7 @@ objective, the descents from the objective mesh and the curve residual.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ import scalar_route
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     CLAMP_EPS,
+    SEED_GRID_SIZE,
     NoSolution,
     SolverConfig,
     _conditional_utilities,
@@ -82,6 +84,41 @@ def test_main_branch_is_the_sweeps_without_a_multi_start(swept):
         (p.lam, p.alpha, p.gamma, p.objective) for p in sweep.main_branch
     ]
     assert all(p.accepted and (p.branch, p.start_count) == ("", 0) for p in points)
+
+
+def _traced(fn, *args):
+    """``fn(*args)`` and the peak memory that tracemalloc reads during the call."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _main_branch_in_one_call(lams, matrix):
+    """:func:`main_branch` with every level's crossings priced in one ``_crossings`` call."""
+    _, *crossed, first, _ = _crossings(lams, matrix)
+    found = zip(lams, *(v[first].tolist() for v in crossed))
+    return [(lam, a, g, f) for lam, a, g, f in found if f < SolverConfig.accept_tol]
+
+
+def test_main_branch_prices_a_long_grid_in_stacks_with_the_bits_of_one_call(monkeypatch):
+    # 100,001 rationalities go to _crossings at most SEED_GRID_SIZE**2 at a time:
+    # the points are those of one call on the whole grid, bit for bit, and the
+    # peak memory, most of it the returned points, is below that call's
+    lams = np.linspace(0.0, 4.0, 100_001).tolist()
+    _trace_arc(DEFAULT_MATRIX)
+    want, whole_peak = _traced(_main_branch_in_one_call, lams, DEFAULT_MATRIX)
+    points, peak = _traced(main_branch, lams)
+    print(f"peak {peak / 1e6:.1f} MB, in one call {whole_peak / 1e6:.1f} MB")
+    assert [(p.lam, p.alpha, p.gamma, p.objective) for p in points] == want
+    assert len(want) == len(lams) and all(p.accepted for p in points)
+    assert peak < whole_peak
+    sizes = []
+    crossings = pdqre.qre._crossings
+    monkeypatch.setattr(pdqre.qre, "_crossings", lambda ls, m: sizes.append(len(ls)) or crossings(ls, m))
+    main_branch(lams[: 2 * SEED_GRID_SIZE**2 + 5])
+    assert sizes == [SEED_GRID_SIZE**2, SEED_GRID_SIZE**2, 5]
 
 
 def test_every_crossing_is_an_accepted_point(swept):

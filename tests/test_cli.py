@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from oracles import percent_rows
 
 import pdqre
+import pdqre._rows
 from pdqre import cli
 from pdqre.cli import SWEEP_HEADER, _float_grid, main
 from pdqre.data import bundled_experiments_path
@@ -88,6 +90,38 @@ def test_nash_curve_rerun_is_byte_identical(tmp_path, capsys):
     first = read(out), read(tmp_path / "curve.csv.manifest.json")
     run(argv)
     assert (read(out), read(tmp_path / "curve.csv.manifest.json")) == first
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("curve", ["both", "quadratic"])
+def test_nash_curve_in_gamma_blocks_keeps_the_bytes(tmp_path, monkeypatch, capsys, curve):
+    # each curve is traced and rendered CHUNK_ROWS gammas at a time; a row depends
+    # on its own gamma alone, so blocks of 7 gammas give the bytes of one block
+    argv = ["nash-curve", "--curve", curve, "--gamma-step", "0.001"]
+    assert run([*argv, "--output", str(tmp_path / "whole.csv")]) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(pdqre._rows, "CHUNK_ROWS", 7)
+    assert run([*argv, "--output", str(tmp_path / "blocks.csv")]) == 0
+    assert capsys.readouterr().out == whole.replace("whole.csv", "blocks.csv")
+    assert read(tmp_path / "blocks.csv") == read(tmp_path / "whole.csv")
+
+
+def test_nash_curve_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch, capsys):
+    # from N to 4N gammas the peak grows by the grid itself, 8 bytes a gamma, and
+    # not by the trace's dozen column-length temporaries (about 230 bytes a gamma
+    # when each curve was traced in one block)
+    monkeypatch.setattr(pdqre._rows, "CHUNK_ROWS", 2048)
+    out = str(tmp_path / "curve.csv")
+    assert run(["nash-curve", "--gamma-step", "0.01", "--output", out]) == 0  # loads the renderer
+    peaks = []
+    for n in (16_000, 64_000):
+        tracemalloc.start()
+        try:
+            assert run(["nash-curve", "--gamma-step", str(1 / n), "--output", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (64_000 - 16_000) < 32
     capsys.readouterr()
 
 
@@ -586,12 +620,29 @@ def test_grid_clamps_an_upper_bound_that_rounding_carries_past_it(tmp_path, caps
 
 def _list_grid(lo, hi, step):
     """The grid by the list route: lo + k * step per k, its last point dropped when past
-    hi by more than 8 ulps of max(|lo|, |hi|), and else clamped to hi."""
+    hi by more than 8 ulps of max(|lo|, |hi|), and else set to hi when within 8 ulps of it."""
     points = [lo + k * step for k in range(round((hi - lo) / step) + 1)]
-    if points[-1] - hi > 8 * math.ulp(max(abs(lo), abs(hi))):
+    rounding = 8 * math.ulp(max(abs(lo), abs(hi)))
+    if points[-1] - hi > rounding:
         points.pop()
-    points[-1] = min(points[-1], hi)
+    if abs(points[-1] - hi) <= rounding:
+        points[-1] = hi
     return points
+
+
+def test_grid_ends_on_an_upper_bound_that_rounding_leaves_it_short_of(tmp_path, monkeypatch, capsys):
+    # -0.1 + 1.2 rounds to 1.0999999999999999, one ulp short of 1.1: the last point is
+    # the bound itself; short of it by a part of a step, the last point stays
+    assert list(_float_grid(-0.1, 1.1, 1.2, "lambda")) == [-0.1, 1.1]
+    assert list(_float_grid(0.0, 1.1, 1.2, "lambda")) == [0.0]
+    # 3 * 0.3 is 0.8999999999999999: qre-sweep solves at the 0.9 its CSV prints
+    solved = []
+    sweep = cli.sweep_lambda
+    monkeypatch.setattr(cli, "sweep_lambda", lambda lams, cfg: solved.append(lams) or sweep(lams, cfg))
+    argv = ["qre-sweep", "--lambda-min", "0", "--lambda-max", "0.9", "--lambda-step", "0.3"]
+    assert run([*argv, "--output", str(tmp_path / "sweep.csv")]) == 0
+    assert solved[0].tolist() == [0.0, 0.3, 0.6, 0.9]
+    capsys.readouterr()
 
 
 @settings(max_examples=500, deadline=None)
@@ -603,16 +654,17 @@ def _list_grid(lo, hi, step):
 )
 @example(lo=163879, step=2, n=1, digits=1)  # lost its upper bound to a fixed 1e-12 slack
 @example(lo=9, step=7, n=13, digits=2)  # 0.09 + 13 * 0.07 rounds past 1
+@example(lo=-1, step=12, n=1, digits=1)  # -0.1 + 1.2 rounds one ulp short of 1.1
 def test_float_grid_is_the_list_route_and_keeps_a_bound_the_step_divides(lo, step, n, digits):
     # decimal bounds n decimal steps apart: (hi - lo) / step is n to rounding, so no
-    # point is lost, and the last is hi, or short of it by rounding
+    # point is lost, and the last is hi
     scale = 10**digits
     grid = lo / scale, (lo + n * step) / scale, step / scale
     ulp = math.ulp(max(abs(grid[0]), abs(grid[1])))
     assume(grid[2] > 2**12 * ulp)  # far from repeating points
     got = np.asarray(_float_grid(*grid, "lambda"))
     assert got.tobytes() == np.array(_list_grid(*grid)).tobytes()
-    assert len(got) == n + 1 and 0.0 <= grid[1] - got[-1] <= 8 * ulp
+    assert len(got) == n + 1 and got[-1] == grid[1]
 
 
 def test_classify_rejects_foreign_sweep_header(tmp_path, capsys):

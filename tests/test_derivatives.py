@@ -21,7 +21,12 @@ import scalar_route
 from scalar_route import _dedupe, clamped, seed_points, sigma_scalar
 from scipy.optimize import minimize
 
-from pdqre._kernel import _sigma_derivatives
+from pdqre._kernel import (
+    _conditional_dens,
+    _conditional_numerators,
+    _conditional_utilities,
+    _sigma_derivatives,
+)
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     CLAMP_EPS,
@@ -163,7 +168,7 @@ def _points(rng, size):
 def test_stacked_kernel_matches_the_per_substitution_oracle_bitwise(matrix, size, seed):
     # every element keeps the replaced kernel's float operations in their order,
     # so sigma, the derivatives, both line searches and the clipped-trial counts
-    # agree to the bit; 1,000 points span two KERNEL_BLOCKs
+    # agree to the bit, on stacks of 1 to 1,500 points priced whole
     lam, alpha, gamma = _points(np.random.default_rng(seed), size)
     corner = _degenerate_mask(alpha, gamma)
     with np.errstate(all="ignore"):
@@ -204,6 +209,29 @@ def test_float_callers_stay_on_python_floats(matrix):
     payoffs = conditional_payoffs(0.3, 0.6, matrix)
     assert all(type(v) is float for v in vars(payoffs).values())
     assert type(qre_objective(2.0, 0.3, 0.6, matrix)) is float
+
+
+def _utilities_per_state(alpha, gamma, matrix):
+    """The four substituted payoffs, one ``payoff`` call per state."""
+    pairs = zip(_conditional_numerators(alpha, gamma), _conditional_dens(alpha, gamma))
+    return np.array([matrix.payoff(n1 / den, n2 / den) for (n1, n2), den in pairs])
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (40,), (513,), (6601,), (3, 7), (10, 2, 5)])
+@pytest.mark.parametrize("matrix", [DEFAULT_MATRIX, OTHER_MATRIX], ids=["default", "other"])
+def test_conditional_utilities_are_one_stack_on_every_array_shape(shape, matrix):
+    # an array of any size or shape takes the one stacked payoff call, with the
+    # bits of a call per state; mesh nodes, edges and degenerate corners included
+    n = math.prod(shape)
+    _, alpha, gamma = (v.reshape(shape) for v in _points(np.random.default_rng(n), n))
+    with np.errstate(all="ignore"):
+        got = _conditional_utilities(alpha, gamma, matrix)
+        want = _utilities_per_state(alpha, gamma, matrix)
+    assert isinstance(got, np.ndarray) and got.shape == (4, *shape)
+    _same_bits(got, want, _degenerate_mask(alpha.reshape(-1), gamma.reshape(-1)).reshape(shape))
+    # Python floats stay on the float route: four floats, no numpy call
+    u = _conditional_utilities(0.3, 0.6, matrix)
+    assert [type(v) for v in u] == [float] * 4
 
 
 # --- the Nelder-Mead route the descent replaced, kept as the reference -----

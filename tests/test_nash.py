@@ -272,8 +272,13 @@ def test_trace_names_the_first_gamma_outside_the_square_as_a_float(gammas, shown
 
 @pytest.mark.parametrize(
     "gammas",
-    [lambda: [1], lambda: np.array([0.5, 1.0]), lambda: (g for g in (0.2, 0.5, 1))],
-    ids=["int", "array", "generator"],
+    [
+        lambda: [1],
+        lambda: np.array([0.5, 1.0]),
+        lambda: np.array([0, 1]),
+        lambda: (g for g in (0.2, 0.5, 1)),
+    ],
+    ids=["int", "array", "int-array", "generator"],
 )
 def test_traced_points_hold_python_floats_and_strs(gammas):
     for trace in (trace_quadratic_curve, trace_stationarity_curve):
@@ -281,6 +286,20 @@ def test_traced_points_hold_python_floats_and_strs(gammas):
         assert points
         for p in points:
             assert [type(v) for v in vars(p).values()] == [float, float, str, float, float]
+
+
+def test_trace_columns_read_an_array_in_place(monkeypatch):
+    # an array is not read element by element (np.fromiter); a list still is,
+    # with the same columns
+    gammas = np.linspace(0.0, 1.0, 1001)
+    want = _trace_columns(gammas.tolist(), STATIONARITY_CONIC)
+
+    def fromiter(*args, **kwargs):
+        raise AssertionError("an array read element by element")
+
+    monkeypatch.setattr(np, "fromiter", fromiter)
+    got = _trace_columns(gammas, STATIONARITY_CONIC)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 def _per_point_columns(gammas, conic):
@@ -296,7 +315,7 @@ def _per_point_columns(gammas, conic):
     rows = []
     for gamma in gammas:
         b = a * (1.0 - gamma) + (a + ag) * gamma
-        disc = b * b - 4.0 * aa * (gg * gamma**2 + g * gamma + one)
+        disc = b * b - 4.0 * aa * (gg * (gamma * gamma) + g * gamma + one)
         if disc < 0.0:
             continue
         root = math.sqrt(disc)
@@ -343,6 +362,7 @@ def _discriminant_roots(conic):
 )
 @example(conic=STATIONARITY_CONIC, grid=[1.0, 1.0 / 9.0, 0.5], ulps=[0])
 @example(conic=_band_conic(-1e-12, 1.0 + 1e-12), grid=[0.5], ulps=[])
+@example(conic=STATIONARITY_CONIC, grid=[0.7348932986219016], ulps=[])  # pow(gamma, 2) rounds apart from gamma * gamma
 def test_trace_columns_keep_the_bits_of_the_per_point_route(conic, grid, ulps):
     # gamma = 1 is a degenerate chain on both curves, and a NaN cell; the
     # gammas next to a discriminant root are where the two roots meet

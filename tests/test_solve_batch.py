@@ -7,6 +7,7 @@ and for leaks between the rationalities that share one stack of arrays.
 
 import functools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,11 +17,13 @@ from oracles import conditional_payoffs_compositional
 from scalar_route import seed_points, seeds_via_objective_grid, solve_scalar
 
 import pdqre.qre
-from pdqre._kernel import KERNEL_BLOCK, _sigma_vec
+from pdqre._kernel import _sigma_vec
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
+    SEED_GRID_SIZE,
     NoSolution,
     SolverConfig,
+    _line_search,
     _seeds,
     _solve,
     logit_response,
@@ -162,10 +165,10 @@ def test_seeds_from_the_priced_mesh_equal_the_objective_grid_route(monkeypatch):
 @example(lam=100.0, payoffs=[5.0, 0.0, 7.0, 1.0])
 def test_seeds_carry_the_objective_that_sigma_reprices_bitwise(lam, payoffs):
     # the edge-seed rule reads the mesh's F in place of pricing sigma at each
-    # seed, on the seeds alone and in a stack past KERNEL_BLOCK, as a sweep's
+    # seed, on the seeds alone and in a stack of a sweep's largest size
     matrix = PayoffMatrix(*payoffs)
     a, g, f = _seeds(lam, SolverConfig(), matrix)
-    tiled = [np.tile(v, KERNEL_BLOCK // max(len(v), 1) + 1) for v in (a, g, f)]
+    tiled = [np.tile(v, SEED_GRID_SIZE**2 // max(len(v), 1) + 1) for v in (a, g, f)]
     for a, g, f in ((a, g, f), tiled):
         sa, sg = _sigma_vec(np.full(len(a), lam), a, g, matrix)
         assert f.tobytes() == ((sa - a) ** 2 + (sg - g) ** 2).tobytes()
@@ -185,3 +188,26 @@ def test_a_sweep_prices_the_seed_mesh_once(monkeypatch):
     monkeypatch.setattr(pdqre.qre, "_conditional_utilities", spy)
     sweep_lambda([0.025 * k for k in range(161)])
     assert sizes.count(pdqre.qre.SEED_GRID_SIZE**2) == 1
+
+
+def test_a_full_stack_whose_steps_all_fail_stays_bounded_in_memory():
+    # the largest stack a solve builds (the seed mesh's nodes and one more
+    # rationality's seeds), every whole step and every halving refused: F is 0
+    # at each start, so no trial falls below it; all ten halvings of every pair
+    # are priced in one sigma call, about 17 MB
+    rng = np.random.default_rng(43)
+    n = SEED_GRID_SIZE**2 + 39
+    lam = rng.uniform(0.0, 100.0, n)
+    x = rng.uniform(0.05, 0.95, (2, n))
+    step = rng.uniform(-0.5, 0.5, (2, n))
+    tracemalloc.start()
+    try:
+        ok, point, sigma, nf, clipped = _line_search(
+            lam, x, np.zeros(n), step, np.zeros(n, bool), DEFAULT_MATRIX
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not ok.any() and point.shape == sigma.shape == (2, n) and nf.shape == (n,)
+    assert 0 < clipped.sum() and clipped.max() <= 11
+    assert peak < 32e6
