@@ -12,8 +12,11 @@ bound it), the substitutions, their parts, the gradient components and the
 pair (sigma_alpha, sigma_gamma) go through as stacks: on the few dozen points
 of a solve each numpy call costs more in dispatch than in arithmetic.  Each
 element still gets the float operations of a loop over the substitutions, in
-their order.  On Python floats (the arc trace, ``conditional_payoffs``,
-``qre_objective``) the substitutions are priced one at a time, with no numpy call.
+their order.  On scalars (the arc trace, ``conditional_payoffs``,
+``qre_objective``) the substitutions are priced one at a time, with no numpy
+call.  The scalar route writes its constants as ints, so Python floats keep
+their bits and ``Fraction``s stay exact: ``_conditional_utilities`` and
+``_gap_gradients`` of rationals are exact rationals.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ def _conditional_dens(alpha, gamma):
     """
     d = alpha - gamma
     return (
-        1.0 + gamma * d,
-        1.0 - (1.0 - gamma) * d,
-        1.0 - alpha * d,
-        1.0 - (alpha - 1.0) * d,
+        1 + gamma * d,
+        1 - (1 - gamma) * d,
+        1 - alpha * d,
+        1 - (alpha - 1) * d,
     )
 
 
@@ -47,9 +50,9 @@ def _conditional_numerators(alpha, gamma):
     p2_g = p1_g0 + ag
     return (
         (ag, alpha),
-        (1.0 - alpha + ag, gamma),
+        (1 - alpha + ag, gamma),
         (p1_g0, p2_g),
-        (2.0 * alpha - aa, p2_g),
+        (2 * alpha - aa, p2_g),
     )
 
 
@@ -57,8 +60,9 @@ def _conditional_utilities(alpha, gamma, matrix: PayoffMatrix):
     """Payoffs of the four substituted states, in :func:`_conditional_dens` order.
 
     On arrays one (4, ...) array: the states are divided into one (p1, p2)
-    buffer and priced in one ``payoff`` call.  On floats a list of four
-    Python floats, one ``payoff`` call per state.
+    buffer and priced in one ``payoff`` call.  On scalars a list of four,
+    one ``payoff`` call per state: Python floats on floats, exact
+    ``Fraction``s on ``Fraction``s.
     """
     pairs = zip(_conditional_numerators(alpha, gamma), _conditional_dens(alpha, gamma))
     if not isinstance(alpha, np.ndarray):
@@ -83,7 +87,7 @@ _PART_COEFFS = np.array(
     ],
     dtype=float,
 )
-_PART_ROWS = _PART_COEFFS.tolist()  # Python floats, for the float route
+_PART_ROWS = _PART_COEFFS.astype(int).tolist()  # Python ints, for the scalar route
 # The array route's coefficients, each (substitution, part, 1): the value's c0..c5;
 # each gradient component's (c_a, c_b, c_c) of c_a + c_b*a + c_c*g, stacked over (a, g);
 # the Hessian's diagonal (aa, gg) and ag.
@@ -94,7 +98,7 @@ del c
 
 
 def _gap_gradients(alpha: float, gamma: float, matrix: PayoffMatrix):
-    """The float route of :func:`_gap_derivatives`, gradients only, on Python floats.
+    """The scalar route of :func:`_gap_derivatives`, gradients only, on Python floats or Fractions.
 
     The four substitutions are priced one at a time.  Returns ((d/da of the
     two gaps), (d/dg of the two gaps)).
@@ -107,8 +111,8 @@ def _gap_gradients(alpha: float, gamma: float, matrix: PayoffMatrix):
         (n1, n1_a, n1_g), (n2, n2_a, n2_g), (d, d_a, d_g) = (
             (
                 c0 + a * (c1 + c3 * a + c4 * g) + g * (c2 + c5 * g),
-                c1 + 2.0 * c3 * a + c4 * g,
-                c2 + c4 * a + 2.0 * c5 * g,
+                c1 + 2 * c3 * a + c4 * g,
+                c2 + c4 * a + 2 * c5 * g,
             )
             for c0, c1, c2, c3, c4, c5 in rows
         )

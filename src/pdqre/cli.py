@@ -207,6 +207,8 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
     out = Path(args.output)
     report_path = Path(args.report) if args.report else Path(str(out) + ".report.json")
     _check_outputs({"--output": out, "--report": report_path}, {})
+    # the grid puts a lower bound within rounding of the upper one onto it, sign and all
+    _check_finite("rationality", args.lambda_min, positive=False)
     sweep = sweep_lambda(lambdas, cfg)
     _write_sweep_csv(out, sweep.points)
 

@@ -47,14 +47,14 @@ class PayoffMatrix:
         """Expected stage payoff at cooperation probabilities ``own`` and ``other``.
 
         The one bilinear form behind every payoff in the package.  It works
-        elementwise on floats and numpy arrays alike; the opponent's payoff
-        is ``payoff(other, own)``.
+        elementwise on floats and numpy arrays alike, and exactly on
+        ``Fraction``s; the opponent's payoff is ``payoff(other, own)``.
         """
         return (
             self.reward_cc * own * other
-            + self.sucker_cd * own * (1.0 - other)
-            + self.temptation_dc * (1.0 - own) * other
-            + self.punishment_dd * (1.0 - own) * (1.0 - other)
+            + self.sucker_cd * own * (1 - other)
+            + self.temptation_dc * (1 - own) * other
+            + self.punishment_dd * (1 - own) * (1 - other)
         )
 
     def is_prisoners_dilemma(self) -> bool:
@@ -95,7 +95,7 @@ def stationary_state(s1: MarkovStrategy, s2: MarkovStrategy) -> StationaryState:
     """Closed-form fixed point of the one-round dynamics.
 
     Each round, each player responds to the opponent's cooperation probability:
-    p_i' = gamma_i * p_j + alpha_i * (1 - p_j).
+    p_i' = gamma_i * p_j + alpha_i * (1 - p_j).  Exact on ``Fraction``s.
 
     Raises
     ------
@@ -106,10 +106,10 @@ def stationary_state(s1: MarkovStrategy, s2: MarkovStrategy) -> StationaryState:
     """
     d1 = s1.alpha - s1.gamma
     d2 = s2.alpha - s2.gamma
-    denom = 1.0 - d1 * d2
+    denom = 1 - d1 * d2
     if abs(denom) < DEGENERACY_THRESHOLD:
         raise DegenerateChain(
-            f"stationary state undefined for {s1} vs {s2}: denominator {denom:.3e}"
+            f"stationary state undefined for {s1} vs {s2}: denominator {float(denom):.3e}"
         )
     return StationaryState(
         p1=(s1.alpha - s2.alpha * d1) / denom,

@@ -1,18 +1,16 @@
 """The per-seed scalar solve that the batched solver replaced, kept as an oracle.
 
 Each seed is polished and, unless the polish settles next to it, descended
-one at a time, on Python floats with a ``math.exp`` sigma.  The seeds are
-the solver's own; the loop over seeds, the scalar sigma and the scalar
-corner clamp live here.
+one at a time, on Python floats.  Sigma is priced with ``math.exp`` from the
+compositional payoffs of ``oracles`` (the game layer's stationary state and
+payoff), and its derivatives and the objective's are jets of that route
+(``oracles.Jet``), so the scalar solve calls no routine of the solver's
+kernel.  The seeds are the solver's own; the loop over seeds, the scalar
+sigma and the scalar corner clamp live here.
 
-The derivative kernel that the stacked one replaced is kept here too, as the
-bitwise oracle of ``qre._sigma_vec``, ``qre._objective_derivatives`` and
-``qre._descend``: it prices the four pure-parameter substitutions, and the
-two sigma components, one at a time (``conditional_utilities``,
-``gap_derivatives``, ``sigma_derivatives``, ``objective_derivatives``), and
-its line search (``descend_by_halving``) prices one halving of the pending
-steps per call.  The scalar solve differentiates through this kernel.
-
+``descend_by_halving`` is ``qre._descend`` with the line search it replaced,
+one sigma call per halving of the pending steps, on the package's kernel: the
+bitwise reference of the descent's loop, not of its derivatives.
 ``polish_by_halving`` is the Newton polish of the arc's crossings that the
 Gauss-Newton form of ``qre._descend`` replaced, kept as the reference of that
 route.
@@ -30,9 +28,11 @@ of it.
 import math
 
 import numpy as np
+from oracles import Jet, conditional_payoffs_compositional, gap_jets
 
 import pdqre.qre
-from pdqre.game import DEGENERACY_THRESHOLD, PayoffMatrix
+from pdqre._kernel import _objective_derivatives, _sigma_derivatives, _sigma_vec
+from pdqre.game import DEGENERACY_THRESHOLD
 from pdqre.qre import (
     CLAMP_EPS,
     DESCENT_GRAD_TOL,
@@ -41,8 +41,6 @@ from pdqre.qre import (
     DESCENT_STEP_TOL,
     QrePoint,
     _clip,
-    _conditional_dens,
-    _logistic,
     _min_eigenvalue,
     _seeds,
     objective_grid,
@@ -52,123 +50,7 @@ from pdqre.qre import (
 #: the scalar solve's ``newton_polish``).
 POLISH_MAX_ITER = 14
 
-# --- the per-substitution derivative kernel and its halving line searches ---
-
-
-def conditional_parts(alpha, gamma):
-    """Substituted stationary states as (p1, p2) pairs, in ``_conditional_dens`` order."""
-    den_a0, den_a1, den_g0, den_g1 = _conditional_dens(alpha, gamma)
-    p2_g = alpha - alpha * alpha + alpha * gamma
-    return (
-        (alpha * gamma / den_a0, alpha / den_a0),
-        ((1.0 - alpha + alpha * gamma) / den_a1, gamma / den_a1),
-        ((alpha - alpha * alpha) / den_g0, p2_g / den_g0),
-        ((2.0 * alpha - alpha * alpha) / den_g1, p2_g / den_g1),
-    )
-
-
-def conditional_utilities(alpha, gamma, matrix: PayoffMatrix):
-    """Payoffs of the four substituted states, one ``payoff`` call each."""
-    return [matrix.payoff(p1, p2) for p1, p2 in conditional_parts(alpha, gamma)]
-
-
-#: (p1 numerator, p2 numerator, denominator) of each substitution as the
-#: coefficients of c0 + c1*a + c2*g + c3*a*a + c4*a*g + c5*g*g.
-PART_COEFFS = (
-    ((0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 1, -1)),
-    ((1, -1, 0, 0, 1, 0), (0, 0, 1, 0, 0, 0), (1, -1, 1, 0, 1, -1)),
-    ((0, 1, 0, -1, 0, 0), (0, 1, 0, -1, 1, 0), (1, 0, 0, -1, 1, 0)),
-    ((0, 2, 0, -1, 0, 0), (0, 1, 0, -1, 1, 0), (1, 1, -1, -1, 1, 0)),
-)
-
-
-def quadratic(c, a, g):
-    """Value, gradient and Hessian (aa, ag, gg) of one ``PART_COEFFS`` row."""
-    c0, c1, c2, c3, c4, c5 = c
-    value = c0 + a * (c1 + c3 * a + c4 * g) + g * (c2 + c5 * g)
-    return value, (c1 + 2.0 * c3 * a + c4 * g, c2 + c4 * a + 2.0 * c5 * g), (2.0 * c3, c4, 2.0 * c5)
-
-
-def quotient(num, den, hessian):
-    """Value, gradient and Hessian (None without ``hessian``) of num/den."""
-    n, (n_a, n_g), (n_aa, n_ag, n_gg) = num
-    d, (d_a, d_g), (d_aa, d_ag, d_gg) = den
-    p = n / d
-    p_a = (n_a - p * d_a) / d
-    p_g = (n_g - p * d_g) / d
-    if not hessian:
-        return p, (p_a, p_g), None
-    hess = (
-        (n_aa - 2.0 * p_a * d_a - p * d_aa) / d,
-        (n_ag - p_a * d_g - p_g * d_a - p * d_ag) / d,
-        (n_gg - 2.0 * p_g * d_g - p * d_gg) / d,
-    )
-    return p, (p_a, p_g), hess
-
-
-def gap_derivatives(alpha, gamma, matrix, hessians):
-    """((grad, hess) of u_alpha1 - u_alpha0, (grad, hess) of u_gamma1 - u_gamma0),
-    one substitution at a time; each hess is None without ``hessians``."""
-    m = matrix
-    k = m.reward_cc - m.sucker_cd - m.temptation_dc + m.punishment_dd
-    per_state = []
-    for coeffs in PART_COEFFS:
-        n1, n2, den = (quadratic(c, alpha, gamma) for c in coeffs)
-        p1, (p1_a, p1_g), hess1 = quotient(n1, den, hessians)
-        p2, (p2_a, p2_g), hess2 = quotient(n2, den, hessians)
-        u_1 = m.sucker_cd - m.punishment_dd + k * p2
-        u_2 = m.temptation_dc - m.punishment_dd + k * p1
-        derivs = (u_1 * p1_a + u_2 * p2_a, u_1 * p1_g + u_2 * p2_g)
-        if hessians:
-            (p1_aa, p1_ag, p1_gg), (p2_aa, p2_ag, p2_gg) = hess1, hess2
-            derivs += (
-                u_1 * p1_aa + u_2 * p2_aa + 2.0 * k * p1_a * p2_a,
-                u_1 * p1_ag + u_2 * p2_ag + k * (p1_a * p2_g + p1_g * p2_a),
-                u_1 * p1_gg + u_2 * p2_gg + 2.0 * k * p1_g * p2_g,
-            )
-        per_state.append(derivs)
-    gaps = []
-    for lo, hi in ((0, 1), (2, 3)):
-        diff = [x1 - x0 for x0, x1 in zip(per_state[lo], per_state[hi])]
-        gaps.append((tuple(diff[:2]), tuple(diff[2:]) if hessians else None))
-    return tuple(gaps)
-
-
-def sigma_vec(lam, alpha, gamma, matrix):
-    """(sigma_alpha, sigma_gamma), one logistic call each."""
-    u = conditional_utilities(alpha, gamma, matrix)
-    return _logistic(lam, u[1] - u[0]), _logistic(lam, u[3] - u[2])
-
-
-def sigma_derivatives(lam, alpha, gamma, matrix, sigma=None, hessians=True):
-    """sigma, the Jacobian rows and each component's Hessian, one component at a time."""
-    if sigma is None:
-        sigma = sigma_vec(lam, alpha, gamma, matrix)
-    rows, hess = [], []
-    for s, ((d_a, d_g), gap_hess) in zip(sigma, gap_derivatives(alpha, gamma, matrix, hessians)):
-        w = lam * s * (1.0 - s)
-        rows.append((w * d_a, w * d_g))
-        if hessians:
-            d_aa, d_ag, d_gg = gap_hess
-            v = lam * w * (1.0 - 2.0 * s)
-            hess.append(
-                (w * d_aa + v * d_a * d_a, w * d_ag + v * d_a * d_g, w * d_gg + v * d_g * d_g)
-            )
-    return sigma, rows, hess if hessians else None
-
-
-def objective_derivatives(lam, alpha, gamma, matrix, sigma=None, gauss_newton=False):
-    """F with its gradient and Hessian (aa, ag, gg) as tuples; the ``gauss_newton``
-    Hessian leaves out the terms r_i hess(sigma_i)."""
-    (sa, sg), (row_a, row_g), (ha, hg) = sigma_derivatives(lam, alpha, gamma, matrix, sigma)
-    ra, rg = sa - alpha, sg - gamma
-    j00, j01 = row_a[0] - 1.0, row_a[1]
-    j10, j11 = row_g[0], row_g[1] - 1.0
-    grad = (2.0 * (j00 * ra + j10 * rg), 2.0 * (j01 * ra + j11 * rg))
-    hess = [j00 * j00 + j10 * j10, j00 * j01 + j10 * j11, j01 * j01 + j11 * j11]
-    if not gauss_newton:
-        hess = [h + ra * h_a + rg * h_g for h, h_a, h_g in zip(hess, ha, hg)]
-    return ra * ra + rg * rg, grad, tuple(2.0 * h for h in hess)
+# --- the halving line searches, on the package's kernel ----------------------
 
 
 @np.errstate(all="ignore")
@@ -180,7 +62,7 @@ def polish_by_halving(lam, alpha, gamma, matrix):
     Jacobian or when no halving helps."""
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
     a, g = _clip((alpha, gamma))
-    sa, sg = sigma_vec(lam, a, g, matrix)
+    sa, sg = _sigma_vec(lam, a, g, matrix)
     ra, rg = sa - a, sg - g
     f = ra * ra + rg * rg
     live = np.arange(a.size)
@@ -188,8 +70,9 @@ def polish_by_halving(lam, alpha, gamma, matrix):
         live = live[~(f[live] < 1e-28)]
         if not live.size:
             break
-        _, (row_a, row_g), _ = sigma_derivatives(
-            lam[live], a[live], g[live], matrix, (sa[live], sg[live]), hessians=False
+        sigma = np.array((sa[live], sg[live]))
+        _, (row_a, row_g), _ = _sigma_derivatives(
+            lam[live], a[live], g[live], matrix, sigma, hessians=False
         )
         j00, j01 = row_a[0] - 1.0, row_a[1]
         j10, j11 = row_g[0], row_g[1] - 1.0
@@ -203,7 +86,7 @@ def polish_by_halving(lam, alpha, gamma, matrix):
             at = live[pending]
             na = np.clip(a[at] + t * step_a[pending], lo, hi)
             ng = np.clip(g[at] + t * step_g[pending], lo, hi)
-            nsa, nsg = sigma_vec(lam[at], na, ng, matrix)
+            nsa, nsg = _sigma_vec(lam[at], na, ng, matrix)
             nra, nrg = nsa - na, nsg - ng
             nf = nra * nra + nrg * nrg
             better = nf < f[at]
@@ -222,8 +105,7 @@ def descend_by_halving(lam, alpha, gamma, matrix, gauss_newton=False):
     and sigma priced again at each accepted point."""
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
     a, g = _clip((alpha, gamma))
-    f, grad, hess = objective_derivatives(lam, a, g, matrix, gauss_newton=gauss_newton)
-    grad, hess = np.array(grad), np.array(hess)
+    f, grad, hess = _objective_derivatives(lam, a, g, matrix, gauss_newton=gauss_newton)
     clipped = np.zeros(a.shape, dtype=np.int64)
     live = np.arange(a.size)
     for _ in range(DESCENT_MAX_ITER):
@@ -251,14 +133,14 @@ def descend_by_halving(lam, alpha, gamma, matrix, gauss_newton=False):
             clipped[at[~inside]] += 1
             better = local[pending] & inside
             priced = ~better
-            sa, sg = sigma_vec(lam[at[priced]], na[priced], ng[priced], matrix)
+            sa, sg = _sigma_vec(lam[at[priced]], na[priced], ng[priced], matrix)
             better[priced] = (sa - na[priced]) ** 2 + (sg - ng[priced]) ** 2 < f[at[priced]]
             a[at[better]], g[at[better]] = na[better], ng[better]
             pending = pending[~better]
             t *= 0.5
         last = np.delete(last, pending)
         live = np.delete(live, pending)
-        f[live], grad[:, live], hess[:, live] = objective_derivatives(
+        f[live], grad[:, live], hess[:, live] = _objective_derivatives(
             lam[live], a[live], g[live], matrix, gauss_newton=gauss_newton
         )
         live = live[~last]
@@ -317,18 +199,48 @@ def expit(x):
 
 
 def sigma_scalar(lam, alpha, gamma, matrix):
-    u = conditional_utilities(alpha, gamma, matrix)
-    return expit(lam * (u[1] - u[0])), expit(lam * (u[3] - u[2]))
+    u = conditional_payoffs_compositional(alpha, gamma, matrix)
+    return expit(lam * (u.u_alpha1 - u.u_alpha0)), expit(lam * (u.u_gamma1 - u.u_gamma0))
 
 
-def objective_and_sigma(lam, alpha, gamma, matrix):
-    sigma = sigma_scalar(lam, alpha, gamma, matrix)
-    return (sigma[0] - alpha) ** 2 + (sigma[1] - gamma) ** 2, sigma
+def objective(lam, alpha, gamma, matrix):
+    sa, sg = sigma_scalar(lam, alpha, gamma, matrix)
+    return (sa - alpha) ** 2 + (sg - gamma) ** 2
+
+
+def sigma_jets(lam, alpha, gamma, matrix):
+    """sigma's two components as jets in (alpha, gamma), with the values of ``sigma_scalar``.
+
+    The logistic s = expit(lam*x) has slope lam*s*(1 - s) and curvature
+    lam^2*s*(1 - s)*(1 - 2s).
+    """
+    jets = []
+    for gap in gap_jets(alpha, gamma, matrix):
+        s = expit(lam * gap.value)
+        w = lam * s * (1.0 - s)
+        jets.append(gap.compose(s, w, lam * w * (1.0 - 2.0 * s)))
+    return jets
+
+
+def objective_derivatives(lam, alpha, gamma, matrix):
+    """F = |sigma(x) - x|^2 with its gradient and Hessian (aa, ag, gg), from jets."""
+    a, g = Jet.variables(alpha, gamma)
+    sa, sg = sigma_jets(lam, alpha, gamma, matrix)
+    ra, rg = sa - a, sg - g
+    f = ra * ra + rg * rg
+    return f.value, f.grad, f.hess
 
 
 def clamped(alpha, gamma):
-    """Pull a degenerate-denominator point off the corner, flagging the clamp."""
-    if min(abs(den) for den in _conditional_dens(alpha, gamma)) >= DEGENERACY_THRESHOLD:
+    """Pull a degenerate-chain point off the corner, flagging the clamp.
+
+    A chain is degenerate where the denominator 1 - (own alpha - own gamma) *
+    (alpha - gamma) of ``game.stationary_state`` falls below the threshold for
+    one of the four substituted own strategies.
+    """
+    d = alpha - gamma
+    own = ((0, gamma), (1, gamma), (alpha, 0), (alpha, 1))
+    if min(abs(1 - (oa - og) * d) for oa, og in own) >= DEGENERACY_THRESHOLD:
         return float(alpha), float(gamma), False
     return (
         float(min(max(alpha, CLAMP_EPS), 1.0 - CLAMP_EPS)),
@@ -367,13 +279,13 @@ def seeds_via_objective_grid(lam, cfg, matrix):
 
 def newton_polish(lam, x0, matrix):
     a, g, _ = clamped(x0[0], x0[1])
-    sigma = sigma_scalar(lam, a, g, matrix)
-    ra, rg = sigma[0] - a, sigma[1] - g
+    sa, sg = sigma_scalar(lam, a, g, matrix)
+    ra, rg = sa - a, sg - g
     f_cur = ra * ra + rg * rg
     for _ in range(POLISH_MAX_ITER):
         if f_cur < 1e-28:
             break
-        _, (row_a, row_g), _ = sigma_derivatives(lam, a, g, matrix, sigma, hessians=False)
+        row_a, row_g = (s.grad for s in sigma_jets(lam, a, g, matrix))
         j00, j01 = row_a[0] - 1.0, row_a[1]
         j10, j11 = row_g[0], row_g[1] - 1.0
         det = j00 * j11 - j01 * j10
@@ -386,11 +298,11 @@ def newton_polish(lam, x0, matrix):
         while t >= 1.0 / 16.0:
             na = min(max(a + t * step_a, CLAMP_EPS), 1.0 - CLAMP_EPS)
             ng = min(max(g + t * step_g, CLAMP_EPS), 1.0 - CLAMP_EPS)
-            n_sigma = sigma_scalar(lam, na, ng, matrix)
-            nra, nrg = n_sigma[0] - na, n_sigma[1] - ng
+            nsa, nsg = sigma_scalar(lam, na, ng, matrix)
+            nra, nrg = nsa - na, nsg - ng
             nf = nra * nra + nrg * nrg
             if nf < f_cur:
-                a, g, sigma, ra, rg, f_cur = na, ng, n_sigma, nra, nrg, nf
+                a, g, ra, rg, f_cur = na, ng, nra, nrg, nf
                 improved = True
                 break
             t *= 0.5
@@ -408,7 +320,7 @@ def descend(lam, seed, matrix, diag):
     lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
     a = min(max(seed[0], lo), hi)
     g = min(max(seed[1], lo), hi)
-    f, grad, hess = objective_derivatives(lam, a, g, matrix, sigma_scalar(lam, a, g, matrix))
+    f, grad, hess = objective_derivatives(lam, a, g, matrix)
     for _ in range(DESCENT_MAX_ITER):
         e_min = min_eigenvalue(hess)
         mu = 0.0 if e_min > 0.0 else -2.0 * e_min
@@ -431,17 +343,13 @@ def descend(lam, seed, matrix, diag):
                 diag["clamped_evals"] = diag.get("clamped_evals", 0) + 1
                 na = min(max(na, lo), hi)
                 ng = min(max(ng, lo), hi)
-            if local and inside:
-                sigma = sigma_scalar(lam, na, ng, matrix)
-                break
-            nf, sigma = objective_and_sigma(lam, na, ng, matrix)
-            if nf < f:
+            if (local and inside) or objective(lam, na, ng, matrix) < f:
                 break
             t *= 0.5
         else:
             break
         a, g = na, ng
-        f, grad, hess = objective_derivatives(lam, a, g, matrix, sigma)
+        f, grad, hess = objective_derivatives(lam, a, g, matrix)
     is_min = max(abs(grad[0]), abs(grad[1])) <= DESCENT_GRAD_TOL and min_eigenvalue(hess) > 0.0
     return float(a), float(g), float(f), bool(is_min)
 

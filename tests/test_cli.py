@@ -962,6 +962,7 @@ def _bounded_columns(args):
           "--intersection-tol=inf"])
 @example(["qre-sweep", "--lambda-min=1", "--lambda-max=1.0000000000000004",
           "--lambda-step=1e-16"])
+@example(["qre-sweep", "--lambda-min=-5e-324", "--lambda-max=0.0", "--lambda-step=1.0"])
 @given(_ARGVS)
 def test_cli_boundary(argv):
     # each example ends in one of three ways: outputs with their manifests, one

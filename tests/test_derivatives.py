@@ -2,32 +2,41 @@
 
 The solver's Newton descent on the objective, and its Gauss-Newton form that
 polishes the arc's crossings, use closed-form first and second derivatives
-of sigma and of the objective.
-Here they are checked against central differences of the compositional
-payoff route, the stacked kernel and its one-call line search bit for bit
-against the per-substitution kernel and halving loop they replaced
-(``scalar_route``), and the descent's results against a test-local copy of
-the derivative-free Nelder-Mead search it replaced.
+of sigma and of the objective.  Here they are checked against central
+differences of the compositional payoff route and against exact jets of the
+game layer (``oracles.Jet`` on ``Fraction``s): the scalar route equals the
+jets exactly on rationals, and the stacked route meets a forward-error bound
+at float points.  The stacked route keeps the bits of the scalar route where
+both exist, the one-call line search those of the halving loop it replaced
+(``scalar_route``), and the descent's results are checked against a
+test-local copy of the derivative-free Nelder-Mead search it replaced.
 """
 
 import math
+from dataclasses import astuple
+from fractions import Fraction
+from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import conditional_payoffs_compositional
+from oracles import Jet, conditional_payoffs_compositional, gap_jets
 import scalar_route
 from scalar_route import _dedupe, clamped, seed_points, sigma_scalar
 from scipy.optimize import minimize
 
+import pdqre._kernel
 from pdqre._kernel import (
+    _PART_COEFFS,
     _conditional_dens,
     _conditional_numerators,
     _conditional_utilities,
+    _gap_derivatives,
     _sigma_derivatives,
 )
-from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
+from pdqre.game import DEFAULT_MATRIX, MarkovStrategy, PayoffMatrix, expected_payoff, stationary_state
 from pdqre.qre import (
     CLAMP_EPS,
     SolverConfig,
@@ -36,7 +45,6 @@ from pdqre.qre import (
     _descend,
     _gap_gradients,
     _objective_derivatives,
-    _sigma_vec,
     conditional_payoffs,
     logit_response,
     qre_objective,
@@ -165,36 +173,228 @@ def _points(rng, size):
 @settings(max_examples=40, deadline=None)
 @given(matrix=_MATRICES, size=st.sampled_from([1, 40, 1000]), seed=st.integers(0, 2**32 - 1))
 @example(matrix=DEFAULT_MATRIX, size=1500, seed=6)  # NaNs of other signs at corners
-def test_stacked_kernel_matches_the_per_substitution_oracle_bitwise(matrix, size, seed):
-    # every element keeps the replaced kernel's float operations in their order,
-    # so sigma, the derivatives, both line searches and the clipped-trial counts
-    # agree to the bit, on stacks of 1 to 1,500 points priced whole
+def test_descent_matches_the_halving_line_search_bitwise(matrix, size, seed):
+    # the one-call line search keeps every bit of the halving loop it replaced, on
+    # the objective's Hessian and on the Gauss-Newton model that polishes crossings:
+    # points, objectives, minimum flags and clipped-trial counts, on stacks of 1 to
+    # 1,500 points priced whole, corners clipped into the box
     lam, alpha, gamma = _points(np.random.default_rng(seed), size)
-    corner = _degenerate_mask(alpha, gamma)
-    with np.errstate(all="ignore"):
-        sigma = _sigma_vec(lam, alpha, gamma, matrix)
-        _same_bits(sigma, scalar_route.sigma_vec(lam, alpha, gamma, matrix), corner)
-        # the Gauss-Newton model prices no Hessian of sigma, and keeps every other bit
-        for gauss_newton in (False, True):
-            want = scalar_route.objective_derivatives(lam, alpha, gamma, matrix, None, gauss_newton)
-            for got in (
-                _objective_derivatives(lam, alpha, gamma, matrix, None, gauss_newton),
-                _objective_derivatives(lam, alpha, gamma, matrix, sigma, gauss_newton),
-            ):
-                for part, oracle in zip(got, want):
-                    _same_bits(part, oracle, corner)
-    # the descent clips corners into the box: bit for bit throughout, on the
-    # objective's Hessian and on the Gauss-Newton model that polishes crossings
     for gauss_newton in (False, True):
         for got, oracle in zip(
             _descend(lam, alpha, gamma, matrix, gauss_newton),
             scalar_route.descend_by_halving(lam, alpha, gamma, matrix, gauss_newton),
         ):
             _same_bits(got, oracle)
-    # the float route of the gap gradients, on the solver's box like the arc
-    for a, g in np.clip((alpha[:5], gamma[:5]), CLAMP_EPS, 1.0 - CLAMP_EPS).T.tolist():
-        (ga, _), (gg, _) = scalar_route.gap_derivatives(a, g, matrix, hessians=False)
-        assert _gap_gradients(a, g, matrix) == [(ga[0], gg[0]), (ga[1], gg[1])]
+
+
+_UNIT_FRACTIONS = st.fractions(0, 1, max_denominator=10**6)
+_RATIONAL_GAMES = st.builds(PayoffMatrix, *[st.fractions(-5, 10, max_denominator=1000)] * 4)
+
+
+def _exact(matrix: PayoffMatrix) -> PayoffMatrix:
+    """``matrix`` with its payoffs as the Fractions of their float values."""
+    return PayoffMatrix(*map(Fraction, astuple(matrix)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix=_RATIONAL_GAMES, alpha=_UNIT_FRACTIONS, gamma=_UNIT_FRACTIONS)
+@example(matrix=_exact(DEFAULT_MATRIX), alpha=Fraction(3, 10), gamma=Fraction(3, 5))
+def test_scalar_route_is_the_jets_of_the_game_layer_exactly(matrix, alpha, gamma):
+    # on Fractions the scalar route's payoffs and gap gradients are exact: they are
+    # the values and first derivatives of jets through the game layer
+    assume(abs(alpha - gamma) < 1)  # off the corners (0, 1) and (1, 0)
+    u = conditional_payoffs_compositional(*Jet.variables(alpha, gamma), matrix)
+    values = [v.value for v in u]
+    gap_a, gap_g = u.u_alpha1 - u.u_alpha0, u.u_gamma1 - u.u_gamma0
+    got = _conditional_utilities(alpha, gamma, matrix)
+    assert got == values and [type(v) for v in got] == [Fraction] * 4
+    assert list(vars(conditional_payoffs(alpha, gamma, matrix)).values()) == values
+    assert list(conditional_payoffs_compositional(alpha, gamma, matrix)) == values
+    grads = _gap_gradients(alpha, gamma, matrix)
+    assert grads == [(gap_a.grad[0], gap_g.grad[0]), (gap_a.grad[1], gap_g.grad[1])]
+    assert {type(v) for g in grads for v in g} == {Fraction}
+
+
+#: float64's unit roundoff, and the absolute error of a result in the subnormal range.
+_U, _TINY = 2.0**-53, 2.0**-1075
+
+#: The constant C of the gap derivatives' bound C*u*M/d^(k+2).
+_GAP_BOUND = 64
+
+
+class _Rounded:
+    """An exact value with a bound on the error of the float that a computation gives for it.
+
+    A float +, - or * is exact to a relative u, or in the subnormal range an
+    absolute 2**-1075; the operands' bounds carry through, as in a running
+    error analysis (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., SIAM 2002, sec. 3.3).  A plain number is exact.  The bound is a
+    float: its own rounding, a relative 1e-15 or so, is far inside the bound's slack.
+    """
+
+    __slots__ = ("value", "err")
+
+    def __init__(self, value, err=0.0):
+        self.value, self.err = Fraction(value), err
+
+    @staticmethod
+    def _rounded(value, err):
+        return _Rounded(value, err + _U * (abs(value) + err) + _TINY)
+
+    def __add__(self, other):
+        o = other if isinstance(other, _Rounded) else _Rounded(other)
+        return self._rounded(self.value + o.value, self.err + o.err)
+
+    def __sub__(self, other):
+        o = other if isinstance(other, _Rounded) else _Rounded(other)
+        return self._rounded(self.value - o.value, self.err + o.err)
+
+    def __rsub__(self, other):
+        return _Rounded(other) - self
+
+    def __mul__(self, other):
+        o = other if isinstance(other, _Rounded) else _Rounded(other)
+        err = abs(self.value) * o.err + abs(o.value) * self.err + self.err * o.err
+        return self._rounded(self.value * o.value, err)
+
+    __rmul__ = __mul__
+
+    def holds(self, got) -> bool:
+        return abs(Fraction(float(got)) - self.value) <= self.err
+
+
+@pytest.mark.parametrize("matrix", [DEFAULT_MATRIX, OTHER_MATRIX], ids=["default", "other"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=0)
+def test_stacked_derivatives_meet_a_forward_error_bound(matrix, seed):
+    # The stacked route at float points, each taken exactly as a Fraction, against
+    # exact jets of the game layer.  Each gap derivative of order k is within
+    # C*u*M/d^(k+2) of the jet's, with M the largest payoff and d the smallest
+    # chain denominator (d >= 1e-9 off the degenerate corners).  sigma's and F's
+    # derivatives are the chain rule applied to the float sigma, checked against
+    # that rule in exact arithmetic with the gap bounds and each float operation's
+    # rounding carried through.
+    lam, alpha, gamma = _points(np.random.default_rng(seed), 20)
+    keep = ~_degenerate_mask(alpha, gamma) & (lam <= 1e5)
+    lam, alpha, gamma = lam[keep], alpha[keep], gamma[keep]
+    gap = _gap_derivatives(alpha, gamma, matrix)
+    sigma, rows, hess_s = _sigma_derivatives(lam, alpha, gamma, matrix)
+    objectives = {}
+    for gauss_newton in (False, True):
+        got = _objective_derivatives(lam, alpha, gamma, matrix, None, gauss_newton)
+        # a caller's sigma, and the Gauss-Newton model, change no bit of what they share
+        for part, same in zip(got, _objective_derivatives(lam, alpha, gamma, matrix, sigma, gauss_newton)):
+            _same_bits(part, same)
+        objectives[gauss_newton] = got
+    for part, same in zip(objectives[False][:2], objectives[True][:2]):
+        _same_bits(part, same)
+
+    exact_matrix = _exact(matrix)
+    big_m = max(map(abs, astuple(exact_matrix)))
+    pairs = ((0, 0), (0, 1), (1, 1))
+    for n in range(lam.size):
+        a, g = Fraction(alpha[n]), Fraction(gamma[n])
+        d = min(abs(den) for den in _conditional_dens(a, g))
+        bounds = [_GAP_BOUND * _U * big_m / d ** (k + 2) for k in (1, 1, 2, 2, 2)]
+        # ref_gap[i][j]: derivative j in (a, g, aa, ag, gg) of gap i
+        ref_gap = [
+            [_Rounded(v, b) for v, b in zip((*jet.grad, *jet.hess), bounds)]
+            for jet in gap_jets(a, g, exact_matrix)
+        ]
+        assert all(ref_gap[i][j].holds(gap[j, i, n]) for i in range(2) for j in range(5))
+        # sigma: w = lam*s*(1 - s), rows w*grad, Hessians w*hess + lam*w*(1 - 2s)*grad grad^T
+        ref_rows, ref_hess = [], []
+        for i in range(2):
+            s, ref = _Rounded(sigma[i, n]), ref_gap[i]
+            w = _Rounded(lam[n]) * s * (1.0 - s)
+            v = _Rounded(lam[n]) * w * (1.0 - 2.0 * s)
+            ref_rows.append([w * ref[j] for j in range(2)])
+            ref_hess.append([w * ref[2 + p] + v * ref[j] * ref[k] for p, (j, k) in enumerate(pairs)])
+            assert all(ref_rows[i][j].holds(rows[i, j, n]) for j in range(2))
+            assert all(ref_hess[i][p].holds(hess_s[i, p, n]) for p in range(3))
+        # F = |r|^2 with r = sigma - x, grad 2 J^T r and Hessian 2 J^T J (+ 2 sum r_i hess sigma_i)
+        r = [_Rounded(sigma[0, n]) - a, _Rounded(sigma[1, n]) - g]
+        jac = [[ref_rows[i][j] - (1.0 if i == j else 0.0) for j in range(2)] for i in range(2)]
+        for gauss_newton, (f, grad, hess) in objectives.items():
+            assert (r[0] * r[0] + r[1] * r[1]).holds(f[n])
+            assert all((2.0 * (jac[0][j] * r[0] + jac[1][j] * r[1])).holds(grad[j, n]) for j in range(2))
+            for p, (j, k) in enumerate(pairs):
+                h = jac[0][j] * jac[0][k] + jac[1][j] * jac[1][k]
+                if not gauss_newton:
+                    h = h + r[0] * ref_hess[0][p] + r[1] * ref_hess[1][p]
+                assert (2.0 * h).holds(hess[p, n])
+
+
+@settings(max_examples=20, deadline=None)
+@given(matrix=_MATRICES, seed=st.integers(0, 2**32 - 1))
+def test_array_route_keeps_the_bits_of_the_scalar_route(matrix, seed):
+    # where both routes exist, the stacked utilities and gap gradients are the
+    # scalar route's, bit for bit; off the corners, where Python floats raise on 0/0
+    _, alpha, gamma = _points(np.random.default_rng(seed), 200)
+    keep = ~_degenerate_mask(alpha, gamma)
+    alpha, gamma = alpha[keep], gamma[keep]
+    points = list(zip(alpha.tolist(), gamma.tolist()))
+    scalar_u = np.array([_conditional_utilities(a, g, matrix) for a, g in points]).reshape(-1, 4)
+    _same_bits(_conditional_utilities(alpha, gamma, matrix), scalar_u.T)
+    scalar_grads = np.array([_gap_gradients(a, g, matrix) for a, g in points]).reshape(-1, 2, 2)
+    _same_bits(_gap_derivatives(alpha, gamma, matrix, hessians=False), scalar_grads.transpose(1, 2, 0))
+
+
+# The float-constant expressions that the integer constants replaced.
+
+
+def _float_dens(alpha, gamma):
+    d = alpha - gamma
+    return (1.0 + gamma * d, 1.0 - (1.0 - gamma) * d, 1.0 - alpha * d, 1.0 - (alpha - 1.0) * d)
+
+
+def _float_numerators(alpha, gamma):
+    aa, ag = alpha * alpha, alpha * gamma
+    p1_g0 = alpha - aa
+    p2_g = p1_g0 + ag
+    return ((ag, alpha), (1.0 - alpha + ag, gamma), (p1_g0, p2_g), (2.0 * alpha - aa, p2_g))
+
+
+def _float_payoff(m, own, other):
+    return (
+        m.reward_cc * own * other
+        + m.sucker_cd * own * (1.0 - other)
+        + m.temptation_dc * (1.0 - own) * other
+        + m.punishment_dd * (1.0 - own) * (1.0 - other)
+    )
+
+
+def _float_stationary_state(s1, s2):
+    d1 = s1.alpha - s1.gamma
+    d2 = s2.alpha - s2.gamma
+    denom = 1.0 - d1 * d2
+    return (s1.alpha - s2.alpha * d1) / denom, (s2.alpha - s1.alpha * d2) / denom
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix=_MATRICES, seed=st.integers(0, 2**32 - 1))
+def test_integer_constants_keep_the_float_bits(matrix, seed):
+    # ints in place of float constants change no bit on floats or float arrays
+    _, alpha, gamma = _points(np.random.default_rng(seed), 200)
+    routes = (
+        (_conditional_dens, _float_dens),
+        (_conditional_numerators, _float_numerators),
+        (matrix.payoff, partial(_float_payoff, matrix)),
+    )
+    for route, float_route in routes:
+        _same_bits(route(alpha, gamma), float_route(alpha, gamma))
+    keep = ~_degenerate_mask(alpha, gamma)
+    points = list(zip(alpha[keep].tolist(), gamma[keep].tolist()))[:20]
+    for a, g in points:
+        for route, float_route in routes:
+            _same_bits(route(a, g), float_route(a, g))
+        s1, s2 = MarkovStrategy(a, g), MarkovStrategy(g, a * 0.5)
+        state = stationary_state(s1, s2)
+        _same_bits((state.p1, state.p2), _float_stationary_state(s1, s2))
+    grads = [_gap_gradients(a, g, matrix) for a, g in points]
+    with patch.object(pdqre._kernel, "_PART_ROWS", _PART_COEFFS.tolist()):
+        _same_bits(grads, [_gap_gradients(a, g, matrix) for a, g in points])
 
 
 @pytest.mark.parametrize(
@@ -209,6 +409,18 @@ def test_float_callers_stay_on_python_floats(matrix):
     payoffs = conditional_payoffs(0.3, 0.6, matrix)
     assert all(type(v) is float for v in vars(payoffs).values())
     assert type(qre_objective(2.0, 0.3, 0.6, matrix)) is float
+    state = stationary_state(MarkovStrategy(0.3, 0.6), MarkovStrategy(0.2, 0.9))
+    assert type(state.p1) is type(state.p2) is type(expected_payoff(matrix, state)) is float
+    # Fractions in, Fractions out, but for sigma's math.exp: the objective and the
+    # arc's frames stay on floats
+    exact, a, g = _exact(matrix), Fraction(3, 10), Fraction(3, 5)
+    assert {type(v) for grad in _gap_gradients(a, g, exact) for v in grad} == {Fraction}
+    assert {type(v) for v in vars(conditional_payoffs(a, g, exact)).values()} == {Fraction}
+    state = stationary_state(MarkovStrategy(a, g), MarkovStrategy(Fraction(1, 5), Fraction(9, 10)))
+    assert type(state.p1) is type(state.p2) is type(expected_payoff(exact, state)) is Fraction
+    assert type(qre_objective(2.0, a, g, exact)) is float
+    h, grad, lam, dlam, point = _arc_frame((Fraction(3, 10), Fraction(-6, 5)), exact)
+    assert all(type(v) is float for v in (h, *grad, lam, dlam, *point))
 
 
 def _utilities_per_state(alpha, gamma, matrix):

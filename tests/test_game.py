@@ -2,11 +2,12 @@
 
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import dynamics_step, stationary_state_iterative
 
@@ -144,6 +145,25 @@ def test_oracles_build_on_the_game_layer_alone():
     modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
     modules |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
     assert {m for m in modules if m.split(".")[0] == "pdqre"} == {"pdqre.game"}
+
+
+_UNIT_FRACTIONS = st.fractions(0, 1, max_denominator=10**6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    s1=st.builds(MarkovStrategy, _UNIT_FRACTIONS, _UNIT_FRACTIONS),
+    s2=st.builds(MarkovStrategy, _UNIT_FRACTIONS, _UNIT_FRACTIONS),
+    matrix=st.builds(PayoffMatrix, *[st.fractions(-5, 10, max_denominator=1000)] * 4),
+)
+def test_stationary_state_is_the_exact_fixed_point_on_fractions(s1, s2, matrix):
+    # on rationals the closed form is exact: one round of the dynamics leaves it
+    # where it is, and it and its payoff are Fractions
+    assume(abs((s1.alpha - s1.gamma) * (s2.alpha - s2.gamma)) < 1)
+    state = stationary_state(s1, s2)
+    assert dynamics_step(s1, s2, state) == state
+    u = expected_payoff(matrix, state)
+    assert [type(v) for v in (state.p1, state.p2, u)] == [Fraction] * 3
 
 
 def test_iterative_returns_its_last_state_at_max_iter():

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import own_payoff_gradient_fd, stationarity_quadratic
+from oracles import Jet, own_payoff_gradient_fd, stationarity_quadratic
 
-from pdqre.game import DEFAULT_MATRIX, DegenerateChain, MarkovStrategy, PayoffMatrix
+from pdqre.game import (
+    DEFAULT_MATRIX,
+    DegenerateChain,
+    MarkovStrategy,
+    PayoffMatrix,
+    expected_payoff,
+    stationary_state,
+)
 from pdqre.nash import (
     QUADRATIC_CONIC,
     STATIONARITY_CONIC,
@@ -51,6 +58,32 @@ def test_gradient_matches_finite_differences():
         fa, fg = own_payoff_gradient_fd(own, opp)
         assert ga == pytest.approx(fa, abs=1e-5)
         assert gg == pytest.approx(fg, abs=1e-5)
+
+
+_UNIT_FRACTIONS = st.fractions(0, 1, max_denominator=10**6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    matrix=st.builds(PayoffMatrix, *[st.fractions(-5, 10, max_denominator=1000)] * 4),
+    own=st.tuples(_UNIT_FRACTIONS, _UNIT_FRACTIONS),
+    opponent=st.tuples(_UNIT_FRACTIONS, _UNIT_FRACTIONS),
+)
+@example(
+    matrix=PayoffMatrix(*map(Fraction, (5, 0, 10, 1))),
+    own=(Fraction(1, 5), Fraction(9, 10)),
+    opponent=(Fraction(3, 4), Fraction(1, 3)),
+)
+def test_gradient_is_the_jet_of_the_stationary_payoff_exactly(matrix, own, opponent):
+    # asymmetric pairs and any rational game: on Fractions the gradient is the
+    # exact derivative of the payoff through the game layer's stationary state
+    assume(abs((own[0] - own[1]) * (opponent[0] - opponent[1])) < 1)
+    payoff = expected_payoff(
+        matrix, stationary_state(MarkovStrategy(*Jet.variables(*own)), MarkovStrategy(*opponent))
+    )
+    grad = own_payoff_gradient(MarkovStrategy(*own), MarkovStrategy(*opponent), matrix)
+    assert grad == payoff.grad
+    assert [type(v) for v in grad] == [Fraction, Fraction]
 
 
 def test_gradient_at_boundary_uses_one_sided_steps():

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -318,6 +319,22 @@ def test_prefiltered_degenerate_mask_matches_the_four_denominator_rule(seed):
     want = _four_denominator_mask(alpha, gamma)
     assert np.array_equal(_degenerate_mask(alpha, gamma), want)
     assert np.array_equal((_clip((alpha, gamma)) != (alpha, gamma)).any(0), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.fractions(0, 1, max_denominator=10**6),
+    gamma=st.fractions(0, 1, max_denominator=10**6),
+)
+@example(alpha=Fraction(0), gamma=Fraction(1))
+@example(alpha=Fraction(1), gamma=Fraction(1, 2))
+def test_every_denominator_is_at_least_one_minus_the_gap_exactly(alpha, gamma):
+    # the premise of _degenerate_mask's prefilter: each of the four denominators is at
+    # least 1 - |alpha - gamma|, so one falls below the threshold only where
+    # |alpha - gamma| > 1 - threshold; on Fractions the denominators are exact
+    dens = _conditional_dens(alpha, gamma)
+    assert [type(den) for den in dens] == [Fraction] * 4
+    assert min(dens) >= 1 - abs(alpha - gamma)
 
 
 def test_objective_grid_equals_per_cell_clamp_route():
