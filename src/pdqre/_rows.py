@@ -22,20 +22,19 @@ of a little-endian ``uint64`` word, so a number's cell is a few words per
 row: masks keep the digits it shows, and the digits after a decimal point
 move one byte on to make room for it.
 
-Why ``%.12g`` stays exact.  For a finite x != 0 let e = floor(log10 |x|) and
-k = 11 - e.  While |k| <= 22, 10**|k| is an exact double, so one correctly
-rounded multiply (or divide, for k < 0) gives p within half an ulp of the
-exact y = |x| * 10**k.  Where p lies in [1e11, 1e12 - 1/2), the ulp is at
-most 2**-13, so every half-integer h there is a double, and a correctly
-rounded p cannot pass one: h between y and p would be nearer to y than p
-is.  So unless p is a half-integer itself (y may lie on either side of it),
-y and p round to the same integer, and ``rint(p)`` is the correctly rounded
-12-digit significand.  Values with p outside that range (log10 off by one
-next to a power of ten, or a significand that rounds up to 10**12), p on a
-half-integer, zeros, subnormals, non-finite values and exponents out of
-range are written by Python's ``'%.12g' %`` itself.  The layout is Python's:
-fixed notation for -4 <= e < 12, scientific otherwise, trailing zeros
-stripped (and the point with them), the exponent at least two digits.
+Why ``%.12g`` stays exact.  For a finite x != 0 let e = floor(log10 |x|),
+-324 <= e <= 308, and y = |x| * 10**(11 - e).  A table per e holds
+10**(11 - e) as 2**h * S, S correctly rounded and 2**h about its square
+root, so |x| * 2**h is exact (for a subnormal x too) and the product p
+lies within y * 2**-52 < 2.3e-4 of y.  Where p is more than 2.5e-4 from
+every half-integer, y and p lie on the same side of each, so m = rint(p)
+is the correctly rounded 12-digit significand if it lies in [1e11, 1e12)
+(log10 may be one off next to a power of ten, or y round up to 1e12).  A
+zero is m = 0 in the layout of e = 0.  Python's ``'%.12g' %`` writes the
+rest: m out of range, p near a half-integer (about 1 in 2,000 random
+values) and non-finite x.  The layout is Python's: fixed notation for
+-4 <= e < 12, scientific otherwise, trailing zeros stripped (and the point
+with them), the exponent at least two digits.
 """
 
 from __future__ import annotations
@@ -49,12 +48,8 @@ import numpy as np
 #: Rows rendered and written per block.
 CHUNK_ROWS = 65_536
 
-#: The exponents e of the ``%.12g`` fast path: |11 - e| <= 22.
-_E_LO, _E_HI = -11, 33
-
-#: 10**k as a multiplier and as a divisor, indexed by k + 22: an exact double or 1.
-_SCALE_UP = np.array([1.0] * 22 + [float(10**k) for k in range(23)])
-_SCALE_DOWN = _SCALE_UP[::-1].copy()
+#: The exponents e of finite doubles, from the smallest subnormal's to the largest's.
+_E_MIN, _E_MAX = -324, 308
 
 #: For k = 0..8, the mask that clears the first k bytes of a word.
 _LATER_BYTES = np.array([2**64 - 2 ** (8 * k) for k in range(9)], dtype=np.uint64)
@@ -68,17 +63,17 @@ def _words(strings: list[bytes], width: int = 8) -> np.ndarray:
 def _layout(e: int, shown: int, sign: bytes) -> tuple[bytes, ...]:
     """The fields of a ``%.12g`` cell of exponent e with ``shown`` significant digits.
 
-    They are: the sign with the "0." and zeros of -4 <= e < 0; the exponent
-    of scientific notation; and over the two words of the 12 digits, the
-    masks of the digits before the point and of those after it, and the
-    point, in the byte after the digits before it if any digits follow it.
+    e = 12 stands for every exponent of scientific notation.  The fields
+    are: the sign with the "0." and zeros of -4 <= e < 0; and over the two
+    words of the 12 digits, the masks of the digits before the point and of
+    those after it, and the point, in the byte after the digits before it
+    if any digits follow it.  A zero has shown = 0 and shows its one digit.
     """
-    fixed = -4 <= e < 12
+    fixed = e < 12
     before = e + 1 if 0 <= e < 12 else shown if fixed else 1
     after = max(shown, before)
     return (
-        sign + (b"0." + b"0" * (-e - 1) if fixed and e < 0 else b""),
-        b"" if fixed else b"e%+03d" % e,
+        sign + (b"0." + b"0" * (-e - 1) if e < 0 else b""),
         b"\xff" * before + b"\0" * (16 - before),
         b"\0" * before + b"\xff" * (after - before),
         b"\0" * before + b"." if after > before else b"",
@@ -90,23 +85,35 @@ def _tables() -> dict[str, np.ndarray]:
     """Lookup tables, built on first use so that importing the package costs nothing.
 
     ``quads``: the 4-digit string of each of 0..9999 as a word; ``trailing``:
-    its trailing zeros; and per field of :func:`_layout` its two words over
-    (exponent, significant digits, sign), as ``prefix_0``, ``prefix_1`` and so on.
+    its trailing zeros.  Per exponent e, from :data:`_E_MIN`: ``scale_1`` and
+    ``scale_2``, 2**h and S of the module docstring; ``exponent``, the word
+    of scientific notation's "e+XX", empty in fixed notation; and ``code``,
+    the first row of e's layouts.  Per field of :func:`_layout`, its two words
+    over (exponent -4..12, significant digits 0..12, sign), as ``prefix_0``,
+    ``prefix_1`` and so on.
     """
     if sys.byteorder != "little":  # a word's low byte must be the string's first
         raise NotImplementedError("the CSV renderer needs a little-endian machine")
     q = np.arange(10_000)
     digits = np.zeros((q.size, 8), dtype=np.uint8)
     digits[:, :4] = q[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    exponents = range(_E_MIN, _E_MAX + 1)
+    ks = [11 - e for e in exponents]
+    halves = [k * 1661 // 1000 for k in ks]  # about half of log2(10**k)
+    # 10**k / 2**h as a quotient of integers, which Python rounds correctly
+    quotients = [(10**k, 1 << h) if k >= 0 else (1 << -h, 10**-k) for k, h in zip(ks, halves)]
     tables = {
         "quads": digits.view(np.uint64)[:, 0],
         "trailing": (sum(q % 10**k == 0 for k in range(1, 4)) + (q == 0)).astype(np.uint8),
+        "scale_1": np.ldexp(1.0, halves),
+        "scale_2": np.array([n / d for n, d in quotients]),
+        "exponent": _words([b"" if -4 <= e < 12 else b"e%+03d" % e for e in exponents])[:, 0],
+        "code": np.array([26 * (e + 4 if -4 <= e < 12 else 16) for e in exponents]),
     }
     layouts = [
-        _layout(e, shown, sign)
-        for e in range(_E_LO, _E_HI + 1) for shown in range(1, 13) for sign in (b"", b"-")
+        _layout(e, shown, sign) for e in range(-4, 13) for shown in range(13) for sign in (b"", b"-")
     ]
-    for field, column in zip(("prefix", "suffix", "before", "after", "point"), zip(*layouts)):
+    for field, column in zip(("prefix", "before", "after", "point"), zip(*layouts)):
         tables[f"{field}_0"], tables[f"{field}_1"] = np.ascontiguousarray(_words(list(column), 16).T)
     return tables
 
@@ -135,18 +142,26 @@ def _bytes(words: np.ndarray) -> np.ndarray:
     return words.view(np.uint8).reshape(len(words), -1)
 
 
+def _significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell: e - :data:`_E_MIN`, the significand m (0 for a zero) and whether m is decided."""
+    t = _tables()
+    size = np.abs(x)
+    zero = size == 0.0  # not the clamped e: fmax takes NaN to the low end too
+    with np.errstate(all="ignore"):  # zeros, infinities and NaN leave log10's range
+        e = np.fmin(np.fmax(np.floor(np.log10(size)), _E_MIN), _E_MAX).astype(np.intp) - _E_MIN
+        e[zero] = -_E_MIN
+        p = size * t["scale_1"][e] * t["scale_2"][e]
+        m = np.rint(p)
+        # p - m is exact, and more than 2.5e-4 from a half-integer decides m
+        decided = ((m >= 1e11) & (m < 1e12) | zero) & (np.abs(p - m) < 0.49975)
+    return e, m, decided
+
+
 def _g12(x: np.ndarray) -> list[np.ndarray]:
     """The cells of ``'%.12g' % x`` as byte parts: sign and "0.000", digits, exponent."""
     t = _tables()
-    size = np.abs(x)
-    with np.errstate(all="ignore"):  # zeros, subnormals, infinities and NaN fail the range test
-        e = np.fmin(np.fmax(np.floor(np.log10(size)), _E_LO), _E_HI).astype(np.intp)
-        k = 33 - e
-        p = size * _SCALE_UP[k] / _SCALE_DOWN[k]
-        m = np.rint(p)
-        # a 12-digit significand that is not a tie: p - m is exact there
-        fast = (p >= 1e11) & (p < 999_999_999_999.5) & (np.abs(p - m) != 0.5)
-    rows = np.flatnonzero(~fast)
+    e, m, decided = _significands(x)
+    rows = np.flatnonzero(~decided)
     m[rows] = 1e11
     top = np.floor(m / 1e8)
     rest = m - top * 1e8
@@ -154,7 +169,7 @@ def _g12(x: np.ndarray) -> list[np.ndarray]:
     q = [top.astype(np.intp), middle.astype(np.intp), (rest - middle * 1e4).astype(np.intp)]
     z0, z1, z2 = (t["trailing"][i] for i in q)
     shown = 12 - (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0))
-    code = (e - _E_LO) * 24 + 2 * shown + np.signbit(x) - 2
+    code = t["code"][e] + 2 * shown + np.signbit(x)
     low, high = t["quads"][q[0]] | t["quads"][q[1]] << np.uint64(32), t["quads"][q[2]]
     # the digits after the point move one byte on, out of its way
     tail = low & t["after_0"][code]
@@ -163,7 +178,7 @@ def _g12(x: np.ndarray) -> list[np.ndarray]:
         high & t["before_1"][code] | (high & t["after_1"][code]) << np.uint64(8)
         | tail >> np.uint64(56) | t["point_1"][code]
     )
-    prefix, suffix = t["prefix_0"][code], t["suffix_0"][code]
+    prefix, suffix = t["prefix_0"][code], t["exponent"][e]
     if rows.size:  # at most 19 bytes: 6 in the prefix's word, 8 and 5 in the digits' two
         text = np.array([("%.12g" % v).encode("ascii") for v in x[rows].tolist()], dtype="S19")
         text = text.view(np.uint8).reshape(rows.size, 19)
@@ -203,7 +218,7 @@ def _d(n: np.ndarray) -> list[np.ndarray]:
 
 
 def _checked(column):
-    """``column`` as :func:`render` lays it out: text as bytes, a label table, or numbers."""
+    """``column`` as :func:`blocks` lays it out: text as bytes, a label table, or numbers."""
     if isinstance(column, str):
         return _text(column)
     if isinstance(column, tuple):
@@ -225,48 +240,33 @@ def _length(columns) -> int:
     return lengths.pop() if lengths else 0
 
 
-def _parts(column, n: int) -> list[np.ndarray]:
-    """The NUL-padded cells of a checked column, as (n,) or (n, k) arrays of words."""
+def _parts(column, at: slice) -> list[np.ndarray]:
+    """The NUL-padded cells of rows ``at`` of a checked column, as (n,) or (n, k) word arrays."""
     if isinstance(column, bytes):
         words = _words([column], max(8, -(-len(column) // 8) * 8))
-        return [np.broadcast_to(words, (n, words.shape[1]))]
+        return [np.broadcast_to(words, (at.stop - at.start, words.shape[1]))]
     if isinstance(column, tuple):
-        table, codes = column
+        table, codes = column[0], column[1][at]
         return [np.take(table[:, 0], codes) if table.shape[1] == 1 else np.take(table, codes, axis=0)]
-    return _g12(column) if column.dtype.kind == "f" else _d(column)
-
-
-def _render(columns: list, n: int) -> bytes:
-    """The bytes of ``n`` rows of checked columns."""
-    parts = [p for c in columns for p in _parts(c, n)]
-    words = np.column_stack(parts) if parts else np.empty(0, dtype=np.uint64)
-    return words.tobytes().translate(None, b"\0")
-
-
-def render(*columns) -> bytes:
-    """The bytes of the rows of ``columns`` (see the module docstring), all rows at once."""
-    columns = [_checked(c) for c in columns]
-    return _render(columns, _length(columns))
+    return _g12(column[at]) if column.dtype.kind == "f" else _d(column[at])
 
 
 def blocks(*columns) -> Iterator[bytes]:
-    """:func:`render` over blocks of at most :data:`CHUNK_ROWS` rows.
+    """The bytes of the rows of ``columns`` (see the module docstring), in blocks.
 
-    The columns are checked here, before any block is rendered: equal lengths,
-    1-D numeric value columns, no NUL in text or labels (ValueError).
+    A block holds at most :data:`CHUNK_ROWS` rows.
+
+    The columns are checked here, before any block is rendered: equal
+    lengths, 1-D numeric value columns, no NUL in text or labels (ValueError).
     """
     columns = [_checked(c) for c in columns]
     n = _length(columns)
 
-    def rows(column, at: slice):
-        if isinstance(column, bytes):
-            return column
-        if isinstance(column, tuple):
-            return column[0], column[1][at]
-        return column[at]
+    def block(at: slice) -> bytes:
+        words = np.column_stack([p for c in columns for p in _parts(c, at)])
+        return words.tobytes().translate(None, b"\0")
 
-    spans = [slice(lo, min(lo + CHUNK_ROWS, n)) for lo in range(0, n, CHUNK_ROWS)]
-    return (_render([rows(c, at) for c in columns], at.stop - at.start) for at in spans)
+    return (block(slice(lo, min(lo + CHUNK_ROWS, n))) for lo in range(0, n, CHUNK_ROWS))
 
 
 def write(path, head: str, rows: Iterable[bytes]) -> None:

@@ -9,7 +9,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -58,6 +57,8 @@ def _round12(x: float) -> float:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # on first use: only classify digests its inputs, and it loads OpenSSL
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -266,7 +267,7 @@ def _cmd_qre_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_objective_grid(args: argparse.Namespace) -> int:
-    from ._rows import labels, render, write  # on first use, as in simulate.export_log
+    from ._rows import blocks, labels, write  # on first use, as in simulate.export_log
 
     if args.mesh > MAX_MESH:
         raise ValueError(
@@ -277,11 +278,8 @@ def _cmd_objective_grid(args: argparse.Namespace) -> int:
     values = labels(f"{v:.12g}," for v in axis.tolist())
     flags = labels([",false\n", ",true\n"])
     out = Path(args.output)
-    write(
-        out,
-        "alpha,gamma,objective,clamped\n",
-        (render((values, i), (values, j), f, (flags, c)) for i, j, f, c in priced),
-    )
+    rows = (b for i, j, f, c in priced for b in blocks((values, i), (values, j), f, (flags, c)))
+    write(out, "alpha,gamma,objective,clamped\n", rows)
     _write_manifest(out, args)
     print(f"wrote {args.mesh ** 2} grid nodes to {out}")
     return 0

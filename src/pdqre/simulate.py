@@ -6,12 +6,13 @@ table relies on.  Every run is reproducible from the config seed: one
 PCG64 stream is spawned per player (plus one for pairings in group mode)
 and all uniforms are pre-drawn, so logs are bit-stable across runs.
 
-Neither mode loops over players in Python.  Group play loops over rounds
-only, each a few array operations over all players.  Pair play has no
-per-round loop at all: from round 2 on, a move depends only on the player's
-own uniform and the opponent's last move, so the moves form two reply
-chains that prefix operations solve (see :func:`_reply_chains`), with the
-same draws and the same strict comparisons as a round-by-round loop.
+Neither mode loops over players or rounds in Python.  From round 2 on, a
+move depends only on the player's own uniform and the partner's last move,
+so the moves form reply chains, one per player, that prefix operations
+solve (see :func:`_chain_moves`), with the same draws and the same strict
+comparisons as a round-by-round loop.  A pair's two chains alternate
+between the players (:func:`_reply_chains`); in group play a chain follows
+the pairings from round to round (:func:`simulate_group`).
 """
 
 from __future__ import annotations
@@ -159,26 +160,32 @@ def _swap_odd_columns(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _reply_chains(after_d: np.ndarray, after_c: np.ndarray) -> np.ndarray:
-    """Both players' moves of a pair match, solved without a loop over rounds.
+def _chain_moves(after_d: np.ndarray, after_c: np.ndarray) -> np.ndarray:
+    """The moves along reply chains, one chain per row, each step answering the one before.
 
-    Row i of the (2, rounds) inputs holds player i's move at each round
-    after an opponent's defection and after a cooperation; in column 0 both
-    hold the round-1 move.  Where the two agree the move is fixed (a reset);
-    where they differ it copies or negates the opponent's last move, and it
-    equals ``after_d ^ opponent``.  Swapping the rows in odd columns turns
-    the moves into two chains, c1[0], c2[1], c1[2], ... and c2[0], c1[1],
-    c2[2], ..., in which each step answers the step before it.  A chain
-    move is then the XOR of ``after_d`` from the chain's last reset up to
-    that step, read off one XOR prefix, and the last reset comes from a
-    running maximum of reset indices.
+    The (chains, steps) inputs hold each step's move after a defection and
+    after a cooperation; in column 0 both hold the chain's first move.  Where
+    the two agree the move is fixed (a reset); where they differ it copies
+    or negates the last move, and it equals ``after_d ^ last``.  A move is
+    then the XOR of ``after_d`` from the chain's last reset up to its step,
+    read off one XOR prefix, and the last reset comes from a running maximum
+    of reset indices.
     """
-    d = _swap_odd_columns(after_d).ravel()
-    m = _swap_odd_columns(after_d != after_c).ravel()
-    # column 0 is a reset in both rows, so no chain reads across the other
+    d, c = after_d.ravel(), after_c.ravel()
+    # column 0 is a reset in every row, so no chain reads across another
     prefix = np.logical_xor.accumulate(d)
-    last_reset = np.maximum.accumulate(np.where(m, 0, np.arange(len(m))))
-    return _swap_odd_columns((prefix ^ (prefix ^ d)[last_reset]).reshape(after_d.shape))
+    last_reset = np.maximum.accumulate(np.where(d != c, 0, np.arange(d.size)))
+    return (prefix ^ (prefix ^ d)[last_reset]).reshape(after_d.shape)
+
+
+def _reply_chains(after_d: np.ndarray, after_c: np.ndarray) -> np.ndarray:
+    """Both players' moves of a pair match: row i of the (2, rounds) inputs is player i's.
+
+    Swapping the rows in odd columns turns the moves into two chains, c1[0],
+    c2[1], c1[2], ... and c2[0], c1[1], c2[2], ..., for :func:`_chain_moves`.
+    """
+    moves = _chain_moves(_swap_odd_columns(after_d), _swap_odd_columns(after_c))
+    return _swap_odd_columns(moves)
 
 
 def simulate(
@@ -231,14 +238,22 @@ def simulate_group(
     partners[rows, perms[:, 0::2]] = perms[:, 1::2]
     partners[rows, perms[:, 1::2]] = perms[:, 0::2]
 
-    alphas = np.array([s.alpha for s in strategies])
-    gammas = np.array([s.gamma for s in strategies])
-    choices = np.zeros((rounds, n), dtype=bool)
+    # chain k is at player order[t, k] in round t: order[0] is the identity and
+    # order[t] = partners[t][order[t - 1]], a prefix composition of the pairings
+    # done by doubling, in about log2(rounds) gathers
+    order = partners.copy()
+    order[0] = np.arange(n)
+    step = 1
+    while step < rounds:
+        order[step:] = np.take_along_axis(order[step:], order[:-step], axis=1)
+        step *= 2
+    after_d = uniforms < np.array([s.alpha for s in strategies])
+    after_c = uniforms < np.array([s.gamma for s in strategies])
+    after_d[0] = after_c[0] = uniforms[0] < config.initial_coop_prob[0]
+    choices = np.empty((rounds, n), dtype=bool)
+    choices[rows, order] = _chain_moves(after_d[rows, order].T, after_c[rows, order].T).T
     conditioning = np.zeros((rounds, n), dtype=bool)
-    choices[0] = uniforms[0] < config.initial_coop_prob[0]
-    for t in range(1, rounds):
-        conditioning[t] = choices[t - 1, partners[t]]
-        choices[t] = uniforms[t] < np.where(conditioning[t], gammas, alphas)
+    conditioning[1:] = choices[rows[:-1], partners[1:]]
     payoffs = matrix.payoff(choices, choices[rows, partners])
 
     return [

@@ -265,7 +265,7 @@ def template(fmt: str, *labels: str) -> str:
 def percent_rows(*columns) -> bytes:
     """The rows of ``columns`` as the ``%`` route writes them, in UTF-8.
 
-    The columns are those of ``pdqre._rows.render``: literal text, a labelled
+    The columns are those of ``pdqre._rows.blocks``: literal text, a labelled
     column (labels, codes), float values (``%.12g``) or integer values
     (``%d``).  A row is one format string, with its text and its labels in
     it through :func:`template`, and one ``%`` converts the row's numbers.

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import percent_rows, template
 
-from pdqre._rows import CHUNK_ROWS, blocks, labels, render, write
+from pdqre._rows import CHUNK_ROWS, _significands, blocks, labels, write
 from pdqre.cli import main
 from pdqre.game import MarkovStrategy, PayoffMatrix
 from pdqre.qre import objective_grid
@@ -21,6 +21,11 @@ SPECIALS = [
     -0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
     1e-30, 1e16, -1e16, 0.1 + 0.2, 1.0 / 3.0,
 ]
+
+
+def _rendered(*columns) -> bytes:
+    """The bytes of every block of ``columns``."""
+    return b"".join(blocks(*columns))
 
 
 def _grid_oracle(a, g, f, clamped) -> bytes:
@@ -100,7 +105,34 @@ def test_g12_cells_match_percent_on_any_bit_pattern_and_near_ties(bits, ties):
     x = np.array(bits, dtype=np.uint64).view(np.float64)
     near = [v for m, j in ties for v in _near_ties(m, j - 11, 3)]
     x = np.concatenate([x, near, np.negative(near)])
-    assert render(x, "\n") == "".join("%.12g\n" % v for v in x.tolist()).encode("ascii")
+    assert _rendered(x, "\n") == "".join("%.12g\n" % v for v in x.tolist()).encode("ascii")
+
+
+def test_g12_cells_match_percent_at_every_exponent():
+    # each power of ten and each 999999999999.5 * 10**j carry, one ulp either way,
+    # from the smallest subnormal's exponent to the largest double's, both signs
+    cells = [0.0, 5e-324]
+    for e in range(-324, 309):
+        for exact in (Fraction(10) ** e, Fraction(2 * 10**12 - 1, 2) * Fraction(10) ** (e - 11)):
+            if exact < 2**1024:
+                v = float(exact)
+                cells += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+    x = np.array(cells + [-v for v in cells])
+    assert _rendered(x, "\n") == "".join("%.12g\n" % v for v in x.tolist()).encode("ascii")
+
+
+def test_fast_path_decides_zeros_subnormals_and_every_exponent():
+    # the classes once left to %: zeros, subnormals and exponents outside [-11, 33]
+    rng = np.random.default_rng(7)
+    n = 30_000
+    mantissa = rng.integers(0, 2**52, n, dtype=np.uint64)
+    biased = np.concatenate([rng.integers(1, 986, n // 2), rng.integers(1136, 2047, n - n // 2)])
+    exponent = np.where(rng.random(n) < 0.1, 0, biased).astype(np.uint64)
+    x = (exponent << np.uint64(52) | mantissa).view(np.float64)
+    x = np.concatenate([x, np.negative(x), [0.0, -0.0] * 100])
+    assert np.all(np.isfinite(x)) and not np.any((1e-11 <= np.abs(x)) & (np.abs(x) < 1e34))
+    assert np.count_nonzero(~_significands(x)[2]) <= x.size // 1000
+    assert _rendered(x, "\n") == "".join("%.12g\n" % v for v in x.tolist()).encode("ascii")
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,9 +142,9 @@ def test_d_cells_match_percent_d_across_powers_of_ten(k, below, above):
     # a column is as wide as its widest cell: alone, then with its negatives, then with the extremes
     n = np.arange(10**k - below, 10**k + above)
     for column in (n, np.concatenate([n, -n]), np.concatenate([n, [0, -(2**63), 2**63 - 1]])):
-        assert render(column, ",") == "".join("%d," % v for v in column.tolist()).encode("ascii")
+        assert _rendered(column, ",") == "".join("%d," % v for v in column.tolist()).encode("ascii")
     unsigned = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
-    assert render(unsigned, ",") == b"0,9223372036854775808,18446744073709551615,"
+    assert _rendered(unsigned, ",") == b"0,9223372036854775808,18446744073709551615,"
 
 
 def test_renderer_matches_the_percent_route_column_by_column():
@@ -123,8 +155,7 @@ def test_renderer_matches_the_percent_route_column_by_column():
         rng.normal(0.0, 1e3, n), ",", (10.0 ** rng.uniform(-8, 16, n)).round(rng.integers(0, 9)),
         "\n",
     )
-    assert render(*columns) == percent_rows(*columns)
-    assert b"".join(blocks(*columns)) == render(*columns)
+    assert _rendered(*columns) == percent_rows(*columns)
 
 
 def test_labels_holding_percent_signs_are_written_as_they_are(tmp_path):
