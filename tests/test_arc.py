@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scalar_route import newton_polish
 
 import pdqre.qre
-import scalar_route
 from pdqre.game import DEFAULT_MATRIX, PayoffMatrix
 from pdqre.qre import (
     CLAMP_EPS,
@@ -465,7 +465,8 @@ def test_gauss_newton_polish_keeps_what_the_newton_polish_accepted(matrix):
     with mock.patch.object(pdqre.qre, "_descend", spy):
         _, alpha, gamma, objective, *_ = _crossings(levels, matrix)
     ((lam, start_a, start_g),) = starts
-    want_a, want_g, want_f = scalar_route.polish_by_halving(lam, start_a, start_g, matrix)
+    x0 = zip(lam.tolist(), zip(start_a.tolist(), start_g.tolist()))
+    want_a, want_g, want_f = np.array([newton_polish(level, x, matrix) for level, x in x0]).T
     tol = SolverConfig().accept_tol
     off_edge = np.minimum(np.minimum(start_a, start_g), 1.0 - np.maximum(start_a, start_g)) >= 1e-7
     accepted, want_accepted = off_edge & (objective < tol), off_edge & (want_f < tol)

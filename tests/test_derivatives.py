@@ -1,15 +1,23 @@
-"""Oracles for the closed-form derivative paths of the QRE solver.
+"""Oracles for the closed-form derivatives, the line search and the descent of the QRE solver.
 
 The solver's Newton descent on the objective, and its Gauss-Newton form that
 polishes the arc's crossings, use closed-form first and second derivatives
 of sigma and of the objective.  Here they are checked against central
 differences of the compositional payoff route and against exact jets of the
 game layer (``oracles.Jet`` on ``Fraction``s): the scalar route equals the
-jets exactly on rationals, and the stacked route meets a forward-error bound
-at float points.  The stacked route keeps the bits of the scalar route where
-both exist, the one-call line search those of the halving loop it replaced
-(``scalar_route``), and the descent's results are checked against a
-test-local copy of the derivative-free Nelder-Mead search it replaced.
+jets exactly on rationals, the stacked route meets a forward-error bound at
+float points, and it keeps the bits of the scalar route where both exist.
+
+Three search routes stay here as references:
+
+- ``_line_search_per_element`` halves each element's step one trial at a
+  time, on the kernel's sigma: the direct reference of ``qre._line_search``.
+- ``_descend_per_element`` runs each element's Newton iteration on Python
+  floats: the reference of the descent's loop, and the only test that kills
+  the mutants it names.
+- The derivative-free Nelder-Mead search that the descent replaced, seeded
+  by ``scalar_route.seeds_via_objective_grid`` and polished by
+  ``scalar_route.newton_polish``: the reference of what the descents find.
 """
 
 import math
@@ -23,8 +31,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import Jet, conditional_payoffs_compositional, gap_jets
-import scalar_route
-from scalar_route import _dedupe, clamped, seed_points, sigma_scalar
+from scalar_route import clamped, keep_by_dedupe, newton_polish, seeds_via_objective_grid
 from scipy.optimize import minimize
 
 import pdqre._kernel
@@ -35,15 +42,21 @@ from pdqre._kernel import (
     _conditional_utilities,
     _gap_derivatives,
     _sigma_derivatives,
+    _sigma_vec,
 )
 from pdqre.game import DEFAULT_MATRIX, MarkovStrategy, PayoffMatrix, expected_payoff, stationary_state
 from pdqre.qre import (
     CLAMP_EPS,
+    DESCENT_GRAD_TOL,
+    DESCENT_LOCAL_STEP,
+    DESCENT_MAX_ITER,
+    DESCENT_STEP_TOL,
     SolverConfig,
     _arc_frame,
     _degenerate_mask,
     _descend,
     _gap_gradients,
+    _line_search,
     _objective_derivatives,
     conditional_payoffs,
     logit_response,
@@ -170,21 +183,140 @@ def _points(rng, size):
     return lam, x[0].copy(), x[1].copy()
 
 
-@settings(max_examples=40, deadline=None)
+def _pulled(alpha, gamma):
+    """A point clipped into [0, 1]^2 on Python floats and pulled off a degenerate corner."""
+    return clamped(min(max(alpha, 0.0), 1.0), min(max(gamma, 0.0), 1.0))[:2]
+
+
+def _priced(lam, alpha, gamma, matrix):
+    """sigma and F at points, from the kernel's sigma, as the line search prices them."""
+    sigma = _sigma_vec(lam, alpha, gamma, matrix)
+    r = sigma - (alpha, gamma)
+    return sigma, r[0] * r[0] + r[1] * r[1]
+
+
+def _line_search_per_element(lam, x, f, step, local, matrix):
+    """``qre._line_search`` one element at a time, as (accepted, point, sigma, F, clipped).
+
+    Each element tries t = 1, 1/2, ..., 1/1024 in turn and accepts the first
+    trial x + t*step whose point, clipped by ``_pulled`` on Python floats, is
+    inside the box on a ``local`` step or has F below ``f``; ``clipped``
+    counts the clipped trials up to that one.  All trials are priced in one
+    call of the kernel's sigma.  Where none is accepted, the last trial's.
+    """
+    ts = [0.5**k for k in range(11)]
+    trials = [(a + t * da, g + t * dg) for a, g, da, dg in zip(*x.tolist(), *step.tolist()) for t in ts]
+    pulled = [_pulled(a, g) for a, g in trials]
+    point = np.array(pulled).T
+    sigma, nf = _priced(np.repeat(lam, len(ts)), *point, matrix)
+    ok, at, clipped = np.zeros(f.size, bool), np.zeros(f.size, int), np.zeros(f.size, np.int64)
+    for n in range(f.size):
+        for k in range(n * len(ts), (n + 1) * len(ts)):
+            inside = pulled[k] == trials[k]
+            clipped[n] += not inside
+            at[n] = k
+            if (local[n] and inside) or nf[k] < f[n]:
+                ok[n] = True
+                break
+    return ok, point[:, at], sigma[:, at], nf[at], clipped
+
+
+@settings(max_examples=10, deadline=None)
+@given(matrix=_MATRICES, size=st.sampled_from([1, 40, 1000]), seed=st.integers(0, 2**32 - 1))
+@example(matrix=DEFAULT_MATRIX, size=1500, seed=6)
+def test_line_search_accepts_the_first_good_halving_bitwise(matrix, size, seed):
+    # the one-call line search against a loop that halves each element's step one
+    # trial at a time: which trial is accepted, its point, sigma and F, and the
+    # clipped-trial counts, bit for bit.  Starts are uniform, mesh nodes (corners
+    # included) or near an edge, with lambda from 0 to 1e308; steps of 1e-12 to 1
+    # in each coordinate reach past the edges and into the corners; F to beat is
+    # the start's, just above that of a random halving's trial (so later halvings
+    # are taken too), 0 (no trial lowers it) or inf (every trial does)
+    rng = np.random.default_rng(seed)
+    lam, alpha, gamma = _points(rng, size)
+    x = np.array([alpha, gamma])
+    step = rng.choice([-1.0, 1.0], (2, size)) * 10.0 ** rng.uniform(-12.0, 0.0, (2, size))
+    local = rng.random(size) < 0.5
+    t = 0.5 ** rng.integers(0, 11, size)
+    start_f, trial_f = (
+        _priced(lam, *np.array([_pulled(a, g) for a, g in zip(*y.tolist())]).T, matrix)[1]
+        for y in (x, x + t * step)
+    )
+    beat = (start_f, np.nextafter(trial_f, np.inf), np.zeros(size), np.full(size, np.inf))
+    f = np.choose(rng.integers(0, 4, size), beat)
+    got = _line_search(lam, x, f, step, local, matrix)
+    ok, *want, clipped = _line_search_per_element(lam, x, f, step, local, matrix)
+    _same_bits(got[0], ok)
+    for part, same in zip(got[1:4], want):
+        _same_bits(part[..., ok], same[..., ok])
+    _same_bits(got[4], clipped)
+
+
+@np.errstate(all="ignore")
+def _descend_per_element(lam, alpha, gamma, matrix, gauss_newton):
+    """``qre._descend`` with each element's shifted Newton step, stopping rules,
+    clipped count and minimum test on Python floats; the derivatives and
+    ``qre._line_search`` (checked above) price the moving elements at once.
+
+    It is the one test that kills these mutants of ``qre._descend``:
+    ``e_min > 0.0``, ``det > 0.0`` and the minimum test's ``> 0.0`` as
+    ``>= 0.0``, ``live[~last[ok]]`` as ``live``, ``hess[::2].max(0)`` as
+    ``.min(0)`` and ``clipped[live] +=`` as ``=``.
+    """
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    x = np.array([_pulled(a, g) for a, g in zip(alpha.tolist(), gamma.tolist())]).T
+    f, grad, hess = _objective_derivatives(lam, *x, matrix, gauss_newton=gauss_newton)
+    clipped, live = np.zeros(lam.size, np.int64), range(lam.size)
+
+    def e_min(n):
+        h_aa, h_ag, h_gg = hess[:, n].tolist()
+        return 0.5 * (h_aa + h_gg) - float(np.hypot(0.5 * (h_aa - h_gg), h_ag))
+
+    for _ in range(DESCENT_MAX_ITER):
+        moves = []
+        for n in live:
+            (g_a, g_g), (h_aa, h_ag, h_gg), low = grad[:, n].tolist(), hess[:, n].tolist(), e_min(n)
+            mu = 0.0 if low > 0.0 else -2.0 * low
+            h_aa, h_gg = h_aa + mu, h_gg + mu
+            det = h_aa * h_gg - h_ag * h_ag
+            if det > 0.0:
+                step = ((-g_a * h_gg + g_g * h_ag) / det, (-g_g * h_aa + g_a * h_ag) / det)
+                local = low > 0.0 and all(abs(s) <= DESCENT_LOCAL_STEP for s in step)
+                last = low > 0.0 and all(abs(s) <= DESCENT_STEP_TOL for s in step)
+                if gauss_newton or not last:
+                    moves.append((n, step, local, last))
+        if not moves:
+            break
+        at, step, local, last = (np.array(c) for c in zip(*moves))
+        ok, point, _, _, n_clipped = _line_search(lam[at], x[:, at], f[at], step.T, local, matrix)
+        clipped[at] += n_clipped
+        x[:, at[ok]] = point[:, ok]
+        f[at[ok]], grad[:, at[ok]], hess[:, at[ok]] = _objective_derivatives(
+            lam[at[ok]], *point[:, ok], matrix, gauss_newton=gauss_newton
+        )
+        live = at[ok & ~last]
+
+    def is_min(n):
+        bound = DESCENT_GRAD_TOL * np.sqrt(np.maximum(1.0, hess[::2, n].max()))
+        inside = lo < x[0, n] < hi and lo < x[1, n] < hi
+        return np.abs(grad[:, n]).max() <= bound and inside and e_min(n) > 0.0
+
+    return x[0], x[1], f, np.array([is_min(n) for n in range(lam.size)], bool), clipped
+
+
+@settings(max_examples=5, deadline=None)
 @given(matrix=_MATRICES, size=st.sampled_from([1, 40, 1000]), seed=st.integers(0, 2**32 - 1))
 @example(matrix=DEFAULT_MATRIX, size=1500, seed=6)  # NaNs of other signs at corners
-def test_descent_matches_the_halving_line_search_bitwise(matrix, size, seed):
-    # the one-call line search keeps every bit of the halving loop it replaced, on
-    # the objective's Hessian and on the Gauss-Newton model that polishes crossings:
-    # points, objectives, minimum flags and clipped-trial counts, on stacks of 1 to
-    # 1,500 points priced whole, corners clipped into the box
+@example(matrix=PayoffMatrix(temptation_dc=7.0), size=300, seed=0)  # Gauss-Newton e_min of 0.0
+def test_descent_runs_each_elements_iteration_on_its_own_bitwise(matrix, size, seed):
+    # on the objective's Hessian and on the Gauss-Newton model that polishes
+    # crossings: points, objectives, minimum flags and clipped-trial counts
     lam, alpha, gamma = _points(np.random.default_rng(seed), size)
     for gauss_newton in (False, True):
-        for got, oracle in zip(
-            _descend(lam, alpha, gamma, matrix, gauss_newton),
-            scalar_route.descend_by_halving(lam, alpha, gamma, matrix, gauss_newton),
-        ):
-            _same_bits(got, oracle)
+        got = _descend(lam, alpha, gamma, matrix, gauss_newton)
+        want = _descend_per_element(lam, alpha, gamma, matrix, gauss_newton)
+        for part, same in zip(got, want):
+            _same_bits(part, same)
 
 
 _UNIT_FRACTIONS = st.fractions(0, 1, max_denominator=10**6)
@@ -454,50 +586,6 @@ def _objective_safe(lam, alpha, gamma, matrix):
     return qre_objective(lam, alpha, gamma, matrix)
 
 
-def _fd_newton_polish(lam, x0, matrix, max_iter=14):
-    """Newton on sigma(x) - x with an h = 1e-7 central-difference Jacobian."""
-    a, g, _ = clamped(x0[0], x0[1])
-    h = 1e-7
-
-    def resid(a, g):
-        sa, sg = sigma_scalar(lam, a, g, matrix)
-        return sa - a, sg - g
-
-    ra, rg = resid(a, g)
-    f_cur = ra * ra + rg * rg
-    for _ in range(max_iter):
-        if f_cur < 1e-28:
-            break
-        j = np.empty((2, 2))
-        for col, (da, dg) in enumerate(((h, 0.0), (0.0, h))):
-            hi_a, hi_g = min(a + da, 1.0), min(g + dg, 1.0)
-            lo_a, lo_g = max(a - da, 0.0), max(g - dg, 0.0)
-            sp = sigma_scalar(lam, hi_a, hi_g, matrix)
-            sm = sigma_scalar(lam, lo_a, lo_g, matrix)
-            scale = (hi_a - lo_a) if col == 0 else (hi_g - lo_g)
-            j[0, col] = (sp[0] - sm[0]) / scale
-            j[1, col] = (sp[1] - sm[1]) / scale
-        j -= np.eye(2)
-        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-        if abs(det) < 1e-14:
-            break
-        step_a = (-ra * j[1, 1] + rg * j[0, 1]) / det
-        step_g = (-rg * j[0, 0] + ra * j[1, 0]) / det
-        t = 1.0
-        while t >= 1.0 / 16.0:
-            na = min(max(a + t * step_a, CLAMP_EPS), 1.0 - CLAMP_EPS)
-            ng = min(max(g + t * step_g, CLAMP_EPS), 1.0 - CLAMP_EPS)
-            nra, nrg = resid(na, ng)
-            nf = nra * nra + nrg * nrg
-            if nf < f_cur:
-                a, g, ra, rg, f_cur = na, ng, nra, nrg, nf
-                break
-            t *= 0.5
-        else:
-            break
-    return float(a), float(g), float(f_cur)
-
-
 def _is_local_min(lam, alpha, gamma, f0, matrix, h=1e-5):
     """Probe the 8 clipped neighbours of a point for a lower objective."""
     for da in (-h, 0.0, h):
@@ -531,14 +619,14 @@ def _nelder_mead_route(lam, matrix=DEFAULT_MATRIX):
     """Accepted points and candidates of a solve whose local search is Nelder-Mead."""
     cfg = SolverConfig()
     exact, cands = [], []
-    for seed in seed_points(lam, cfg, matrix):
-        na, ng, nf = _fd_newton_polish(lam, seed, matrix)
+    for seed in seeds_via_objective_grid(lam, cfg, matrix):
+        na, ng, nf = newton_polish(lam, seed, matrix)
         if nf < cfg.accept_tol:
             exact.append((na, ng, nf))
             if max(abs(na - seed[0]), abs(ng - seed[1])) <= 0.05:
                 continue
         ma, mg, mf, ok = _nelder_mead(lam, seed, matrix)
-        na, ng, nf = _fd_newton_polish(lam, (ma, mg), matrix)
+        na, ng, nf = newton_polish(lam, (ma, mg), matrix)
         moved = max(abs(na - ma), abs(ng - mg))
         if nf < cfg.accept_tol and moved <= cfg.merge_tol:
             exact.append((na, ng, nf))
@@ -551,15 +639,8 @@ def _nelder_mead_route(lam, matrix=DEFAULT_MATRIX):
             cands.append((ma, mg, mf))
         else:
             cands.append((na, ng, nf))
-    exact = _dedupe(exact, cfg.merge_tol)
-    cands = [
-        c
-        for c in _dedupe(cands, cfg.merge_tol)
-        if c[2] < cfg.candidate_ceiling
-        and all(max(abs(c[0] - e[0]), abs(c[1] - e[1])) > cfg.merge_tol for e in exact)
-        and _is_local_min(lam, c[0], c[1], c[2], matrix)
-    ]
-    return sorted(exact), sorted(cands)
+    exact, cands = keep_by_dedupe(exact, cands, cfg)
+    return sorted(exact), sorted(c for c in cands if _is_local_min(lam, *c, matrix))
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 4.0, 5.5, 7.0, 9.6, 9.7, 20.0, 100.0])

@@ -147,6 +147,26 @@ def test_oracles_build_on_the_game_layer_alone():
     assert {m for m in modules if m.split(".")[0] == "pdqre"} == {"pdqre.game"}
 
 
+def test_scalar_route_shares_no_routine_of_the_solver():
+    # the solver's references import the game layer and, of the solver, only public
+    # names that their docstring lists with a reason: no kernel, seed scan or clip
+    tree = ast.parse(Path(__file__).with_name("scalar_route.py").read_text())
+    plain = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    assert not [module for module in plain if module.split(".")[0] == "pdqre"]
+    names = {
+        (n.module, a.name)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module.split(".")[0] == "pdqre"
+        for a in n.names
+    }
+    assert {module for module, _ in names} == {"pdqre.game", "pdqre.qre"}
+    assert not [name for _, name in names if name.startswith("_")]
+    solver = {name for module, name in names if module == "pdqre.qre"}
+    listed = {"QrePoint", "objective_grid", "SEED_GRID_SIZE", "CLAMP_EPS", "DESCENT_MAX_ITER"}
+    listed |= {"DESCENT_LOCAL_STEP", "DESCENT_STEP_TOL", "DESCENT_GRAD_TOL"}
+    assert solver <= listed and all(f"``{name}``" in ast.get_docstring(tree) for name in solver)
+
+
 _UNIT_FRACTIONS = st.fractions(0, 1, max_denominator=10**6)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import conditional_payoffs_compositional
-from scalar_route import _dedupe, collect_by_dedupe, seed_points
+from scalar_route import _dedupe, collect_by_dedupe, seeds_via_objective_grid
 from scalar_route import clamped as scalar_clamped
 from scipy.special import expit
 
@@ -436,7 +436,7 @@ def _damped_route_seeds(lam, cfg, matrix, warm_starts):
     done = res < 1e-6
     endpoints = _dedupe([(x, y, 0.0) for x, y in zip(a[done], g[done])], 1e-3)
     seeds = [(x, y) for x, y, _ in endpoints[:20]]
-    seeds += seed_points(lam, cfg, matrix) + [(float(x), float(y)) for x, y in warm]
+    seeds += seeds_via_objective_grid(lam, cfg, matrix) + [(float(x), float(y)) for x, y in warm]
     a, g = np.array([(x, y) for x, y, _ in _dedupe([(x, y, 0.0) for x, y in seeds], 1e-3)]).T
     sa, sg = _sigma_vec(lam, a, g, matrix)
     return a, g, (sa - a) ** 2 + (sg - g) ** 2

@@ -1,8 +1,11 @@
 """The batched solve: (rationality, seed) pairs stacked into arrays.
 
-``solve_qre`` and ``sweep_lambda`` run the same private batched solve.  It
-is checked against the per-seed scalar route it replaced (``scalar_route``),
-and for leaks between the rationalities that share one stack of arrays.
+``solve_qre`` and ``sweep_lambda`` run the same private batched solve.  It is
+checked against the per-seed scalar solve it replaced, on the game layer and
+``math.exp`` (``scalar_route.solve_scalar``), for leaks between the
+rationalities that share one stack of arrays, and its seeds, bit for bit,
+against the seed scan that the memoized mesh replaced
+(``scalar_route.seeds_via_objective_grid``).
 """
 
 import functools
@@ -14,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 from oracles import conditional_payoffs_compositional
-from scalar_route import seed_points, seeds_via_objective_grid, solve_scalar
+from scalar_route import seeds_via_objective_grid, solve_scalar
 
 import pdqre.qre
 from pdqre._kernel import _sigma_vec
@@ -71,7 +74,7 @@ def test_batched_solve_matches_the_scalar_route(lam, matrix):
     # numpy's exp and libm's differ in the last bits, so the points agree
     # within tolerances, and the counts exactly.  The scalar route polishes
     # every seed, so its start counts are not the solve's.
-    want, _ = solve_scalar(lam, SolverConfig(), matrix)
+    want = solve_scalar(lam, SolverConfig(), matrix)
     got, _ = _solve_alone(lam, matrix)
     for accepted in (True, False):
         w = [p for p in want if p.accepted is accepted]
@@ -145,8 +148,9 @@ def test_seeds_from_the_priced_mesh_equal_the_objective_grid_route(monkeypatch):
         monkeypatch.setattr(pdqre.qre, "SEED_GRID_SIZE", size)
         for lam in lams:
             for matrix in matrices:
-                want = seeds_via_objective_grid(lam, cfg, matrix)
-                assert seed_points(lam, cfg, matrix) == want, (size, lam, matrix)
+                a, g, _ = _seeds(lam, cfg, matrix)
+                want = seeds_via_objective_grid(lam, cfg, matrix, size)
+                assert list(zip(a.tolist(), g.tolist())) == want, (size, lam, matrix)
         matrices.reverse()
     for array in pdqre.qre._seed_mesh(9, DEFAULT_MATRIX):
         with pytest.raises(ValueError):
