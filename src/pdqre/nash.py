@@ -141,6 +141,9 @@ def stationarity_curve_residual(
     return own_payoff_gradient(profile, profile, matrix)[1]
 
 
+# In a game of payoffs near the largest double the gradient's payoff differences may
+# overflow, and an infinite one times a zero probability is NaN: that profile's residual.
+@np.errstate(over="ignore", invalid="ignore")
 def _residuals(choice: CurveChoice, matrix: PayoffMatrix, alpha, gamma):
     """The residual :func:`curve_residual` selects, elementwise on floats and arrays, unchecked."""
     if choice == "quadratic":

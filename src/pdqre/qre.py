@@ -411,10 +411,20 @@ def _price_nodes(alpha, gamma, matrix: PayoffMatrix):
 
     Returns arrays (pulled alpha, pulled gamma, clamped, gap_alpha, gap_gamma): the nodes
     pulled off the corners by :func:`_clip`, the flags of the nodes it moved, and the
-    payoff gaps u1 - u0 and u3 - u2 at the pulled nodes."""
+    payoff gaps u1 - u0 and u3 - u2 at the pulled nodes.
+
+    In a game of payoffs near the largest double a payoff or a gap may overflow.  An
+    infinite gap is held at the largest finite double of its sign, so sigma saturates
+    for lam > 0 as it would at +-inf, and lam = 0 gives sigma = 1/2, where 0 * inf would
+    be NaN; a gap of two payoffs that overflowed alike, inf - inf, is 0.  So F is finite
+    at every node of every finite game."""
     a, g = _clip((alpha, gamma))
-    u = _conditional_utilities(a, g, matrix)
-    return a, g, (a != alpha) | (g != gamma), u[1] - u[0], u[3] - u[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _conditional_utilities(a, g, matrix)
+        gaps = u[1::2] - u[::2]
+    if not np.isfinite(gaps).all():
+        np.nan_to_num(gaps, copy=False)
+    return a, g, (a != alpha) | (g != gamma), gaps[0], gaps[1]
 
 
 def _mesh_objective(lam: float, priced) -> np.ndarray:
@@ -447,8 +457,7 @@ def _seeds(lam: float, cfg: SolverConfig, matrix: PayoffMatrix):
     a, g, *_ = priced = _seed_mesh(m, matrix)
     pad = np.full((m + 2, m + 2), np.inf)  # the mesh bordered with inf
     f_sq = pad[1:-1, 1:-1]
-    # F is a sum of squares, so fmin sends NaN to inf and keeps every other value
-    np.fmin(_mesh_objective(lam, priced).reshape(m, m), np.inf, out=f_sq)
+    f_sq[...] = _mesh_objective(lam, priced).reshape(m, m)  # finite: see _price_nodes
     lowest = np.minimum(
         np.minimum(pad[:-2, 1:-1], pad[2:, 1:-1]), np.minimum(pad[1:-1, :-2], pad[1:-1, 2:])
     )

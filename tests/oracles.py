@@ -4,20 +4,19 @@ Each route is built from the game layer alone (``pdqre.game``: strategies,
 the closed-form stationary state, the bilinear payoff) and never from the
 route it checks:
 
-- ``dynamics_step`` and ``stationary_state_iterative`` iterate the one-round
-  map whose fixed point ``game.stationary_state`` gives in closed form;
+- ``dynamics_step`` is the one-round map whose fixed point
+  ``game.stationary_state`` gives in closed form: on ``Fraction``s one round
+  leaves that state exactly in place;
 - ``conditional_payoffs_compositional`` substitutes the pure values into a
   strategy, calls ``stationary_state`` and prices it, the check of
   ``qre.conditional_payoffs`` and the solver's kernel;
 - ``Jet`` carries a value with its gradient and Hessian in (alpha, gamma)
   through that route, or any other arithmetic of the game layer: on
   ``Fraction``s the payoff gaps, their gradients and Hessians come out exact,
-  the check of the kernel's derivatives and of ``nash.own_payoff_gradient``;
+  the one check of the kernel's derivatives and of ``nash.own_payoff_gradient``;
 - ``own_payoff_gradient_fd`` differentiates the stationary payoff by central
-  differences, the check of ``nash.own_payoff_gradient``;
-- ``stationarity_quadratic`` evaluates the gradient's factor C from the four
-  payoffs, the check of the curve that ``nash.trace_stationarity_curve``
-  traces from ``nash.STATIONARITY_CONIC``;
+  differences, the float check of ``nash.own_payoff_gradient`` in the
+  acceptance criteria;
 - ``percent_rows`` writes CSV rows by Python's ``%`` (one format string per
   row, its text escaped by ``template``), the check of the numpy byte
   renderer ``pdqre._rows``.
@@ -168,23 +167,6 @@ def dynamics_step(
     )
 
 
-def stationary_state_iterative(
-    s1: MarkovStrategy,
-    s2: MarkovStrategy,
-    start: StationaryState | None = None,
-    tol: float = 1e-14,
-    max_iter: int = 10_000,
-) -> StationaryState:
-    """Stationary state by direct iteration of :func:`dynamics_step`."""
-    state = start if start is not None else StationaryState(0.5, 0.5)
-    for _ in range(max_iter):
-        nxt = dynamics_step(s1, s2, state)
-        if abs(nxt.p1 - state.p1) < tol and abs(nxt.p2 - state.p2) < tol:
-            return nxt
-        state = nxt
-    return state
-
-
 def conditional_payoffs_compositional(
     alpha: float, gamma: float, matrix: PayoffMatrix = DEFAULT_MATRIX
 ) -> ConditionalPayoffs:
@@ -237,24 +219,6 @@ def own_payoff_gradient_fd(
         x_lo[i], x_hi[i] = lo, hi
         out.append((u(*x_hi) - u(*x_lo)) / (hi - lo))
     return out[0], out[1]
-
-
-def stationarity_quadratic(alpha: float, gamma: float) -> float:
-    """C, the interior factor of the gradient at the symmetric profile, in the default game.
-
-    C = (R - S) a^2 + (T - P) g^2 + (P - R + S - T) a g + (2T - R - P) a
-    + (S - T) g + (P - S), term by term in that order.
-    """
-    r, s = DEFAULT_MATRIX.reward_cc, DEFAULT_MATRIX.sucker_cd
-    t, p = DEFAULT_MATRIX.temptation_dc, DEFAULT_MATRIX.punishment_dd
-    return (
-        (r - s) * alpha**2
-        + (t - p) * gamma**2
-        + (p - r + s - t) * alpha * gamma
-        + (2.0 * t - r - p) * alpha
-        + (s - t) * gamma
-        + (p - s)
-    )
 
 
 def template(fmt: str, *labels: str) -> str:

@@ -230,9 +230,18 @@ def min_eigenvalue(hess):
 
 
 def descend(lam, seed, matrix):
-    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    a = min(max(seed[0], lo), hi)
-    g = min(max(seed[1], lo), hi)
+    """Newton descent on F from ``seed``, as (alpha, gamma, F, is_min), by ``qre._descend``'s rules.
+
+    The seed and every trial are clipped into [0, 1]^2 and pulled off a
+    degenerate corner by ``clamped``.  The end is a minimum only more than
+    ``CLAMP_EPS`` inside each edge, with a positive definite Hessian and
+    |grad F| <= ``DESCENT_GRAD_TOL`` * sqrt(max(1, hess F's largest diagonal entry)).
+    """
+
+    def pulled(a, g):
+        return clamped(min(max(a, 0.0), 1.0), min(max(g, 0.0), 1.0))[:2]
+
+    a, g = pulled(*seed)
     f, grad, hess = objective_derivatives(lam, a, g, matrix)
     for _ in range(DESCENT_MAX_ITER):
         e_min = min_eigenvalue(hess)
@@ -244,23 +253,24 @@ def descend(lam, seed, matrix):
         step_a = (-grad[0] * h_gg + grad[1] * h_ag) / det
         step_g = (-grad[1] * h_aa + grad[0] * h_ag) / det
         size = max(abs(step_a), abs(step_g))
-        if mu == 0.0 and size <= DESCENT_STEP_TOL:
+        if e_min > 0.0 and size <= DESCENT_STEP_TOL:
             break
-        local = mu == 0.0 and size <= DESCENT_LOCAL_STEP
+        local = e_min > 0.0 and size <= DESCENT_LOCAL_STEP
         t = 1.0
         while t >= 1.0 / 1024.0:
-            na = a + t * step_a
-            ng = g + t * step_g
-            inside = lo <= na <= hi and lo <= ng <= hi
-            na, ng = min(max(na, lo), hi), min(max(ng, lo), hi)
-            if (local and inside) or objective(lam, na, ng, matrix) < f:
+            trial = (a + t * step_a, g + t * step_g)
+            na, ng = pulled(*trial)
+            if (local and (na, ng) == trial) or objective(lam, na, ng, matrix) < f:
                 break
             t *= 0.5
         else:
             break
         a, g = na, ng
         f, grad, hess = objective_derivatives(lam, a, g, matrix)
-    is_min = max(abs(grad[0]), abs(grad[1])) <= DESCENT_GRAD_TOL and min_eigenvalue(hess) > 0.0
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+    bound = DESCENT_GRAD_TOL * math.sqrt(max(1.0, hess[0], hess[2]))
+    small = max(abs(grad[0]), abs(grad[1])) <= bound
+    is_min = small and lo < a < hi and lo < g < hi and min_eigenvalue(hess) > 0.0
     return float(a), float(g), float(f), bool(is_min)
 
 

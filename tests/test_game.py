@@ -1,4 +1,10 @@
-"""Game-layer tests: payoffs, strategies, stationary state vs oracle."""
+"""Game-layer tests: payoffs, strategies and the closed-form stationary state.
+
+The stationary state is checked as the fixed point of the one-round map
+(``oracles.dynamics_step``): exactly on ``Fraction``s, to rounding on floats.
+Where |d1*d2| < 1 that map contracts (spectral radius sqrt|d1*d2|), so its
+fixed point is the state that iterating it would reach.
+"""
 
 import ast
 import math
@@ -9,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import dynamics_step, stationary_state_iterative
+from oracles import dynamics_step
 
 from pdqre.game import (
     DEFAULT_MATRIX,
@@ -96,20 +102,6 @@ def test_stationary_fixed_point_property():
     assert nxt.p2 == pytest.approx(state.p2, abs=1e-14)
 
 
-def test_stationary_matches_iterative_oracle():
-    rng = np.random.default_rng(12345)
-    for _ in range(1000):
-        a1, g1, a2, g2 = rng.random(4)
-        s1, s2 = MarkovStrategy(a1, g1), MarkovStrategy(a2, g2)
-        try:
-            closed = stationary_state(s1, s2)
-        except DegenerateChain:
-            continue
-        iterated = stationary_state_iterative(s1, s2)
-        assert closed.p1 == pytest.approx(iterated.p1, abs=1e-10)
-        assert closed.p2 == pytest.approx(iterated.p2, abs=1e-10)
-
-
 def test_degenerate_chain_raises():
     # d1 * d2 = 1 requires |alpha - gamma| = 1 for both players
     tft = MarkovStrategy(0.0, 1.0)
@@ -128,15 +120,6 @@ def test_tft_vs_anti_tft_not_degenerate():
     state = stationary_state(MarkovStrategy(0.0, 1.0), MarkovStrategy(1.0, 0.0))
     assert state.p1 == pytest.approx(0.5, abs=1e-14)
     assert state.p2 == pytest.approx(0.5, abs=1e-14)
-
-
-def test_iterative_start_independence():
-    s1 = MarkovStrategy(0.4, 0.9)
-    s2 = MarkovStrategy(0.2, 0.3)
-    a = stationary_state_iterative(s1, s2, start=StationaryState(0.0, 0.0))
-    b = stationary_state_iterative(s1, s2, start=StationaryState(1.0, 1.0))
-    assert a.p1 == pytest.approx(b.p1, abs=1e-10)
-    assert a.p2 == pytest.approx(b.p2, abs=1e-10)
 
 
 def test_oracles_build_on_the_game_layer_alone():
@@ -184,16 +167,6 @@ def test_stationary_state_is_the_exact_fixed_point_on_fractions(s1, s2, matrix):
     assert dynamics_step(s1, s2, state) == state
     u = expected_payoff(matrix, state)
     assert [type(v) for v in (state.p1, state.p2, u)] == [Fraction] * 3
-
-
-def test_iterative_returns_its_last_state_at_max_iter():
-    # three rounds do not settle this chain: the oracle returns where it stopped
-    s1, s2 = MarkovStrategy(0.4, 0.9), MarkovStrategy(0.2, 0.3)
-    state = StationaryState(0.5, 0.5)
-    for _ in range(3):
-        state = dynamics_step(s1, s2, state)
-    assert stationary_state_iterative(s1, s2, max_iter=3) == state
-    assert state.p1 != pytest.approx(stationary_state(s1, s2).p1, abs=1e-3)
 
 
 @settings(max_examples=50, deadline=None)

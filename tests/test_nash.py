@@ -1,4 +1,5 @@
-"""Nash-curve tests: residuals, analytic gradient vs oracle, tracing."""
+"""Nash-curve tests: residuals, tracing, and the analytic gradient against the
+exact jet of the game layer's stationary payoff (``oracles.Jet`` on ``Fraction``s)."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import Jet, own_payoff_gradient_fd, stationarity_quadratic
+from oracles import Jet
 
 from pdqre.game import (
     DEFAULT_MATRIX,
@@ -38,26 +39,15 @@ SHARED_ZEROS = [(0.0, 1.0 / 9.0), (0.0, 1.0)]
 @pytest.mark.parametrize("alpha,gamma", SHARED_ZEROS)
 def test_both_quadratics_share_edge_zeros(alpha, gamma):
     assert quadratic_residual(alpha, gamma) == pytest.approx(0.0, abs=1e-12)
-    assert stationarity_quadratic(alpha, gamma) == pytest.approx(0.0, abs=1e-12)
+    assert _conic_residual(STATIONARITY_CONIC, alpha, gamma) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_quadratics_differ_by_linear_alpha_term():
     rng = np.random.default_rng(3)
     for _ in range(200):
         a, g = rng.random(2)
-        diff = stationarity_quadratic(a, g) - quadratic_residual(a, g)
+        diff = _conic_residual(STATIONARITY_CONIC, a, g) - quadratic_residual(a, g)
         assert diff == pytest.approx(14.0 * a, abs=1e-12)
-
-
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(99)
-    for _ in range(300):
-        own = MarkovStrategy(*rng.uniform(0.05, 0.95, 2))
-        opp = MarkovStrategy(*rng.uniform(0.05, 0.95, 2))
-        ga, gg = own_payoff_gradient(own, opp)
-        fa, fg = own_payoff_gradient_fd(own, opp)
-        assert ga == pytest.approx(fa, abs=1e-5)
-        assert gg == pytest.approx(fg, abs=1e-5)
 
 
 _UNIT_FRACTIONS = st.fractions(0, 1, max_denominator=10**6)
@@ -74,6 +64,12 @@ _UNIT_FRACTIONS = st.fractions(0, 1, max_denominator=10**6)
     own=(Fraction(1, 5), Fraction(9, 10)),
     opponent=(Fraction(3, 4), Fraction(1, 3)),
 )
+# own (0, 1) is on the box's edge, where one-sided differences were the check: (-1/6, -1/6)
+@example(
+    matrix=PayoffMatrix(*map(Fraction, (5, 0, 10, 1))),
+    own=(Fraction(0), Fraction(1)),
+    opponent=(Fraction(3, 10), Fraction(7, 10)),
+)
 def test_gradient_is_the_jet_of_the_stationary_payoff_exactly(matrix, own, opponent):
     # asymmetric pairs and any rational game: on Fractions the gradient is the
     # exact derivative of the payoff through the game layer's stationary state
@@ -86,15 +82,6 @@ def test_gradient_is_the_jet_of_the_stationary_payoff_exactly(matrix, own, oppon
     assert [type(v) for v in grad] == [Fraction, Fraction]
 
 
-def test_gradient_at_boundary_uses_one_sided_steps():
-    own = MarkovStrategy(0.0, 1.0)
-    opp = MarkovStrategy(0.3, 0.7)
-    ga, gg = own_payoff_gradient(own, opp)
-    fa, fg = own_payoff_gradient_fd(own, opp)
-    assert ga == pytest.approx(fa, abs=1e-4)
-    assert gg == pytest.approx(fg, abs=1e-4)
-
-
 def test_residual_vanishes_on_alpha_zero_edge():
     # with alpha = 0 the symmetric profile never cooperates, so gamma is inert
     for gamma in (0.2, 0.5, 0.8):
@@ -104,7 +91,7 @@ def test_residual_vanishes_on_alpha_zero_edge():
 def test_residual_vanishes_on_stationarity_curve_interior():
     # interior zero of the quadratic factor at gamma = 0.5
     alpha = (-7.0 + math.sqrt(84.0)) / 10.0
-    assert stationarity_quadratic(alpha, 0.5) == pytest.approx(0.0, abs=1e-12)
+    assert _conic_residual(STATIONARITY_CONIC, alpha, 0.5) == pytest.approx(0.0, abs=1e-12)
     assert stationarity_curve_residual(alpha, 0.5) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -138,7 +125,7 @@ def test_trace_stationarity_high_branch_only():
             assert p.alpha == pytest.approx(0.0, abs=1e-9)
             assert p.gamma == pytest.approx(1.0, abs=1e-12)
     assert all(p.alpha < 0.3 for p in points)
-    assert all(abs(stationarity_quadratic(p.alpha, p.gamma)) < 1e-10 for p in points)
+    assert all(abs(_conic_residual(STATIONARITY_CONIC, p.alpha, p.gamma)) < 1e-10 for p in points)
     assert min(p.gamma for p in points) == pytest.approx(1.0 / 9.0, abs=0.01)
     assert max(p.gamma for p in points) == pytest.approx(1.0, abs=0.01)
 
@@ -199,20 +186,13 @@ def _published(a, g):
     return 5.0 * (a * a) + 9.0 * (g * g) - 14.0 * a * g - 10.0 * g + 1.0
 
 
-def _stationarity(a, g):
-    return 5.0 * a**2 + 9.0 * g**2 - 14.0 * a * g + 14.0 * a - 10.0 * g + 1.0
-
-
 def test_conic_residuals_keep_the_bits_of_the_literal_expressions():
-    # the stationarity curve is traced from this tuple; the published residual and
-    # the oracle's C are evaluated term by term in the order of these literals, the
-    # residual squaring by x * x and the oracle by Python's **
-    assert STATIONARITY_CONIC == (5.0, -14.0, 14.0, 9.0, -10.0, 1.0)
+    # the published residual is evaluated term by term in the order of this literal,
+    # squaring by x * x
     rng = np.random.default_rng(29)
     points = [*rng.random((100_000, 2)).tolist(), (0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 1 / 9)]
-    for f, literal in ((quadratic_residual, _published), (stationarity_quadratic, _stationarity)):
-        got = np.array([f(a, g) for a, g in points])
-        assert got.tobytes() == np.array([literal(a, g) for a, g in points]).tobytes()
+    got = np.array([quadratic_residual(a, g) for a, g in points])
+    assert got.tobytes() == np.array([_published(a, g) for a, g in points]).tobytes()
     # the array route squares by x * x too, so its column keeps the same bits; Python's **
     # (libm's pow, which need not round correctly) gave other bits on 66 of these points
     column = _conic_residual(QUADRATIC_CONIC, *np.array(points).T)
@@ -341,8 +321,9 @@ def _per_point_columns(gammas, conic):
     This is the per-point route that ``_trace_columns`` replaced, built from
     ``math.sqrt`` and the scalar residuals.  It runs the same formulas in the
     same order, so it pins the columns' bits; it is no independent check of
-    the formulas, which ``own_payoff_gradient_fd`` and the exact gradient
-    test give.
+    the formulas, which the exact gradient tests give
+    (``test_gradient_is_the_jet_of_the_stationary_payoff_exactly`` and
+    ``test_gradient_at_the_symmetric_profile_is_the_conic_over_d_exactly``).
     """
     aa, ag, a, gg, g, one = conic
     rows = []

@@ -53,21 +53,6 @@ from pdqre.qre import (
 )
 
 
-def test_conditional_payoffs_match_compositional_oracle():
-    rng = np.random.default_rng(42)
-    for _ in range(500):
-        a, g = rng.random(2)
-        try:
-            closed = conditional_payoffs(a, g)
-        except DegenerateChain:
-            continue
-        oracle = conditional_payoffs_compositional(a, g)
-        assert closed.u_alpha0 == pytest.approx(oracle.u_alpha0, abs=1e-12)
-        assert closed.u_alpha1 == pytest.approx(oracle.u_alpha1, abs=1e-12)
-        assert closed.u_gamma0 == pytest.approx(oracle.u_gamma0, abs=1e-12)
-        assert closed.u_gamma1 == pytest.approx(oracle.u_gamma1, abs=1e-12)
-
-
 def test_conditional_payoffs_against_all_defect():
     # opponent (0, 0) never cooperates, so only the alpha=1 column feels it
     u = conditional_payoffs(0.0, 0.0)
@@ -540,29 +525,31 @@ def test_every_entry_point_rejects_a_point_outside_the_box(bad):
 
 @settings(max_examples=300, deadline=None)
 @given(
+    matrix=st.sampled_from([DEFAULT_MATRIX, PayoffMatrix(temptation_dc=7.0)]),
     lam=st.floats(0.0, 100.0),
     alpha=st.floats(0.0, 1.0),
     gamma=st.floats(0.0, 1.0),
 )
-def test_sigma_kernels_agree_and_map_into_the_box(lam, alpha, gamma):
+def test_sigma_kernels_agree_and_map_into_the_box(matrix, lam, alpha, gamma):
     # away from the degenerate corners (0, 1) and (1, 0), where the oracle raises
     assume(max(alpha, 1.0 - gamma) > 0.05 and max(1.0 - alpha, gamma) > 0.05)
-    sa, sg = _sigma_vec(lam, alpha, gamma, DEFAULT_MATRIX)
+    sa, sg = _sigma_vec(lam, alpha, gamma, matrix)
     assert 0.0 <= sa <= 1.0 and 0.0 <= sg <= 1.0
 
-    u = conditional_payoffs_compositional(alpha, gamma)
+    u = conditional_payoffs_compositional(alpha, gamma, matrix)
     assert sa == pytest.approx(logit_response(lam, u.u_alpha1, u.u_alpha0), abs=1e-12)
     assert sg == pytest.approx(logit_response(lam, u.u_gamma1, u.u_gamma0), abs=1e-12)
 
-    va, vg = _sigma_vec(lam, np.array([alpha]), np.array([gamma]), DEFAULT_MATRIX)
+    va, vg = _sigma_vec(lam, np.array([alpha]), np.array([gamma]), matrix)
     assert va.shape == vg.shape == (1,)
     assert va[0] == sa and vg[0] == sg
 
 
 @settings(max_examples=300, deadline=None)
 @given(xs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
-# numpy's exp is one ulp low just below 1: the kernel must still give 1/2 here
-@example(xs=[1.4e-16, 1.6e-16, -1.4e-16, -3e-16, 0.0, -0.0])
+# numpy's exp is one ulp low just below 1: the kernel must still give 1/2 here,
+# and only here: at +-1e-13 the response is 1/2 +- 2.5e-14
+@example(xs=[1.4e-16, 1.6e-16, -1.4e-16, -3e-16, 0.0, -0.0, 1e-13, -1e-13])
 # the edges of saturation: exp overflows, 1 + exp(-x) rounds to 1, subnormal results
 @example(xs=[-709.78, -709.79, 36.73, 36.74, -745.0, -709.5, math.inf, -math.inf])
 def test_logistic_kernel_matches_scipy_expit(xs):
@@ -711,6 +698,23 @@ def test_extreme_finite_payoffs_still_cross_every_level():
     lams = [0.0, 0.5, 2.0, 10.0, 100.0]
     level, *_ = _crossings(lams, PayoffMatrix(1e308, 0.0, 1e308, -1e308))
     assert set(level.tolist()) == set(range(len(lams)))
+
+
+def test_payoff_gaps_that_overflow_warn_nowhere():
+    # this game's payoff gaps overflow: held at the largest double, they saturate sigma
+    # for lam > 0 and leave it at exactly 1/2 at lam = 0, where 0 * inf would be NaN
+    matrix, lams = PayoffMatrix(1e308, -1e308, 1.5e308, -5e307), [0.0, 0.5, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in lams:
+            assert solve_qre(lam, matrix=matrix)
+            assert np.isfinite(objective_grid(lam, 11, matrix)[2]).all()
+        find_intersections(sweep_lambda(lams, matrix=matrix))
+    a, g, _, *gaps = priced = _price_nodes(*_mesh(81), matrix)
+    big = np.abs(gaps) == np.finfo(float).max
+    assert big.any()
+    assert np.isin(_logistic(0.5, np.array(gaps)[big]), [0.0, 1.0]).all()
+    assert _mesh_objective(0.0, priced).tobytes() == ((0.5 - a) ** 2 + (0.5 - g) ** 2).tobytes()
 
 
 def _clustered(crossings, descents, tol):

@@ -28,14 +28,11 @@ def _rendered(*columns) -> bytes:
     return b"".join(blocks(*columns))
 
 
-def _grid_oracle(a, g, f, clamped) -> bytes:
-    """The objective-grid CSV as one f-string per row."""
-    lines = ["alpha,gamma,objective,clamped"]
-    lines.extend(
-        f"{a[i]:.12g},{g[i]:.12g},{f[i]:.12g},{str(bool(clamped[i])).lower()}"
-        for i in range(len(a))
+def _grid_percent_rows(a, g, f, clamped) -> bytes:
+    """The objective-grid CSV by the ``%`` route."""
+    return b"alpha,gamma,objective,clamped\n" + percent_rows(
+        a, ",", g, ",", f, ([",false\n", ",true\n"], clamped)
     )
-    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _export_log_oracle(log: GameLog) -> bytes:
@@ -56,29 +53,6 @@ def _export_log_oracle(log: GameLog) -> bytes:
         c2 = "C" if log.choices2[t] else "D"
         lines.append(f"{t + 1},{c1},{c2},{payoffs1[t]:.12g},{payoffs2[t]:.12g}")
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    n=st.sampled_from([0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]),
-    pool=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=12),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_writer_matches_per_row_route(tmp_path_factory, n, pool, seed):
-    rng = np.random.default_rng(seed)
-    values = np.array(SPECIALS + pool, dtype=np.float64)
-    # the labelled column: each value's .12g string once, a row reads one by its code
-    texts = [format(v, ".12g") for v in values.tolist()]
-    codes = rng.integers(0, len(values), n)
-    # the value column mixes pool values with arbitrary bit patterns:
-    # NaN payloads, subnormals and every exponent
-    raw = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
-    dense = np.where(rng.random(n) < 0.5, values[rng.integers(0, len(values), n)], raw)
-
-    want = "head\n" + "".join(f"{values[codes[t]]:.12g},{dense[t]:.12g}\n" for t in range(n))
-    out = tmp_path_factory.mktemp("rows") / "rows.csv"
-    write(out, "head\n", blocks((texts, codes), ",", dense, "\n"))
-    assert out.read_bytes() == want.encode("utf-8")
 
 
 def _near_ties(m: int, j: int, ulps: int) -> list[float]:
@@ -147,12 +121,14 @@ def test_d_cells_match_percent_d_across_powers_of_ten(k, below, above):
     assert _rendered(unsigned, ",") == b"0,9223372036854775808,18446744073709551615,"
 
 
-def test_renderer_matches_the_percent_route_column_by_column():
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_renderer_matches_the_percent_route_column_by_column(n):
+    # no row, one row, and row counts at a block's edge; one float in ten a special value
     rng = np.random.default_rng(11)
-    n = 1000
+    normal = np.where(rng.random(n) < 0.1, rng.choice(SPECIALS, n), rng.normal(0.0, 1e3, n))
     columns = (
         np.arange(n) - 500, "|%s|", (["50%", "x{}", "é"], rng.integers(0, 3, n)),
-        rng.normal(0.0, 1e3, n), ",", (10.0 ** rng.uniform(-8, 16, n)).round(rng.integers(0, 9)),
+        normal, ",", (10.0 ** rng.uniform(-8, 16, n)).round(rng.integers(0, 9)),
         "\n",
     )
     assert _rendered(*columns) == percent_rows(*columns)
@@ -202,7 +178,7 @@ def test_objective_grid_matches_per_row_route(tmp_path, capsys):
     capsys.readouterr()
     grid = objective_grid(7.2, 301)
     assert len(grid[0]) > CHUNK_ROWS  # the file spans more than one block
-    assert out.read_bytes() == _grid_oracle(*grid)
+    assert out.read_bytes() == _grid_percent_rows(*grid)
 
 
 @pytest.mark.parametrize("rationality", ["0", "7.2", "1e308"])
@@ -217,7 +193,7 @@ def test_objective_grid_rows_next_to_clamped_corners_match_per_row_route(
     capsys.readouterr()
     grid = objective_grid(float(rationality), mesh)
     assert grid[3].any()
-    assert out.read_bytes() == _grid_oracle(*grid)
+    assert out.read_bytes() == _grid_percent_rows(*grid)
 
 
 def test_export_log_matches_per_row_route_across_blocks(tmp_path):
